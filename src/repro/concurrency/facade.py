@@ -139,6 +139,14 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         Forwarded to the :class:`~repro.match.autoselect.AutoSelector`
         — candidate backend names, a pre-calibrated cost table, and
         the evidence floor below which no decision is made.
+    storage / data_dir / memory_budget:
+        ``storage="disk"`` selects the disk tier
+        (:mod:`repro.disk`): every compacted shard base is sealed to
+        segment files under ``data_dir`` and its decoded residency is
+        capped by ``memory_budget``.  Overlays stay in RAM on both
+        tiers, so a write between compactions touches no file.  The
+        disk tier rejects ``pool="process"``: an mmap'd base cannot be
+        pickled into a worker's shared memory.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` driving this
         facade's background work off the unified maintenance clock:
@@ -197,6 +205,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         if storage not in ("memory", "disk"):
             raise ConcurrencyError(
                 f"unknown storage {storage!r}: expected 'memory' or 'disk'"
+            )
+        if storage == "disk" and pool == "process":
+            raise ConcurrencyError(
+                "pool='process' cannot ship disk-tier bases to workers "
+                "(their trees are mmap'd segment files); use pool='thread'"
             )
         if storage == "disk" and data_dir is None:
             import tempfile
@@ -311,13 +324,15 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         return scheduler
 
     def _evict_pass(self) -> int:
-        """Ask every live shard index to shed cold decoded trees."""
+        """Ask every live shard base to shed cold decoded trees.
+
+        Overlays live in RAM with nothing on disk to fall back to, so
+        only bases are swept.
+        """
         evicted = 0
         for _relation, shard in self._shard_items():
-            snap = shard.snapshot
-            for index in (snap.base, snap.overlay):
-                if index is not None and index.maybe_evict():
-                    evicted += 1
+            if shard.snapshot.base.maybe_evict():
+                evicted += 1
         return evicted
 
     def _tick(self, relation: Optional[str], count: int) -> None:
@@ -345,6 +360,21 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     # -- shard / pool management ---------------------------------------
 
     def _index_factory(self) -> PredicateIndex:
+        """A fresh shard base; on the disk tier its trees seal to segments."""
+        return self._new_index(sealed=self._storage == "disk")
+
+    def _overlay_factory(self) -> PredicateIndex:
+        """A fresh shard overlay, which always lives in RAM.
+
+        The overlay is rebuilt on every write, so sealing it would cost
+        one fsynced segment file per attribute per rule change.  It
+        holds at most ``compaction_threshold`` predicates, and on the
+        disk tier each of them is durable in the checkpointer's
+        journal.  Only compacted bases are sealed.
+        """
+        return self._new_index(sealed=False)
+
+    def _new_index(self, sealed: bool) -> PredicateIndex:
         index = PredicateIndex(
             tree_factory=self._tree_factory,
             estimator=self._estimator,
@@ -352,9 +382,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             stab_cache_size=self._snapshot_cache_size,
             adaptive=False,
             columnar=self._columnar,
-            storage=self._storage,
-            data_dir=self._data_dir,
-            memory_budget=self._memory_budget,
+            storage="disk" if sealed else "memory",
+            data_dir=self._data_dir if sealed else None,
+            memory_budget=self._memory_budget if sealed else None,
         )
         # The auto-selection plan rides on every fresh base/overlay:
         # the plan dict is replaced wholesale under _auto_lock, so a
@@ -372,14 +402,26 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         with self._catalog_lock:
             shard = self._shards.get(relation)
             if shard is None:
-                shard = RelationShard(
-                    relation,
-                    self._index_factory,
-                    compaction_threshold=self._compaction_threshold,
-                    publish_hooks=self._publish_hooks,
-                )
+                shard = self._new_shard(relation)
                 self._shards[relation] = shard
             return shard
+
+    def _new_shard(
+        self,
+        relation: str,
+        initial_base: Optional[PredicateIndex] = None,
+        initial_epoch: int = 0,
+    ) -> RelationShard:
+        """A shard wired to this facade's factories, threshold and hooks."""
+        return RelationShard(
+            relation,
+            self._index_factory,
+            compaction_threshold=self._compaction_threshold,
+            publish_hooks=self._publish_hooks,
+            initial_base=initial_base,
+            initial_epoch=initial_epoch,
+            overlay_factory=self._overlay_factory,
+        )
 
     @property
     def storage(self) -> str:
@@ -396,7 +438,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
 
         Counts the current epoch's base and overlay of each shard; old
         epochs still pinned by in-flight readers are unreachable from
-        here and die with their readers.
+        here and die with their readers.  On the disk tier the overlay
+        is RAM-resident and outside ``memory_budget``; it is bounded by
+        ``compaction_threshold`` instead.
         """
         total = 0
         for _relation, shard in self._shard_items():

@@ -32,7 +32,9 @@ A snapshot is a three-part structure so that writes stay cheap:
     base was compacted.  Rebuilt copy-on-write on every write — O(size
     of overlay), bounded by the compaction threshold — so a write never
     touches the big base trees and never invalidates their decode or
-    stab caches.
+    stab caches.  Built by the shard's ``overlay_factory``, which may
+    differ from the base's: the disk tier seals bases to segment files
+    but keeps overlays in RAM, so a write never writes a file.
 ``removed``
     A frozenset of identifiers deleted from the base since compaction.
     Matching filters base results through it.
@@ -245,9 +247,11 @@ class RelationShard:
         publish_hooks: Optional[List[PublishHook]] = None,
         initial_base: Optional[PredicateIndex] = None,
         initial_epoch: int = 0,
+        overlay_factory: Optional[Callable[[], PredicateIndex]] = None,
     ):
         self.relation = relation
         self._index_factory = index_factory
+        self._overlay_factory = overlay_factory or index_factory
         self._compaction_threshold = max(1, int(compaction_threshold))
         #: shared list owned by the facade; may grow concurrently
         #: (append is atomic) but is only iterated under the write lock.
@@ -452,7 +456,7 @@ class RelationShard:
     ) -> Optional[PredicateIndex]:
         if not overlay_preds:
             return None
-        overlay = self._index_factory()
+        overlay = self._overlay_factory()
         overlay.add_many(overlay_preds)
         overlay.freeze()
         return overlay

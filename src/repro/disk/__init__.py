@@ -8,7 +8,9 @@ served lazily per ``(relation, attribute)`` by
 seam (:mod:`repro.disk.store`), and made durable by **incremental
 per-shard checkpoints** plus a journal tail
 (:mod:`repro.disk.checkpoint`) — cold start attaches segments instead
-of rehydrating every predicate into RAM.
+of rehydrating every predicate into RAM.  On the concurrent facade only
+compacted shard bases are sealed; the small copy-on-write overlay of
+recent writes stays in RAM and is recovered from the journal.
 
 Select the tier with ``PredicateIndex(storage="disk", data_dir=...)``
 or the registry's ``"disk"`` backend; nothing else about the matching

@@ -25,7 +25,9 @@ mmap-ing a collected generation keep working until they close.
 line per ``add``/``remove`` at its publication epoch, so the journal
 tail deterministically extends whatever epoch the manifest captured.
 Recovery replays only ops whose epoch exceeds the manifest's for their
-relation.
+relation.  The journal is also the only durable copy of a shard's
+overlay, which the facade keeps in RAM: segments are written for
+compacted bases alone.
 
 **Recovery** (:func:`recover_concurrent` / :func:`load_index`) is a
 cold start, not a rehydration: predicates are attached to the catalog
@@ -729,7 +731,6 @@ def recover_concurrent(data_dir: str, **options: Any) -> Any:
     never-crashed index holding the same predicates would answer.
     """
     from ..concurrency.facade import ConcurrentPredicateIndex
-    from ..concurrency.shard import RelationShard
 
     options.pop("storage", None)
     options.pop("data_dir", None)
@@ -742,13 +743,8 @@ def recover_concurrent(data_dir: str, **options: Any) -> Any:
         base = index._index_factory()
         idents = _attach_relation(base, relation, entry, data_dir)
         base.freeze()
-        shard = RelationShard(
-            relation,
-            index._index_factory,
-            compaction_threshold=index._compaction_threshold,
-            publish_hooks=index._publish_hooks,
-            initial_base=base,
-            initial_epoch=int(entry["epoch"]),
+        shard = index._new_shard(
+            relation, initial_base=base, initial_epoch=int(entry["epoch"])
         )
         index._adopt_shard(relation, shard, idents)
     manifest_epochs = {

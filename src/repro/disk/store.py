@@ -33,7 +33,7 @@ import re
 import threading
 import weakref
 from collections import OrderedDict
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 from urllib.parse import quote
 
 from ..match.catalog import RelationState
@@ -189,22 +189,3 @@ class DiskTreeStore(TreeStore):
             return freed
         finally:
             self._evict_lock.release()
-
-    # -- segment catalog -------------------------------------------------
-
-    @staticmethod
-    def seal_state(state: RelationState, release: bool = False) -> Dict[str, str]:
-        """Seal every tree of *state*; returns ``attribute -> segment path``."""
-        out: Dict[str, str] = {}
-        for attribute, tree in state.trees.items():
-            sealer = getattr(tree, "seal", None)
-            if sealer is not None:
-                out[attribute] = sealer(release=release)
-        return out
-
-    @staticmethod
-    def segments_of(state: RelationState) -> Iterable[Tuple[str, Any]]:
-        """``(attribute, tree)`` pairs for the disk-backed trees of *state*."""
-        for attribute, tree in state.trees.items():
-            if getattr(tree, "disk_backed", False):
-                yield attribute, tree

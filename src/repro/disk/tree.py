@@ -91,8 +91,9 @@ class DiskIBSTree:
         """Seal to disk and drop the staging tree; then refuse mutation.
 
         This is what the epoch-snapshot tier calls before publishing a
-        base, so every frozen base a concurrent reader stabs is an
-        mmap'd segment, not a Python object graph.
+        compacted base, so every frozen base a concurrent reader stabs
+        is an mmap'd segment, not a Python object graph.  (Overlays are
+        never disk-backed: they are rebuilt per write and stay in RAM.)
         """
         if not self._frozen:
             self.seal(release=True)
@@ -116,10 +117,6 @@ class DiskIBSTree:
     def segment_path(self) -> Optional[str]:
         """Path of the current segment file, if sealed."""
         return self._reader.path if self.sealed else None
-
-    def set_path(self, path: str) -> None:
-        """Redirect future seals to *path* (the store names generations)."""
-        self._path = os.fspath(path)
 
     def _target_path(self) -> str:
         if self._path is not None:

@@ -493,7 +493,7 @@ DEFAULT_REGISTRY.register_matcher(
     _build_disk_concurrent,
     "concurrent disk-tier index: compaction publishes mmap'd bases, "
     "checkpoints are incremental per shard",
-    capabilities={"disk_backed": True, "process_parallel": True},
+    capabilities={"disk_backed": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "sequential", _build_sequential, "Section 2.1: one flat predicate list"

@@ -47,11 +47,13 @@ from repro.disk.segment import SegmentReader, write_segment
 from repro.disk.store import DiskTreeStore
 from repro.disk.tree import DiskIBSTree
 from repro.errors import (
+    ConcurrencyError,
     CorruptSegmentError,
     DatabaseError,
     InjectedFault,
     TreeError,
 )
+from repro.match.registry import DEFAULT_REGISTRY
 from repro.predicates.clauses import EqualityClause, FunctionClause, IntervalClause
 from repro.predicates.predicate import Predicate
 from repro.testing.faults import FaultInjector, injected
@@ -710,3 +712,130 @@ class TestIncrementalCheckpoint:
         index.add(make_pred(rng, "emp", 50))
         assert ck.compact_journal() == 1  # one op past the manifest
         ck.close()
+
+
+# ----------------------------------------------------------------------
+# concurrent facade: RAM overlays, sealed compacted bases
+# ----------------------------------------------------------------------
+
+
+def _files(directory):
+    return sorted(
+        os.path.relpath(os.path.join(root, name), directory)
+        for root, _dirs, names in os.walk(directory)
+        for name in names
+    )
+
+
+class TestRamOverlay:
+    """Only compacted bases are sealed; the per-write overlay stays in RAM."""
+
+    def test_writes_between_compactions_write_no_file(self, tmp_path):
+        rng = random.Random(71)
+        d = str(tmp_path)
+        index = ConcurrentPredicateIndex(
+            storage="disk", data_dir=d, compaction_threshold=16
+        )
+        index.add_many([make_pred(rng, "emp", i, extra_attr=True) for i in range(40)])
+        before = _files(d)
+        assert any(name.endswith(".seg") for name in before)
+        for i in range(40, 50):
+            index.add(make_pred(rng, "emp", i, extra_attr=True))
+        for i in range(5):
+            index.remove(f"emp-{i}")
+        snap = index.shard("emp").snapshot
+        assert len(snap.overlay_preds) == 10 and len(snap.removed) == 5
+        assert _files(d) == before
+        assert snap.overlay.storage == "memory" and snap.overlay.frozen
+        # the next compaction seals the folded base to fresh segments
+        index.compact("emp")
+        snap = index.shard("emp").snapshot
+        assert snap.overlay is None
+        catalog = snap.base.segment_catalog()["emp"]
+        assert catalog and all(os.path.exists(path) for path in catalog.values())
+        assert _files(d) != before
+
+    @pytest.mark.parametrize("seed", DISK_SEEDS)
+    def test_matches_memory_facade_under_churn(self, tmp_path, seed):
+        rng = random.Random(seed + 300)
+        disk = ConcurrentPredicateIndex(
+            storage="disk", data_dir=str(tmp_path), compaction_threshold=8
+        )
+        mem = ConcurrentPredicateIndex(compaction_threshold=8)
+        live = []
+        for step in range(120):
+            if live and rng.random() < 0.3:
+                ident = live.pop(rng.randrange(len(live)))
+                disk.remove(ident)
+                mem.remove(ident)
+            else:
+                pred = make_pred(rng, "emp", step, extra_attr=True)
+                disk.add(pred)
+                mem.add(pred)
+                live.append(pred.ident)
+            if step % 20 == 19:
+                tuples = [
+                    {"x": rng.uniform(-120, 120), "y": rng.randint(0, 4)}
+                    for _ in range(40)
+                ]
+                assert match_table(disk, "emp", tuples) == match_table(
+                    mem, "emp", tuples
+                ), (seed, step)
+                rows_d = disk.match_batch("emp", tuples)
+                rows_m = mem.match_batch("emp", tuples)
+                assert [sorted(r, key=repr) for r in rows_d] == [
+                    sorted(r, key=repr) for r in rows_m
+                ], (seed, step)
+
+    def test_crash_with_live_overlay_recovers_from_journal(self, tmp_path):
+        rng = random.Random(73)
+        d = str(tmp_path / "v")
+        index = ConcurrentPredicateIndex(storage="disk", data_dir=d)
+        ck = DiskCheckpointer(index)
+        preds = [make_pred(rng, "emp", i, extra_attr=True) for i in range(40)]
+        for p in preds[:30]:
+            index.add(p)
+        ck.checkpoint()
+        for p in preds[30:]:
+            index.add(p)
+        index.remove("emp-4")
+        snap = index.shard("emp").snapshot
+        assert snap.overlay_preds and snap.removed  # unsealed at the crash
+        ck.close()
+
+        recovered = recover_concurrent(d)
+        twin = ConcurrentPredicateIndex()
+        for p in preds:
+            twin.add(p)
+        twin.remove("emp-4")
+        tuples = [
+            {"x": rng.uniform(-120, 120), "y": rng.randint(0, 4)} for _ in range(150)
+        ]
+        assert match_table(recovered, "emp", tuples) == match_table(
+            twin, "emp", tuples
+        )
+        # the recovered shard is wired like a fresh one: RAM overlays
+        overlay = recovered.shard("emp").snapshot.overlay
+        assert overlay is not None and overlay.storage == "memory"
+
+    def test_overlay_counts_as_resident_and_is_never_evicted(self, tmp_path):
+        rng = random.Random(74)
+        index = ConcurrentPredicateIndex(
+            storage="disk", data_dir=str(tmp_path), memory_budget=1
+        )
+        index.add_many([make_pred(rng, "emp", i) for i in range(50)])
+        index.add(make_pred(rng, "emp", 99))
+        overlay = index.shard("emp").snapshot.overlay
+        assert overlay.resident_bytes() > 0
+        assert index.resident_bytes() >= overlay.resident_bytes()
+        index._evict_pass()
+        assert index.shard("emp").snapshot.overlay is overlay
+        assert len(overlay) == 1
+
+    def test_process_pool_is_rejected_up_front(self, tmp_path):
+        with pytest.raises(ConcurrencyError):
+            ConcurrentPredicateIndex(
+                storage="disk", data_dir=str(tmp_path), pool="process", workers=2
+            )
+        caps = DEFAULT_REGISTRY.describe_matcher("disk-concurrent")["capabilities"]
+        assert not caps.get("process_parallel")
