@@ -80,16 +80,6 @@ def _measure_concurrency(scenario):
     )
 
 
-def _measure_autoselect(scenario):
-    from repro.bench.runner import run_autoselect
-
-    return run_autoselect(
-        scenarios=scenario.get("families"),
-        seed=scenario["seed"],
-        scale=scenario.get("scale", 1.0),
-    )
-
-
 #: experiment key -> (file name, measure, optional sub-document key).
 #: A sub-document key means the experiment's scenario/rows live under
 #: that key of the file instead of at top level (BENCH_rebuild.json
@@ -99,7 +89,6 @@ EXPERIMENTS["batch"] = ("BENCH_batch.json", _measure_batch, None)
 EXPERIMENTS["rebuild"] = ("BENCH_rebuild.json", _measure_rebuild, None)
 EXPERIMENTS["coldstart"] = ("BENCH_rebuild.json", _measure_coldstart, "coldstart")
 EXPERIMENTS["concurrency"] = ("BENCH_concurrency.json", _measure_concurrency, None)
-EXPERIMENTS["autoselect"] = ("BENCH_autoselect.json", _measure_autoselect, None)
 
 
 def _measure_maint(scenario):
@@ -129,8 +118,6 @@ def throughput(row):
     """(metric name, higher-is-better value) for one row."""
     if "tuples_per_s" in row:
         return "tuples_per_s", float(row["tuples_per_s"])
-    if "ops_per_s" in row:
-        return "ops_per_s", float(row["ops_per_s"])
     if "bulk_ms" in row:
         return "1/bulk_ms", 1.0 / float(row["bulk_ms"])
     if "coldstart_s" in row:

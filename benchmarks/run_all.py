@@ -13,7 +13,6 @@ import sys
 
 from repro.bench.runner import (
     main,
-    print_autoselect,
     print_ablation_balancing,
     print_ablation_indexes,
     print_ablation_multiclause,
@@ -32,7 +31,6 @@ from repro.bench.runner import (
     print_stab_cache,
     run_ablation_balancing,
     run_ablation_indexes,
-    run_autoselect,
     run_ablation_multiclause,
     run_ablation_selectivity,
     run_batch,
@@ -64,7 +62,6 @@ RUNNERS = {
     "coldstart": print_coldstart,
     "stabcache": print_stab_cache,
     "concurrency": print_concurrency,
-    "autoselect": print_autoselect,
     "maint": print_maintenance,
 }
 
@@ -96,10 +93,6 @@ SMOKE = {
                     {"predicates": 300, "distinct_values": 100,
                      "batch_size": 50, "rounds": 4, "repeats": 1},
                     print_concurrency),
-    "autoselect": (run_autoselect,
-                   {"scale": 0.25, "repeats": 1, "calibration_samples": 60,
-                    "calibration_sizes": (16, 128)},
-                   print_autoselect),
     "maint": (run_maintenance,
               {"predicates": 300, "distinct_values": 100, "batch_size": 50,
                "rounds": 6, "repeats": 1, "checkpoint_every": 2},

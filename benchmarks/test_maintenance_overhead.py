@@ -3,7 +3,7 @@
 The maintenance plane (``repro.maintenance``, see ``docs/maintenance.md``)
 puts one op-count tick on every hot path — `match`, `match_batch`, and
 the predicate writes.  That tick buys deterministic retuning,
-auto-selection, compaction, checkpointing, and eviction, but it must
+compaction, checkpointing, and eviction, but it must
 not buy them with matching throughput.  This module runs
 ``repro.bench.runner.run_maintenance`` and holds it to:
 

@@ -7,8 +7,6 @@ Subcommands::
     python -m repro bench             # run every paper experiment (slow)
     python -m repro backends          # list registered backends and matchers
     python -m repro describe NAME     # capability card for one backend/matcher
-    python -m repro tune              # calibrated cost table + per-scenario
-                                      # auto-selection picks (--quick, --seed N)
     python -m repro segments DIR      # list a disk tier's segment files,
                                       # verifying every checksum
     python -m repro maintenance       # play a scenario through the unified
@@ -144,88 +142,15 @@ def _describe(name: str) -> int:
     return 0
 
 
-def _tune(arguments: list) -> int:
-    """Calibrate the cost model and show the selector's would-be picks.
-
-    Nothing outside this process is modified: each scenario is played
-    against a throwaway ``PredicateIndex(auto_backend=True)`` and the
-    selector's decisions (including "kept" verdicts) are printed with
-    their pricing rationale.
-    """
-    quick = "--quick" in arguments
-    seed = 42
-    if "--seed" in arguments:
-        try:
-            seed = int(arguments[arguments.index("--seed") + 1])
-        except (IndexError, ValueError):
-            print(
-                "usage: python -m repro tune [--quick] [--seed N]",
-                file=sys.stderr,
-            )
-            return 2
-    from .bench.cost_model import calibrate_backends
-    from .core.predicate_index import PredicateIndex
-    from .workloads.scenarios import scenario_names, synthesize
-
-    if quick:
-        table = calibrate_backends(seed=seed, samples=60, sizes=(16, 128))
-    else:
-        table = calibrate_backends(seed=seed)
-    print("calibrated backend costs (ms; cost(n) = base + log * log2(n)):")
-    width = max(len(name) for name in table.backends())
-    for backend in table.backends():
-        model = table.model(backend)
-        print(
-            f"  {backend:<{width}}  "
-            f"stab {model.stab_base_ms:.6f} + {model.stab_log_ms:.6f}*log2(n)"
-            f"   insert {model.insert_base_ms:.6f} + "
-            f"{model.insert_log_ms:.6f}*log2(n)"
-            f"   stab@1000 {table.stab_ms(backend, 1000) * 1e3:.2f}us"
-        )
-    print()
-    scale = 0.25 if quick else 1.0
-    print(
-        f"per-attribute picks on the synthesized scenarios "
-        f"(seed {seed}, scale {scale:g}):"
-    )
-    for family in scenario_names():
-        scenario = synthesize(family, seed=seed, scale=scale)
-        relation = scenario.spec.relation
-        index = PredicateIndex(
-            auto_backend=True, auto_cost_table=table, min_evidence_ops=32
-        )
-        for predicate in scenario.predicates():
-            index.add(predicate)
-        for op, payload in scenario.churn():
-            if op == "add":
-                index.add(payload)
-            else:
-                index.remove(payload)
-        for batch in scenario.batches():
-            index.match_batch(relation, batch)
-        decisions = index.autoselect()
-        print(f"  {family}:")
-        for decision in decisions:
-            print(
-                f"    {decision.relation}.{decision.attribute}: "
-                f"{decision.current_backend} -> {decision.chosen_backend}"
-                f"  ({decision.reason})"
-            )
-        if not decisions:
-            print("    (no attribute cleared the evidence floor)")
-        print(f"    live backends: {index.attribute_backends(relation)}")
-    return 0
-
-
 def _maintenance(arguments: list) -> int:
     """Drive the unified maintenance scheduler over a synthetic workload.
 
-    Builds one adaptive, auto-selecting ``PredicateIndex`` per scenario
-    family with a :class:`~repro.maintenance.MaintenancePolicy`, plays
-    the family's churn and batches (every write and matched tuple ticks
-    the clock), then prints the scheduler's task table — runs, failures,
-    next-due op — and the dead-letter queue, mirroring
-    ``maintenance_report()``.
+    Builds one adaptive ``PredicateIndex`` per scenario family with a
+    :class:`~repro.maintenance.MaintenancePolicy` that retunes entry
+    clauses, plays the family's churn and batches (every write and
+    matched tuple ticks the clock), then prints the scheduler's task
+    table — runs, failures, next-due op — and the dead-letter queue,
+    mirroring ``maintenance_report()``.
     """
     quick = "--quick" in arguments
     seed = 42
@@ -243,11 +168,7 @@ def _maintenance(arguments: list) -> int:
     from .workloads.scenarios import scenario_names, synthesize
 
     scale = 0.25 if quick else 1.0
-    policy = MaintenancePolicy(
-        retune_interval=64,
-        autoselect_interval=256,
-        quarantine_failures=3,
-    )
+    policy = MaintenancePolicy(retune_interval=64, quarantine_failures=3)
     print(
         f"unified maintenance plane over the synthesized scenarios "
         f"(seed {seed}, scale {scale:g}):"
@@ -257,11 +178,7 @@ def _maintenance(arguments: list) -> int:
         scenario = synthesize(family, seed=seed, scale=scale)
         relation = scenario.spec.relation
         index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=16,
-            auto_backend=True,
-            min_evidence_ops=32,
-            maintenance=policy,
+            adaptive=True, min_feedback_tuples=16, maintenance=policy
         )
         for predicate in scenario.predicates():
             index.add(predicate)
@@ -350,8 +267,6 @@ def main(argv: list) -> int:
             print("usage: python -m repro describe NAME", file=sys.stderr)
             return 2
         return _describe(argv[2])
-    elif command == "tune":
-        return _tune(argv[2:])
     elif command == "segments":
         if len(argv) < 3:
             print("usage: python -m repro segments DATA_DIR", file=sys.stderr)
@@ -362,8 +277,8 @@ def main(argv: list) -> int:
     else:
         print(
             f"unknown command {command!r}; "
-            "use: info | demo | bench | backends | describe | tune | "
-            "segments | maintenance",
+            "use: info | demo | bench | backends | describe | segments | "
+            "maintenance",
             file=sys.stderr,
         )
         return 2

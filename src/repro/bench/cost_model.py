@@ -33,29 +33,23 @@ experiment in EXPERIMENTS.md).
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional
 
 from ..match.registry import DEFAULT_REGISTRY
-from ..workloads.generator import IntervalWorkload, ScenarioConfig, ScenarioWorkload
+from ..workloads.generator import ScenarioConfig, ScenarioWorkload
 
 __all__ = [
     "CostParameters",
     "CostBreakdown",
     "predicate_match_cost",
     "calibrate",
-    "BackendCostModel",
-    "BackendCostTable",
-    "calibrate_backends",
-    "default_backend_cost_table",
     "MIN_MEASURED_MS",
-    "DEFAULT_CALIBRATION_BACKENDS",
 ]
 
-#: Floor for every measured or fitted cost constant, in milliseconds.
+#: Floor for every measured cost constant, in milliseconds.
 #: Timer quantisation (or an injected fake timer in tests) can report a
 #: loop as taking zero time; a zero constant would make a backend look
 #: free and poison every downstream ratio, so all measurements clamp
@@ -234,201 +228,3 @@ def measured_match_cost_ms(seed: int = 42, tuples: int = 500) -> float:
     for tup in batch:
         index.match("r0", tup)
     return (time.perf_counter() - start) / tuples * 1e3
-
-
-# ----------------------------------------------------------------------
-# per-backend cost models (the auto-selector's pricing input)
-# ----------------------------------------------------------------------
-#
-# Section 5.2 prices *one* tree shape; the auto-selector
-# (repro.match.autoselect) needs a price per registered backend so it
-# can compare "this attribute's observed stab/insert mix on backend X"
-# against backend Y.  Each backend gets a two-coefficient model per
-# operation, cost(n) = base + log_coef * log2(n), fitted from direct
-# micro-probes at two tree sizes.  The log2 form matches the balanced
-# backends exactly and is an acceptable secant approximation for the
-# O(n) baselines over the fitted size range — the selector compares
-# backends at the *same* n, so only relative order matters.
-
-#: Backends calibrated by default: the four IBS-tree variants plus the
-#: Figure 9 sequential baseline.  The selector migrates only between
-#: enumerable backends, but the baseline row anchors "how bad is the
-#: worst reasonable default" in reports.
-DEFAULT_CALIBRATION_BACKENDS: Tuple[str, ...] = (
-    "ibs",
-    "avl",
-    "rb",
-    "flat",
-    "interval-list",
-)
-
-
-@dataclass(frozen=True)
-class BackendCostModel:
-    """Fitted ``base + log_coef * log2(n)`` costs for one backend."""
-
-    backend: str
-    stab_base_ms: float
-    stab_log_ms: float
-    insert_base_ms: float
-    insert_log_ms: float
-
-    def stab_ms(self, n: int) -> float:
-        """Predicted cost of one stab against a tree of *n* intervals."""
-        return max(
-            self.stab_base_ms + self.stab_log_ms * math.log2(max(n, 2)),
-            MIN_MEASURED_MS,
-        )
-
-    def insert_ms(self, n: int) -> float:
-        """Predicted cost of one insert into a tree of *n* intervals."""
-        return max(
-            self.insert_base_ms + self.insert_log_ms * math.log2(max(n, 2)),
-            MIN_MEASURED_MS,
-        )
-
-    def as_dict(self) -> Dict[str, float]:
-        return {
-            "stab_base_ms": self.stab_base_ms,
-            "stab_log_ms": self.stab_log_ms,
-            "insert_base_ms": self.insert_base_ms,
-            "insert_log_ms": self.insert_log_ms,
-        }
-
-
-class BackendCostTable:
-    """Calibrated :class:`BackendCostModel` per backend name."""
-
-    __slots__ = ("_models",)
-
-    def __init__(self, models: Mapping[str, BackendCostModel]) -> None:
-        self._models = dict(models)
-
-    def backends(self) -> Tuple[str, ...]:
-        return tuple(self._models)
-
-    def __contains__(self, backend: str) -> bool:
-        return backend in self._models
-
-    def model(self, backend: str) -> BackendCostModel:
-        return self._models[backend]
-
-    def stab_ms(self, backend: str, n: int) -> float:
-        return self._models[backend].stab_ms(n)
-
-    def insert_ms(self, backend: str, n: int) -> float:
-        return self._models[backend].insert_ms(n)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {name: model.as_dict() for name, model in self._models.items()}
-
-
-def _fit_log_curve(
-    cost_small: float, cost_big: float, n_small: int, n_big: int
-) -> Tuple[float, float]:
-    """Secant fit of ``base + log_coef * log2(n)`` through two probes.
-
-    The slope is clamped at zero (a backend cannot get cheaper as the
-    tree grows; a negative secant is measurement noise) and the base at
-    :data:`MIN_MEASURED_MS`, which together guarantee the fitted curve
-    is monotone non-decreasing and strictly positive.
-    """
-    span = math.log2(n_big) - math.log2(n_small)
-    slope = max(0.0, (cost_big - cost_small) / span) if span > 0 else 0.0
-    base = max(cost_small - slope * math.log2(n_small), MIN_MEASURED_MS)
-    return base, slope
-
-
-def calibrate_backends(
-    backends: Iterable[str] = DEFAULT_CALIBRATION_BACKENDS,
-    seed: int = 42,
-    samples: int = 400,
-    sizes: Sequence[int] = (64, 512),
-    registry: Optional[object] = None,
-    timer: Callable[[], float] = time.perf_counter,
-) -> BackendCostTable:
-    """Micro-probe each backend and fit its stab/insert cost curves.
-
-    For every backend and every tree size in *sizes* (ascending, at
-    least two), a tree is built over a seeded interval workload —
-    ``bulk_load`` when the backend has one, incremental inserts
-    otherwise, matching how the auto-selector migrates — then *samples*
-    stabs and a batch of inserts are timed and amortised.  The two
-    sizes' measurements are fitted into a
-    ``base + log_coef * log2(n)`` model per operation (see
-    :func:`_fit_log_curve` for the monotonicity and positivity
-    guarantees).
-
-    *timer* is injectable so unit tests can drive the fit with a fake
-    clock; *registry* defaults to the process-wide
-    ``DEFAULT_REGISTRY``.
-    """
-    from ..match.registry import DEFAULT_REGISTRY as _default
-
-    reg = registry if registry is not None else _default
-    sizes = sorted(sizes)
-    if len(sizes) < 2:
-        raise ValueError("calibrate_backends needs at least two tree sizes")
-    n_small, n_big = sizes[0], sizes[-1]
-    models: Dict[str, BackendCostModel] = {}
-    for backend in backends:
-        factory = reg.tree_factory(backend)  # type: ignore[attr-defined]
-        per_size: Dict[int, Tuple[float, float]] = {}
-        for size in (n_small, n_big):
-            workload = IntervalWorkload(seed=seed * 1_000_003 + size)
-            pairs = [
-                (interval, k)
-                for k, interval in enumerate(workload.intervals(size))
-            ]
-            tree = factory()
-            loader = getattr(tree, "bulk_load", None)
-            if loader is not None:
-                loader(pairs)
-            else:
-                for interval, ident in pairs:
-                    tree.insert(interval, ident)
-            points = workload.query_points(samples)
-            start = timer()
-            for point in points:
-                tree.stab(point)
-            stab_ms = max(
-                (timer() - start) / max(samples, 1) * 1e3, MIN_MEASURED_MS
-            )
-            extra = workload.intervals(max(16, size // 8))
-            start = timer()
-            for offset, interval in enumerate(extra):
-                tree.insert(interval, size + offset)
-            insert_ms = max(
-                (timer() - start) / len(extra) * 1e3, MIN_MEASURED_MS
-            )
-            per_size[size] = (stab_ms, insert_ms)
-        stab_base, stab_log = _fit_log_curve(
-            per_size[n_small][0], per_size[n_big][0], n_small, n_big
-        )
-        insert_base, insert_log = _fit_log_curve(
-            per_size[n_small][1], per_size[n_big][1], n_small, n_big
-        )
-        models[backend] = BackendCostModel(
-            backend=backend,
-            stab_base_ms=stab_base,
-            stab_log_ms=stab_log,
-            insert_base_ms=insert_base,
-            insert_log_ms=insert_log,
-        )
-    return BackendCostTable(models)
-
-
-_DEFAULT_TABLE: Optional[BackendCostTable] = None
-
-
-def default_backend_cost_table() -> BackendCostTable:
-    """The process-wide calibrated table, measured once and cached.
-
-    Auto-selecting facades call this lazily on their first tuning pass
-    unless the caller injected a table, so the (tens of milliseconds)
-    calibration cost is paid at most once per process.
-    """
-    global _DEFAULT_TABLE
-    if _DEFAULT_TABLE is None:
-        _DEFAULT_TABLE = calibrate_backends()
-    return _DEFAULT_TABLE

@@ -58,7 +58,6 @@ __all__ = [
     "run_coldstart",
     "run_stab_cache",
     "run_concurrency",
-    "run_autoselect",
     "run_maintenance",
     "main",
 ]
@@ -1424,190 +1423,6 @@ def print_concurrency(
 
 
 # ----------------------------------------------------------------------
-# AUTOSELECT — scenario-vs-backend sweep for the self-tuning loop
-# ----------------------------------------------------------------------
-
-
-#: Fixed rows of the sweep matrix.  ``interval-list`` is the Figure 9
-#: linear-scan baseline — it is *not* an auto-selection candidate (no
-#: enumeration, so migration away is a one-way door), but as a fixed
-#: row it anchors the "worst default" bar the auto row must clear.
-AUTOSELECT_FIXED_BACKENDS: Tuple[str, ...] = (
-    "ibs",
-    "avl",
-    "rb",
-    "flat",
-    "interval-list",
-)
-
-
-def _churn_pass(index: PredicateIndex, churn: List[Tuple[str, Any]]) -> None:
-    """Apply churn events, then undo them in reverse.
-
-    The undo restores the exact pre-pass predicate set, so a timed pass
-    can repeat; the undo's adds and removes are churn work too and are
-    identical for every backend, keeping the comparison fair.
-    """
-    undo: List[Tuple[str, Any]] = []
-    for op, payload in churn:
-        if op == "add":
-            index.add(payload)
-            undo.append(("remove", payload.ident))
-        else:
-            undo.append(("add", index.remove(payload)))
-    for op, payload in reversed(undo):
-        if op == "add":
-            index.add(payload)
-        else:
-            index.remove(payload)
-
-
-def run_autoselect(
-    scenarios: Optional[Sequence[str]] = None,
-    seed: int = 33,
-    repeats: int = 9,
-    scale: float = 1.0,
-    calibration_samples: int = 200,
-    calibration_sizes: Sequence[int] = (64, 512),
-    min_evidence_ops: int = 64,
-    report_out: Optional[Dict[str, Any]] = None,
-) -> List[Dict[str, Any]]:
-    """The scenario-vs-backend throughput matrix for auto-selection.
-
-    Every scenario family (:mod:`repro.workloads.scenarios`) is run
-    against each fixed backend and against ``auto`` — a
-    ``PredicateIndex(auto_backend=True)`` that accumulates evidence
-    over a warm-up pass, runs one explicit :meth:`autoselect` pass, and
-    is then timed on whatever backends it migrated to.  Predicates are
-    added **one by one**, preserving each scenario's arrival order —
-    that is what degenerates the unbalanced tree in the adversarial
-    family, the exact trap the live micro-probe lets auto escape.
-
-    Before any timing, every configuration's ``match_idents`` answers
-    are checked against the first backend's on a sample — and the auto
-    row is re-checked *after* its migration pass, so the sweep itself
-    proves migrations preserve match semantics.  Timings are best of
-    *repeats* after warm-up (passes are milliseconds long, so the
-    default is high enough for the best-of to converge under container
-    timer jitter); ``ops_per_s`` counts logical operations (stabs plus
-    churn adds/removes, including the undo).
-
-    *scale* shrinks or grows every scenario (``--quick`` uses 0.25);
-    *report_out*, when given, receives the calibrated cost table and
-    the auto row's per-scenario picks and decisions (kept out of the
-    returned rows — picks are machine-dependent and would break
-    row-matching in ``compare_bench``).
-    """
-    from ..workloads.scenarios import scenario_names, synthesize
-    from .cost_model import calibrate_backends
-
-    names = list(scenarios) if scenarios is not None else scenario_names()
-    table = calibrate_backends(
-        seed=seed, samples=calibration_samples, sizes=tuple(calibration_sizes)
-    )
-    picks: Dict[str, Any] = {}
-    rows: List[Dict[str, Any]] = []
-    for family in names:
-        scenario = synthesize(family, seed=seed, scale=scale)
-        predicate_list = scenario.predicates()
-        batches = scenario.batches()
-        churn = scenario.churn()
-        relation = scenario.spec.relation
-        sample = [tup for tup in batches[0][:20]]
-        ops = scenario.total_stabs() + 4 * len(churn)
-        reference: Optional[List[frozenset]] = None
-        family_rows: List[Dict[str, Any]] = []
-        for backend in AUTOSELECT_FIXED_BACKENDS + ("auto",):
-            if backend == "auto":
-                index = PredicateIndex(
-                    auto_backend=True,
-                    auto_cost_table=table,
-                    min_evidence_ops=min_evidence_ops,
-                )
-            else:
-                index = PredicateIndex(tree_factory=backend)
-            for predicate in predicate_list:
-                index.add(predicate)
-            answers = [
-                frozenset(index.match_idents(relation, tup)) for tup in sample
-            ]
-            if reference is None:
-                reference = answers
-            elif answers != reference:
-                raise AssertionError(
-                    f"{family}: {backend!r} disagrees with "
-                    f"{AUTOSELECT_FIXED_BACKENDS[0]!r} on the sample"
-                )
-
-            def work(idx: PredicateIndex = index) -> None:
-                if churn:
-                    _churn_pass(idx, churn)
-                for batch in batches:
-                    idx.match_batch(relation, batch)
-
-            work()  # warm-up: caches, compiled residuals — and evidence
-            if backend == "auto":
-                decisions = index.autoselect()
-                after = [
-                    frozenset(index.match_idents(relation, tup))
-                    for tup in sample
-                ]
-                if after != reference:
-                    raise AssertionError(
-                        f"{family}: auto-selection migration changed "
-                        f"match results"
-                    )
-                picks[family] = {
-                    "backends": index.attribute_backends(relation),
-                    "decisions": [decision.as_dict() for decision in decisions],
-                }
-            elapsed = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                work()
-                elapsed = min(elapsed, time.perf_counter() - start)
-            family_rows.append(
-                {
-                    "scenario": family,
-                    "backend": backend,
-                    "ms_per_pass": elapsed * 1e3,
-                    "ops_per_s": ops / elapsed,
-                }
-            )
-        fixed = [row for row in family_rows if row["backend"] != "auto"]
-        best = max(row["ops_per_s"] for row in fixed)
-        worst = min(row["ops_per_s"] for row in fixed)
-        for row in family_rows:
-            row["rel_best"] = row["ops_per_s"] / best
-            row["rel_worst"] = row["ops_per_s"] / worst
-        rows.extend(family_rows)
-    if report_out is not None:
-        report_out["cost_table"] = table.as_dict()
-        report_out["picks"] = picks
-    return rows
-
-
-def print_autoselect(
-    rows: Optional[List[Dict[str, Any]]] = None
-) -> List[Dict[str, Any]]:
-    rows = rows if rows is not None else run_autoselect()
-    print_experiment(
-        "AUTOSELECT: scenario-vs-backend sweep, fixed backends vs auto",
-        ["scenario", "backend", "ms_per_pass", "ops_per_s", "rel_best",
-         "rel_worst"],
-        [
-            [row["scenario"], row["backend"], row["ms_per_pass"],
-             row["ops_per_s"], row["rel_best"], row["rel_worst"]]
-            for row in rows
-        ],
-        note="rel_best/rel_worst are vs the best/worst FIXED backend of "
-             "each scenario; the auto row observes, migrates once, then "
-             "is timed on its chosen backends",
-    )
-    return rows
-
-
-# ----------------------------------------------------------------------
 # MAINT — the unified maintenance plane's hot-path cost
 # ----------------------------------------------------------------------
 
@@ -1863,7 +1678,6 @@ def main() -> None:
     print_coldstart()
     print_stab_cache()
     print_concurrency()
-    print_autoselect()
     print_maintenance()
 
 

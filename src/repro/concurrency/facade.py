@@ -37,7 +37,6 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Any,
-    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -124,21 +123,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         per compaction.  Safe under lock-free readers: the plane cache
         is a single GIL-atomic attribute publish of an immutable
         object.  Silently inert when NumPy is not installed.
-    auto_backend:
-        Enable per-attribute backend auto-selection
-        (:class:`~repro.match.autoselect.AutoSelector`).  Reads and
-        writes accumulate workload evidence at the facade level;
-        :meth:`autoselect` prices each attribute against the calibrated
-        cost table and records winners in a backend *plan*.  Under
-        snapshot publication the safe migration primitive is a
-        compaction: the plan is applied to every fresh base built by
-        the shard (``set_backend_plan``), so a migration publishes a
-        whole new :class:`EpochSnapshot` and never mutates a frozen
-        base — readers only ever see the old or the new epoch.
-    auto_candidates / auto_cost_table / min_evidence_ops:
-        Forwarded to the :class:`~repro.match.autoselect.AutoSelector`
-        — candidate backend names, a pre-calibrated cost table, and
-        the evidence floor below which no decision is made.
     storage / data_dir / memory_budget:
         ``storage="disk"`` selects the disk tier
         (:mod:`repro.disk`): every compacted shard base is sealed to
@@ -152,9 +136,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         facade's background work off the unified maintenance clock:
         ``compact_interval`` compacts shards proactively (folding
         overlays *before* the synchronous size threshold forces a
-        write-side fold), ``autoselect_interval`` retunes backends
-        continuously off that same clock instead of explicit
-        :meth:`autoselect` calls, ``evict_interval`` sweeps disk-tier
+        write-side fold), ``evict_interval`` sweeps disk-tier
         residency, and a :class:`~repro.disk.checkpoint.DiskCheckpointer`
         attached to this facade registers its budgeted checkpoint task
         here.  The policy's ``compaction_threshold`` also becomes the
@@ -176,23 +158,15 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         snapshot_cache_size: int = 4_096,
         columnar: bool = False,
         pool: str = "thread",
-        auto_backend: bool = False,
-        auto_candidates: Optional[Iterable[str]] = None,
-        auto_cost_table: Optional[Any] = None,
-        min_evidence_ops: int = 512,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
         maintenance: Optional[MaintenancePolicy] = None,
     ):
-        backend_name: Optional[str] = None
         if isinstance(tree_factory, str):
             from ..match.registry import DEFAULT_REGISTRY
 
-            backend_name = tree_factory
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
-        elif tree_factory is IBSTree:
-            backend_name = "ibs"
         if workers == "process":
             import os
 
@@ -248,31 +222,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._process_pool: Optional[Any] = None
         self._pool_lock = threading.Lock()
         self._closed = False
-        #: relation -> attribute -> (backend name, factory).  Mutated
-        #: only under ``_auto_lock`` and published by whole-dict
-        #: replacement, so ``_index_factory`` may read it bare.
-        self._backend_plan: Dict[str, Dict[str, Tuple[str, Any]]] = {}
-        #: guards evidence writes, plan publication, and selector
-        #: bookkeeping — short critical sections only, never held
-        #: across a compaction.
-        self._auto_lock = threading.Lock()
-        #: serializes whole :meth:`autoselect` passes (including their
-        #: compactions); never taken by readers or writers.
-        self._tune_lock = threading.Lock()
-        self._selector: Optional[Any] = None
-        if auto_backend:
-            from ..match.autoselect import DEFAULT_CANDIDATES, AutoSelector
-
-            self._selector = AutoSelector(
-                candidates=(
-                    tuple(auto_candidates)
-                    if auto_candidates is not None
-                    else DEFAULT_CANDIDATES
-                ),
-                cost_table=auto_cost_table,
-                min_evidence_ops=min_evidence_ops,
-                default_backend=backend_name,
-            )
         self._maint_observer = StatsObserver(MatchStatistics())
         self._maintenance = self._build_maintenance(maintenance)
 
@@ -282,8 +231,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         """Register the facade's background work as scheduler tasks.
 
         ``compact`` (closing ROADMAP item 4's follow-on: background
-        compaction off one clock) and ``autoselect`` (closing item 5's:
-        continuous retune-by-compaction) register here; the disk tier's
+        compaction off one clock) registers here; the disk tier's
         ``checkpoint`` task is registered by the
         :class:`~repro.disk.checkpoint.DiskCheckpointer` that attaches
         to this facade, and ``evict`` sweeps each shard's disk store.
@@ -303,14 +251,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 lambda budget, relation: self.compact(relation),
                 interval_ops=policy.compact_interval,
                 priority=5,
-                cost_class="bulk",
-            )
-        if self._selector is not None and policy.autoselect_interval is not None:
-            scheduler.register_callback(
-                "autoselect",
-                lambda budget, relation: self.autoselect(relation),
-                interval_ops=policy.autoselect_interval,
-                priority=3,
                 cost_class="bulk",
             )
         if policy.evict_interval is not None and self._storage == "disk":
@@ -352,7 +292,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         return self._maint_observer.stats
 
     def maintenance_report(self) -> Dict[str, Any]:
-        """Introspect the maintenance plane (mirrors :meth:`tuning_report`)."""
+        """Introspect the maintenance plane."""
         if self._maintenance is None:
             return {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
         return self._maintenance.report()
@@ -375,7 +315,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         return self._new_index(sealed=False)
 
     def _new_index(self, sealed: bool) -> PredicateIndex:
-        index = PredicateIndex(
+        return PredicateIndex(
             tree_factory=self._tree_factory,
             estimator=self._estimator,
             multi_clause=self._multi_clause,
@@ -386,13 +326,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             data_dir=self._data_dir if sealed else None,
             memory_budget=self._memory_budget if sealed else None,
         )
-        # The auto-selection plan rides on every fresh base/overlay:
-        # the plan dict is replaced wholesale under _auto_lock, so a
-        # bare read here always sees a complete plan.
-        plan = self._backend_plan
-        if plan:
-            index.set_backend_plan(plan)
-        return index
 
     def shard(self, relation: str) -> RelationShard:
         """The shard for *relation*, creating it on first use."""
@@ -529,61 +462,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             if self._relation_of.get(ident) == relation:
                 del self._relation_of[ident]
 
-    # -- auto-selection evidence ---------------------------------------
-
-    def _observe_read(
-        self,
-        relation: str,
-        snapshot: EpochSnapshot,
-        tuples: Iterable[Mapping[str, Any]],
-    ) -> None:
-        """Fold one read's per-attribute stab counts into the evidence.
-
-        Counts non-null values for every attribute the snapshot keeps
-        a tree for (base or overlay — both are frozen for the
-        snapshot's life) — the same logical totals the serial
-        pipeline's ``on_attribute_stabs`` hook reports.  Only called
-        when auto-selection is on; readers pay nothing otherwise.
-        """
-        attrs = set(snapshot.base.attribute_backends(relation))
-        if snapshot.overlay is not None:
-            attrs.update(snapshot.overlay.attribute_backends(relation))
-        if not attrs:
-            return
-        counts: Dict[str, int] = {}
-        for tup in tuples:
-            for attribute in attrs:
-                if tup.get(attribute) is not None:
-                    counts[attribute] = counts.get(attribute, 0) + 1
-        if counts:
-            with self._auto_lock:
-                self._selector.evidence.observe_stabs(relation, counts)
-
-    def _indexed_attrs(self, relation: str, ident: Hashable) -> Tuple[str, ...]:
-        """The attributes whose trees hold *ident*, overlay first."""
-        shard = self._shards.get(relation)
-        if shard is None:
-            return ()
-        snapshot = shard.snapshot
-        for index in (snapshot.overlay, snapshot.base):
-            if index is None:
-                continue
-            attrs = index.indexed_attributes(ident)
-            if attrs:
-                return attrs
-        return ()
-
-    def _record_write(
-        self, relation: str, attrs: Iterable[str], insert: bool
-    ) -> None:
-        with self._auto_lock:
-            evidence = self._selector.evidence
-            for attribute in attrs:
-                if insert:
-                    evidence.observe_insert(relation, attribute)
-                else:
-                    evidence.observe_delete(relation, attribute)
-
     def _get_pool(self) -> ThreadPoolExecutor:
         pool = self._pool
         if pool is None:
@@ -709,10 +587,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             if claimed:
                 self._release_ident(ident, relation)
             raise
-        if self._selector is not None:
-            self._record_write(
-                relation, self._indexed_attrs(relation, ident), insert=True
-            )
         if self._maintenance is not None:
             self._tick(relation, 1)
         return ident
@@ -741,13 +615,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 for ident in claimed:
                     self._release_ident(ident, relation)
                 raise
-            if self._selector is not None:
-                for normalized in group:
-                    self._record_write(
-                        relation,
-                        self._indexed_attrs(relation, normalized.ident),
-                        insert=True,
-                    )
             if self._maintenance is not None:
                 self._tick(relation, len(group))
         return ordered
@@ -759,20 +626,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         relation = self._relation_of.pop(ident, None)
         if relation is None:
             raise UnknownIntervalError(ident)
-        # capture before the remove: afterwards the snapshot no longer
-        # holds the ident and the attributes are unrecoverable
-        attrs = (
-            self._indexed_attrs(relation, ident)
-            if self._selector is not None
-            else ()
-        )
         try:
             predicate = self._shards[relation].remove(ident)
         except BaseException:
             self._relation_of.setdefault(ident, relation)
             raise
-        if attrs:
-            self._record_write(relation, attrs, insert=False)
         if self._maintenance is not None:
             self._tick(relation, 1)
         return predicate
@@ -785,20 +643,14 @@ class ConcurrentPredicateIndex(PredicateMatcher):
 
     def match(self, relation: str, tup: Mapping[str, Any]) -> List[Predicate]:
         """All predicates of *relation* matching *tup* at one epoch."""
-        snapshot = self.snapshot(relation)
-        if self._selector is not None:
-            self._observe_read(relation, snapshot, (tup,))
-        matched = snapshot.match(tup)
+        matched = self.snapshot(relation).match(tup)
         if self._maintenance is not None:
             self._tick(relation, 1)
         return matched
 
     def match_idents(self, relation: str, tup: Mapping[str, Any]) -> Set[Hashable]:
         """Identifiers of all matching predicates at one epoch."""
-        snapshot = self.snapshot(relation)
-        if self._selector is not None:
-            self._observe_read(relation, snapshot, (tup,))
-        matched = snapshot.match_idents(tup)
+        matched = self.snapshot(relation).match_idents(tup)
         if self._maintenance is not None:
             self._tick(relation, 1)
         return matched
@@ -836,8 +688,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         """
         snapshot = self.snapshot(relation)
         tuple_list = tuples if isinstance(tuples, list) else list(tuples)
-        if self._selector is not None:
-            self._observe_read(relation, snapshot, tuple_list)
         if self._pool_kind == "process" and self._workers >= 1:
             rows = self._process_match(snapshot, tuple_list)
             if rows is None:
@@ -970,127 +820,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 ):
                     migrated.append(pred.ident)
         return migrated
-
-    def autoselect(self, relation: Optional[str] = None) -> List[Any]:
-        """One cost-driven backend-selection pass over the shards.
-
-        Decisions are priced against the facade-level evidence and the
-        selector's calibrated cost table, exactly as in the serial
-        index.  A migration, however, never touches a published tree:
-        the winning ``(backend, factory)`` pair is recorded in the
-        facade's backend plan and the shard is **compacted** — the
-        fresh bulk-loaded base picks the plan up via
-        ``set_backend_plan`` and is published as a whole new
-        :class:`EpochSnapshot`.  Readers only ever see the old or the
-        new epoch; the frozen old base is never mutated.
-
-        Returns every :class:`BackendDecision` that cleared the
-        evidence floor.  A compaction failure rolls the plan back and
-        quarantines the (relation, attribute, backend) triple, exactly
-        like a failed serial migration.
-        """
-        selector = self._selector
-        if selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the facade "
-                "with auto_backend=True"
-            )
-        from ..match.autoselect import AttributeProfile
-
-        if relation is not None:
-            shard = self._shards.get(relation)
-            items = [(relation, shard)] if shard is not None else []
-        else:
-            items = self._shard_items()
-        decisions: List[Any] = []
-        with self._tune_lock:
-            with self._auto_lock:
-                selector.begin_pass()
-            for rel, shard in items:
-                snapshot = shard.snapshot
-                base = snapshot.base
-                overlay = snapshot.overlay
-                backends = dict(base.attribute_backends(rel))
-                if overlay is not None:
-                    for attribute, name in overlay.attribute_backends(rel).items():
-                        backends.setdefault(attribute, name)
-                migrations: List[Any] = []
-                for attribute, current in backends.items():
-                    base_tree = base.tree_for(rel, attribute)
-                    overlay_tree = (
-                        overlay.tree_for(rel, attribute)
-                        if overlay is not None
-                        else None
-                    )
-                    size = (len(base_tree) if base_tree is not None else 0) + (
-                        len(overlay_tree) if overlay_tree is not None else 0
-                    )
-                    # probe the populated tree: pre-compaction the base
-                    # may be empty while everything sits in the overlay
-                    tree = base_tree
-                    if tree is None or (overlay_tree is not None and not len(tree)):
-                        tree = overlay_tree
-                    if tree is None:
-                        continue
-                    plan_entry = self._backend_plan.get(rel, {}).get(attribute)
-                    if plan_entry is not None:
-                        current = plan_entry[0]
-                    elif current is None:
-                        current = selector.default_backend
-                    profile = AttributeProfile(
-                        relation=rel,
-                        attribute=attribute,
-                        size=size,
-                        current_backend=current,
-                        usage=selector.evidence.usage(rel, attribute),
-                        tree=tree,
-                    )
-                    decision = selector.decide(profile)
-                    if decision is None:
-                        continue
-                    decisions.append(decision)
-                    if decision.migrate:
-                        migrations.append(decision)
-                if not migrations:
-                    continue
-                with self._auto_lock:
-                    old_plan = self._backend_plan
-                    plan = {r: dict(a) for r, a in old_plan.items()}
-                    rel_plan = plan.setdefault(rel, {})
-                    for decision in migrations:
-                        rel_plan[decision.attribute] = (
-                            decision.chosen_backend,
-                            selector.factory_for(decision.chosen_backend),
-                        )
-                    self._backend_plan = plan
-                try:
-                    shard.compact()
-                except Exception as exc:  # noqa: BLE001 - quarantine & continue
-                    with self._auto_lock:
-                        self._backend_plan = old_plan
-                        for decision in migrations:
-                            selector.commit(decision, False, error=str(exc))
-                else:
-                    with self._auto_lock:
-                        for decision in migrations:
-                            selector.commit(decision, True)
-        return decisions
-
-    def tuning_report(self) -> Dict[str, Any]:
-        """The selector's report plus the facade's live backend plan."""
-        selector = self._selector
-        if selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the facade "
-                "with auto_backend=True"
-            )
-        with self._auto_lock:
-            report = selector.report()
-            report["backend_plan"] = {
-                rel: {attr: entry[0] for attr, entry in attrs.items()}
-                for rel, attrs in self._backend_plan.items()
-            }
-        return report
 
     def verify_and_rebuild(self) -> Dict[str, Any]:
         """Audit every shard's published base; rebuild the unhealthy ones.

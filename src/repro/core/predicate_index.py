@@ -53,15 +53,11 @@ from typing import (
     Union,
 )
 
-from ..errors import PredicateError, UnknownIntervalError
+from ..errors import PredicateError
 from ..maintenance import MaintenancePolicy, MaintenanceScheduler
 from ..match import health as _health
-from ..match.catalog import (
-    ClauseCatalog,
-    RelationState,
-    compile_residual as _compile_residual,  # noqa: F401  (compat re-export)
-)
-from ..match.observer import CompositeObserver, MatchStatistics, StatsObserver
+from ..match.catalog import ClauseCatalog, RelationState
+from ..match.observer import MatchStatistics, StatsObserver
 from ..match.pipeline import MatchPipeline
 from ..match.store import TreeStore
 from ..predicates.predicate import Predicate
@@ -71,10 +67,6 @@ from .selectivity import SelectivityEstimator
 __all__ = ["PredicateIndex", "MatchStatistics"]
 
 TreeFactory = Callable[[], IBSTree]
-
-#: Backwards-compatible alias: the per-relation state record used to be
-#: the private ``_RelationIndex`` class defined in this module.
-_RelationIndex = RelationState
 
 
 class PredicateIndex:
@@ -143,46 +135,14 @@ class PredicateIndex:
         is not installed or the batch leaves the plane's numeric
         domain; the scalar pipeline remains the semantics of record.
         Ignored under ``adaptive`` and multi-clause indexing.
-    auto_backend:
-        Enable online per-attribute backend auto-selection (see
-        :mod:`repro.match.autoselect`): the pipeline reports
-        per-attribute stab counts, the write paths report interval
-        inserts/deletes, and :meth:`autoselect` prices every candidate
-        backend against the observed workload and transactionally
-        migrates an attribute's tree to the predicted cheapest — the
-        same evidence-floor / hysteresis / quarantine discipline
-        :meth:`retune` applies to entry clauses, one level down the
-        storage stack.  Also reachable as
-        ``Database(matcher="auto")`` through the registry.
-    autoselect_interval:
-        When set (and ``auto_backend``), :meth:`autoselect` runs
-        automatically every N clock ops; ``None`` leaves tuning
-        passes manual.  Sugar for a
-        :class:`~repro.maintenance.MaintenancePolicy` with
-        ``autoselect_interval`` set.
-    auto_candidates:
-        Candidate backend names for auto-selection; defaults to the
-        four IBS-tree variants.
-    auto_cost_table:
-        A pre-calibrated
-        :class:`~repro.bench.cost_model.BackendCostTable`; measured
-        lazily on the first pass when omitted.
-    min_evidence_ops:
-        Evidence floor for auto-selection: no migration before this
-        many logical operations were observed for an attribute.
-    auto_migration_ratio:
-        Auto-selection hysteresis: migrate only when the best
-        candidate prices below ``current * auto_migration_ratio``.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
-        periodic mechanism (retune, autoselect, disk-tier eviction)
-        through one deterministic
-        :class:`~repro.maintenance.MaintenanceScheduler`.  Policy
-        intervals take precedence over the legacy
-        ``auto_retune_interval`` / ``autoselect_interval`` sugar; the
-        scheduler's clock advances once per matched tuple and once per
-        predicate write, and never while the index is frozen.  See
-        :meth:`maintenance_report`.
+        periodic mechanism (retune, disk-tier eviction) through one
+        deterministic :class:`~repro.maintenance.MaintenanceScheduler`.
+        Its ``retune_interval`` takes precedence over the legacy
+        ``auto_retune_interval`` sugar; the scheduler's clock advances
+        once per matched tuple and once per predicate write, and never
+        while the index is frozen.  See :meth:`maintenance_report`.
     """
 
     #: Strategy name (matches the PredicateMatcher convention).
@@ -199,27 +159,17 @@ class PredicateIndex:
         migration_ratio: float = 0.5,
         auto_retune_interval: Optional[int] = None,
         columnar: bool = False,
-        auto_backend: bool = False,
-        autoselect_interval: Optional[int] = None,
-        auto_candidates: Optional[Iterable[str]] = None,
-        auto_cost_table: Any = None,
-        min_evidence_ops: int = 512,
-        auto_migration_ratio: float = 0.8,
         storage: str = "memory",
         data_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
         maintenance: Optional[MaintenancePolicy] = None,
     ):
-        backend_name: Optional[str] = None
         if isinstance(tree_factory, str):
             # Imported here, not at module top: the registry's builders
             # import this module lazily and vice versa.
             from ..match.registry import DEFAULT_REGISTRY
 
-            backend_name = tree_factory
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
-        elif tree_factory is IBSTree:
-            backend_name = "ibs"
         self._tree_factory = tree_factory
         self._adaptive = bool(adaptive)
         self._migration_ratio = float(migration_ratio)
@@ -255,65 +205,40 @@ class PredicateIndex:
                 raise ValueError("memory_budget requires storage='disk'")
             self._store = TreeStore(tree_factory, stab_cache_size)
         self._observer = StatsObserver(MatchStatistics())
-        self._selector: Any = None
-        pipeline_observer: Any = self._observer
-        if auto_backend:
-            from ..match.autoselect import DEFAULT_CANDIDATES, AutoSelector
-
-            self._selector = AutoSelector(
-                candidates=tuple(auto_candidates)
-                if auto_candidates is not None
-                else DEFAULT_CANDIDATES,
-                cost_table=auto_cost_table,
-                min_evidence_ops=min_evidence_ops,
-                migration_ratio=auto_migration_ratio,
-                default_backend=backend_name,
-            )
-            pipeline_observer = CompositeObserver(
-                [self._observer, self._selector.observer]
-            )
         self._pipeline = MatchPipeline(
             self._catalog,
             self._store,
-            pipeline_observer,
+            self._observer,
             feedback=self.feedback,
             adaptive=self._adaptive,
             columnar=bool(columnar),
         )
         self._frozen = False
         self._maintenance = self._build_maintenance(
-            maintenance, auto_retune_interval, autoselect_interval
+            maintenance, auto_retune_interval
         )
 
     def _build_maintenance(
         self,
         policy: Optional[MaintenancePolicy],
         retune_interval: Optional[int],
-        autoselect_interval: Optional[int],
     ) -> Optional[MaintenanceScheduler]:
         """Register this index's periodic mechanisms as scheduler tasks.
 
-        The legacy ``auto_retune_interval`` / ``autoselect_interval``
-        constructor sugar maps to policy intervals (the policy wins
-        when both are given).  When nothing is periodic and no policy
-        was passed, no scheduler is built and the hot paths skip
-        ticking entirely.
+        The legacy ``auto_retune_interval`` constructor sugar maps to
+        the policy's ``retune_interval`` (the policy wins when both are
+        given).  When nothing is periodic and no policy was passed, no
+        scheduler is built and the hot paths skip ticking entirely.
         """
-        if policy is not None:
-            if policy.retune_interval is not None:
-                retune_interval = policy.retune_interval
-            if policy.autoselect_interval is not None:
-                autoselect_interval = policy.autoselect_interval
+        if policy is not None and policy.retune_interval is not None:
+            retune_interval = policy.retune_interval
         wants_retune = self._adaptive and retune_interval is not None
-        wants_autoselect = (
-            self._selector is not None and autoselect_interval is not None
-        )
         wants_evict = (
             policy is not None
             and policy.evict_interval is not None
             and hasattr(self._store, "maybe_evict")
         )
-        if policy is None and not (wants_retune or wants_autoselect):
+        if policy is None and not wants_retune:
             return None
         scheduler = MaintenanceScheduler(
             policy=policy, observer=self._pipeline.observer
@@ -325,14 +250,6 @@ class PredicateIndex:
                 interval_ops=retune_interval,
                 priority=10,
                 cost_class="cheap",
-            )
-        if wants_autoselect:
-            scheduler.register_callback(
-                "autoselect",
-                lambda budget, relation: self.autoselect(relation),
-                interval_ops=autoselect_interval,
-                priority=5,
-                cost_class="bulk",
             )
         if wants_evict:
             scheduler.register_callback(
@@ -363,7 +280,7 @@ class PredicateIndex:
         return self._maintenance
 
     def maintenance_report(self) -> Dict[str, Any]:
-        """Introspect the maintenance plane (mirrors :meth:`tuning_report`).
+        """Introspect the maintenance plane.
 
         Returns the clock position, the per-task table (intervals,
         runs, failures, backoff marks, quarantine flags), the active
@@ -385,22 +302,6 @@ class PredicateIndex:
     def _relation_of(self) -> Dict[Hashable, str]:
         """The catalog's ident → relation routing map."""
         return self._catalog.relation_of
-
-    @property
-    def _estimator(self) -> SelectivityEstimator:
-        return self._catalog.estimator
-
-    @property
-    def _multi_clause(self) -> bool:
-        return self._catalog.multi_clause
-
-    @property
-    def _stab_cache_size(self) -> int:
-        return self._store.stab_cache_size
-
-    @property
-    def _cache_lru(self) -> bool:
-        return self._store.cache_lru
 
     @property
     def stats(self) -> MatchStatistics:
@@ -563,8 +464,6 @@ class PredicateIndex:
         """
         self._check_mutable()
         ident = self._catalog.register(self._store, predicate)
-        if self._selector is not None:
-            self._observe_write(ident, insert=True)
         if self._maintenance is not None:
             self._tick(self._catalog.relation_of.get(ident), 1)
         return ident
@@ -586,9 +485,6 @@ class PredicateIndex:
         """
         self._check_mutable()
         idents = self._catalog.register_many(self._store, predicates)
-        if self._selector is not None:
-            for ident in idents:
-                self._observe_write(ident, insert=True)
         if self._maintenance is not None and idents:
             self._tick(None, len(idents))
         return idents
@@ -596,26 +492,11 @@ class PredicateIndex:
     def remove(self, ident: Hashable) -> Predicate:
         """Un-index and return the predicate registered under *ident*."""
         self._check_mutable()
-        if self._selector is not None:
-            # capture the entry attributes before they are unregistered
-            self._observe_write(ident, insert=False)
         relation = self._catalog.relation_of.get(ident)
         predicate = self._catalog.unregister(self._store, ident)
         if self._maintenance is not None:
             self._tick(relation, 1)
         return predicate
-
-    def _observe_write(self, ident: Hashable, insert: bool) -> None:
-        """Feed one registration/removal into the selector's evidence."""
-        relation = self._catalog.relation_of.get(ident)
-        if relation is None:
-            return
-        evidence = self._selector.evidence
-        for attribute in self._catalog.indexed_attributes(ident):
-            if insert:
-                evidence.observe_insert(relation, attribute)
-            else:
-                evidence.observe_delete(relation, attribute)
 
     # -- matching ----------------------------------------------------------
 
@@ -697,93 +578,6 @@ class PredicateIndex:
             self._observer,
             relation,
         )
-
-    # -- backend auto-selection --------------------------------------------
-
-    def autoselect(self, relation: Optional[str] = None) -> List[Any]:
-        """One cost-driven backend-selection pass; returns the decisions.
-
-        For every attribute tree of *relation* (or of every relation)
-        whose evidence window cleared the floor, price each candidate
-        backend against the observed stab/insert/delete mix and —
-        when the best one beats the current backend by the hysteresis
-        margin — transactionally rebuild the attribute's tree on it
-        (``bulk_load``, epoch bump, stab-cache clear, version bump).
-        Failed migrations are quarantined and the pass continues.  See
-        :class:`~repro.match.autoselect.AutoSelector` for the
-        discipline's knobs; decisions are
-        :class:`~repro.match.autoselect.BackendDecision` records.
-        """
-        self._check_mutable()
-        if self._selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the index "
-                "with auto_backend=True (or Database(matcher='auto'))"
-            )
-        return self._selector.run_pass(
-            self._catalog, self._store, self._pipeline.observer, relation
-        )
-
-    def tuning_report(self) -> Dict[str, Any]:
-        """Introspect the auto-selection loop's state.
-
-        Returns the selector's evidence windows, the latest
-        per-attribute decisions (including kept ones), the committed
-        migration history, active quarantines, and the current
-        per-attribute backend map.
-        """
-        if self._selector is None:
-            raise PredicateError(
-                "backend auto-selection is disabled; construct the index "
-                "with auto_backend=True (or Database(matcher='auto'))"
-            )
-        report = self._selector.report()
-        report["attribute_backends"] = {
-            relation: self.attribute_backends(relation)
-            for relation in self._catalog.relations
-        }
-        return report
-
-    def attribute_backends(self, relation: str) -> Dict[str, Optional[str]]:
-        """``attribute -> backend name`` for *relation*'s live trees.
-
-        Attributes still on the store-wide default report the default
-        backend's registry name, or ``None`` when the index was built
-        with an anonymous factory.
-        """
-        state = self._catalog.relations.get(relation)
-        if state is None:
-            return {}
-        default = None
-        if self._selector is not None:
-            default = self._selector.default_backend
-        elif self._tree_factory is IBSTree:
-            default = "ibs"
-        result: Dict[str, Optional[str]] = {}
-        for attribute in state.trees:
-            override = state.tree_backends.get(attribute)
-            result[attribute] = override[0] if override else default
-        return result
-
-    def set_backend_plan(
-        self, plan: Mapping[str, Mapping[str, Tuple[str, Callable[[], Any]]]]
-    ) -> None:
-        """Seed the catalog's durable per-attribute backend plan.
-
-        Used by the concurrent facade when it builds a fresh frozen
-        base: the plan makes every future tree construction (including
-        this index's first ``add_many``) come up on the auto-selected
-        backends.  Existing live trees are not rebuilt — call
-        :meth:`autoselect` or rebuild for that.
-        """
-        self._catalog.backend_plan = {
-            relation: dict(per_attribute)
-            for relation, per_attribute in plan.items()
-        }
-        for relation, per_attribute in self._catalog.backend_plan.items():
-            state = self._catalog.relations.get(relation)
-            if state is not None:
-                state.tree_backends.update(per_attribute)
 
     # -- introspection ---------------------------------------------------------
 

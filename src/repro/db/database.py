@@ -181,9 +181,9 @@ class Database:
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` forwarded (via
         the registry) to every matcher a rule engine builds over this
-        database, routing its periodic work — retune, backend
-        auto-selection, shard compaction, disk checkpoints, eviction —
-        through one deterministic scheduler.  ``None`` (the default)
+        database, routing its periodic work — retune, shard
+        compaction, disk checkpoints, eviction — through one
+        deterministic scheduler.  ``None`` (the default)
         leaves every mechanism manual or on its legacy per-matcher
         sugar.
     """

@@ -22,9 +22,7 @@ from ..predicates.clauses import Clause, EqualityClause, FunctionClause, Interva
 
 __all__ = [
     "AttributeStatistics",
-    "AttributeUsage",
     "EntryClauseFeedback",
-    "IndexWorkloadEvidence",
     "RelationStatistics",
     "DEFAULT_SELECTIVITIES",
 ]
@@ -289,126 +287,6 @@ class EntryClauseFeedback:
         return {
             "tuples_seen": dict(self._tuples_seen),
             "candidate_hits": dict(self._candidate_hits),
-        }
-
-
-class AttributeUsage:
-    """Windowed logical operation counts for one (relation, attribute).
-
-    The unit is the *logical* operation — one tree stab, one interval
-    insert, one interval delete — deliberately matching the terms the
-    backend cost models price (``stab_ms(n)`` / ``insert_ms(n)``), so
-    pricing a backend against the observed workload is a dot product.
-    """
-
-    __slots__ = ("stabs", "inserts", "deletes")
-
-    def __init__(self) -> None:
-        self.stabs = 0
-        self.inserts = 0
-        self.deletes = 0
-
-    @property
-    def total(self) -> int:
-        return self.stabs + self.inserts + self.deletes
-
-    def as_dict(self) -> Dict[str, int]:
-        return {
-            "stabs": self.stabs,
-            "inserts": self.inserts,
-            "deletes": self.deletes,
-        }
-
-
-class IndexWorkloadEvidence:
-    """Observed per-(relation, attribute) index workload, fed from the matcher.
-
-    Where :class:`EntryClauseFeedback` answers "which clause should
-    anchor this predicate", this class answers "which *data structure*
-    should hold this attribute's intervals".  The match pipeline reports
-    how many stabs each attribute tree absorbed (via the
-    ``on_attribute_stabs`` observer hook) and the facades report
-    interval inserts/deletes as predicates come and go; the
-    auto-selector then prices every candidate backend against the
-    recorded stab/insert/delete mix.
-
-    Counters are windowed exactly like the entry-clause feedback:
-    :meth:`reset_attribute` zeroes one attribute after a migration
-    decision so the next decision rests on fresh evidence, and no
-    decision is meaningful before :attr:`min_ops` operations.
-    """
-
-    __slots__ = ("min_ops", "_usage")
-
-    def __init__(self, min_ops: int = 512):
-        self.min_ops = min_ops
-        #: relation -> attribute -> windowed counters
-        self._usage: Dict[str, Dict[str, AttributeUsage]] = {}
-
-    def _slot(self, relation: str, attribute: str) -> AttributeUsage:
-        per_attr = self._usage.get(relation)
-        if per_attr is None:
-            per_attr = self._usage[relation] = {}
-        usage = per_attr.get(attribute)
-        if usage is None:
-            usage = per_attr[attribute] = AttributeUsage()
-        return usage
-
-    def observe_stabs(self, relation: str, counts: Mapping[str, int]) -> None:
-        """Record stab counts per attribute (one pipeline call's worth)."""
-        for attribute, count in counts.items():
-            if count:
-                self._slot(relation, attribute).stabs += count
-
-    def observe_insert(
-        self, relation: str, attribute: str, count: int = 1
-    ) -> None:
-        self._slot(relation, attribute).inserts += count
-
-    def observe_delete(
-        self, relation: str, attribute: str, count: int = 1
-    ) -> None:
-        self._slot(relation, attribute).deletes += count
-
-    def usage(self, relation: str, attribute: str) -> AttributeUsage:
-        """Current window for one attribute (zeros if never observed)."""
-        per_attr = self._usage.get(relation)
-        if per_attr is not None:
-            usage = per_attr.get(attribute)
-            if usage is not None:
-                return usage
-        return AttributeUsage()
-
-    def total_ops(self, relation: str, attribute: str) -> int:
-        return self.usage(relation, attribute).total
-
-    def attributes(self, relation: str) -> Iterable[str]:
-        """Attributes with any recorded evidence for *relation*."""
-        return tuple(self._usage.get(relation, ()))
-
-    def relations(self) -> Iterable[str]:
-        return tuple(self._usage)
-
-    def reset(self, relation: Optional[str] = None) -> None:
-        """Zero one relation's window, or everything."""
-        if relation is None:
-            self._usage.clear()
-        else:
-            self._usage.pop(relation, None)
-
-    def reset_attribute(self, relation: str, attribute: str) -> None:
-        per_attr = self._usage.get(relation)
-        if per_attr is not None:
-            per_attr.pop(attribute, None)
-
-    def as_dict(self) -> Dict[str, Dict[str, Dict[str, int]]]:
-        """Nested snapshot (for tests, ``tuning_report`` and debugging)."""
-        return {
-            relation: {
-                attribute: usage.as_dict()
-                for attribute, usage in per_attr.items()
-            }
-            for relation, per_attr in self._usage.items()
         }
 
 

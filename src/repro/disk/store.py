@@ -125,12 +125,6 @@ class DiskTreeStore(TreeStore):
         self._track(tree)
         return tree
 
-    def _resolve_factory(self, state: RelationState, attribute: Optional[str]) -> Any:
-        """Per-attribute backend overrides (``state.tree_backends``) are
-        deliberately ignored: the disk tier pins its own backend, since
-        an auto-selected RAM structure cannot be sealed to a segment."""
-        return DiskIBSTree
-
     def adopt_tree(self, state: RelationState, tree: DiskIBSTree) -> DiskIBSTree:
         """Track a recovered (cold-attached) tree in the eviction LRU."""
         self._track(tree)

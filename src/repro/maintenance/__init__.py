@@ -1,11 +1,11 @@
 """The unified maintenance plane: one clock, one scheduler, all tiers.
 
-PRs 3-9 grew four separate self-maintenance mechanisms — adaptive
-entry-clause retuning, cost-driven backend auto-selection, the
-concurrent facade's compaction clock, and the disk tier's
-checkpoint/eviction machinery — each with its own bespoke op-counter,
-trigger condition, and failure handling.  This package replaces every
-bespoke counter with a single deterministic substrate:
+The repo grew separate self-maintenance mechanisms — adaptive
+entry-clause retuning, the concurrent facade's compaction clock, and
+the disk tier's checkpoint/eviction machinery — each with its own
+bespoke op-counter, trigger condition, and failure handling.  This
+package replaces every bespoke counter with a single deterministic
+substrate:
 
 * :class:`MaintenanceClock` — the one op-count clock.  Its tick
   semantics (what counts as "an operation") are documented on the

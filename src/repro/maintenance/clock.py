@@ -1,10 +1,9 @@
 """The one maintenance clock: op-count ticks, optional wall time.
 
-Before this package existed the repo had *four* op-counters with four
+Before this package existed the repo had several op-counters with
 different ideas of what an "operation" is: ``_tuples_since_retune``
 advanced on matched tuples only (and kept advancing on a frozen
-index), ``_tuples_since_autoselect`` advanced on matched tuples unless
-frozen, the concurrent facade's compaction clock advanced on overlay
+index), the concurrent facade's compaction clock advanced on overlay
 size, and the disk checkpointer had no counter at all (manual
 cadence).  The divergence was a real bug class: two intervals set to
 the same number fired at different times depending on which subset of

@@ -28,8 +28,8 @@ class MaintenancePolicy:
     Interval semantics follow the clock's documented op-count: an
     interval of ``N`` means "run once every N matched tuples +
     predicate writes".  All intervals are optional; a facade only
-    registers the tasks whose intervals (or prerequisites, e.g. a
-    configured auto-selector) are present.
+    registers the tasks whose intervals (or prerequisites, e.g. an
+    adaptive index for retuning) are present.
 
     ``budget_ops`` / ``budget_seconds`` bound a *single task run* —
     the disk checkpointer charges one op per shard, so
@@ -44,7 +44,6 @@ class MaintenancePolicy:
 
     enabled: bool = True
     retune_interval: Optional[int] = None
-    autoselect_interval: Optional[int] = None
     compact_interval: Optional[int] = None
     checkpoint_interval: Optional[int] = None
     evict_interval: Optional[int] = None
@@ -63,7 +62,6 @@ class MaintenancePolicy:
     def __post_init__(self) -> None:
         for name in (
             "retune_interval",
-            "autoselect_interval",
             "compact_interval",
             "checkpoint_interval",
             "evict_interval",

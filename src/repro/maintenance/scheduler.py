@@ -317,8 +317,7 @@ class MaintenanceScheduler:
     # -- reporting ------------------------------------------------------
 
     def report(self) -> Dict[str, Any]:
-        """One document mirroring ``tuning_report()``: clock, tasks,
-        policy, dead-letter tail."""
+        """One document: clock, tasks, policy, dead-letter tail."""
         return {
             "enabled": self.policy.enabled,
             "clock_ops": self.clock.ops,

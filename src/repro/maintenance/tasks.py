@@ -23,8 +23,8 @@ __all__ = [
 
 #: Coarse work classification, surfaced in reports and used to pick
 #: sensible default priorities: ``cheap`` covers in-memory counter
-#: work (retune), ``bulk`` covers structure rebuilds (compaction,
-#: backend migration), ``io`` covers disk traffic (checkpoint, evict).
+#: work (retune), ``bulk`` covers structure rebuilds (compaction),
+#: ``io`` covers disk traffic (checkpoint, evict).
 COST_CLASSES = ("cheap", "bulk", "io")
 
 

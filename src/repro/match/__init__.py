@@ -31,12 +31,7 @@ facade composing these layers; its public API is unchanged.
 # below only import core *submodules* (never the half-built
 # ``repro.core`` attributes).  The registry comes last — its builders
 # import PredicateIndex lazily.
-from .observer import (
-    CompositeObserver,
-    MatchObserver,
-    MatchStatistics,
-    StatsObserver,
-)
+from .observer import MatchObserver, MatchStatistics, StatsObserver
 from .catalog import ClauseCatalog, RelationState, compile_residual
 from .store import TreeFactory, TreeStore
 from .pipeline import (
@@ -47,13 +42,6 @@ from .pipeline import (
 )
 from . import health
 from .columnar import HAVE_NUMPY, build_relation_plane
-from .autoselect import (
-    AttributeProfile,
-    AutoSelector,
-    BackendDecision,
-    EvidenceObserver,
-    migrate_attribute_tree,
-)
 from .registry import (
     BackendRegistry,
     DEFAULT_REGISTRY,
@@ -65,7 +53,6 @@ __all__ = [
     "MatchStatistics",
     "MatchObserver",
     "StatsObserver",
-    "CompositeObserver",
     "ClauseCatalog",
     "RelationState",
     "compile_residual",
@@ -78,11 +65,6 @@ __all__ = [
     "health",
     "HAVE_NUMPY",
     "build_relation_plane",
-    "AttributeProfile",
-    "AutoSelector",
-    "BackendDecision",
-    "EvidenceObserver",
-    "migrate_attribute_tree",
     "BackendRegistry",
     "DEFAULT_REGISTRY",
     "register_backend",

@@ -84,7 +84,6 @@ class RelationState:
         "epoch_floor",
         "version",
         "columnar_plane",
-        "tree_backends",
     )
 
     def __init__(self, name: str = "?") -> None:
@@ -139,14 +138,6 @@ class RelationState:
         #: snapshot and shared by lock-free readers (single attribute
         #: assignment; concurrent builders compute equal planes).
         self.columnar_plane: Optional[Tuple[int, Any]] = None
-        #: attribute -> ``(backend name, tree factory)`` override,
-        #: written by the auto-selector (:mod:`repro.match.autoselect`)
-        #: when it migrates an attribute's tree off the store-wide
-        #: default.  Consulted by :meth:`TreeStore.new_tree` /
-        #: ``build_tree`` so the pick survives rebuilds and rollbacks;
-        #: seeded from the catalog's ``backend_plan`` when the state
-        #: record is (re-)created.
-        self.tree_backends: Dict[str, Tuple[str, Any]] = {}
 
 
 class ClauseCatalog:
@@ -176,12 +167,6 @@ class ClauseCatalog:
         self.relations: Dict[str, RelationState] = {}
         #: ident -> relation routing map
         self.relation_of: Dict[Hashable, str] = {}
-        #: relation -> attribute -> ``(backend name, factory)``: the
-        #: auto-selector's durable per-attribute picks.  A relation's
-        #: state record can be dropped (last predicate removed) and
-        #: recreated later; the plan outlives it and re-seeds
-        #: ``RelationState.tree_backends`` on recreation.
-        self.backend_plan: Dict[str, Dict[str, Tuple[str, Any]]] = {}
 
     # -- normalization and entry-clause selection ----------------------
 
@@ -210,13 +195,10 @@ class ClauseCatalog:
     # -- registration ---------------------------------------------------
 
     def _state_for(self, relation: str) -> RelationState:
-        """The relation's state record, created (and plan-seeded) on demand."""
+        """The relation's state record, created on demand."""
         state = self.relations.get(relation)
         if state is None:
             state = self.relations[relation] = RelationState(relation)
-            plan = self.backend_plan.get(relation)
-            if plan:
-                state.tree_backends = dict(plan)
         return state
 
     def register(self, store: Any, predicate: Predicate) -> Hashable:

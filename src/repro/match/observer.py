@@ -38,8 +38,6 @@ and cached paths deliberately reduce:
 * ``residual_memo_hits`` — residual verdicts reused from the
   per-batch memo;
 * ``clause_migrations`` — adaptive entry-clause migrations performed;
-* ``backend_migrations`` — auto-selected tree-backend migrations
-  performed (see :mod:`repro.match.autoselect`);
 * ``maintenance_runs`` / ``maintenance_failures`` — scheduled
   maintenance-task executions and how many of them failed (see
   :mod:`repro.maintenance`).
@@ -47,13 +45,12 @@ and cached paths deliberately reduce:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional, Sequence
+from typing import Dict, Hashable, Optional
 
 __all__ = [
     "MatchStatistics",
     "MatchObserver",
     "StatsObserver",
-    "CompositeObserver",
 ]
 
 
@@ -78,7 +75,6 @@ class MatchStatistics:
         "residual_memo_hits",
         "stab_cache_hits",
         "clause_migrations",
-        "backend_migrations",
         "maintenance_runs",
         "maintenance_failures",
     )
@@ -108,7 +104,6 @@ class MatchStatistics:
         self.residual_memo_hits = 0
         self.stab_cache_hits = 0
         self.clause_migrations = 0
-        self.backend_migrations = 0
         self.maintenance_runs = 0
         self.maintenance_failures = 0
 
@@ -137,13 +132,6 @@ class MatchObserver:
 
     __slots__ = ()
 
-    #: Set True by observers that need :meth:`on_attribute_stabs`.
-    #: The per-attribute breakdown costs the batched stab stage an
-    #: extra counting pass, so the pipeline checks this flag once per
-    #: call and skips the bookkeeping entirely for observers (the
-    #: default) that never read it.
-    wants_attribute_stabs = False
-
     def on_route(self, relation: str, count: int, batched: bool) -> None:
         """*count* tuples of *relation* entered the pipeline.
 
@@ -157,16 +145,6 @@ class MatchObserver:
         """The stab stage ran: *probes* logical attribute probes were
         answered by *descents* actual tree descents plus *cache_hits*
         stab-cache hits."""
-
-    def on_attribute_stabs(self, relation: str, counts: Dict[str, int]) -> None:
-        """Per-attribute breakdown of the stab stage's logical probes.
-
-        *counts* maps attribute name to the number of logical probes
-        its tree absorbed (path-independent: batch and per-tuple runs
-        report the same totals).  Fired only when
-        :attr:`wants_attribute_stabs` is True; the dict is owned by the
-        pipeline and must be copied if retained.
-        """
 
     def on_candidates(
         self, relation: str, partial: int, non_indexable: int
@@ -187,16 +165,6 @@ class MatchObserver:
     ) -> None:
         """An adaptive pass migrated *ident*'s entry clause between
         attribute trees."""
-
-    def on_backend_migration(
-        self,
-        relation: str,
-        attribute: str,
-        old_backend: Optional[str],
-        new_backend: str,
-    ) -> None:
-        """An auto-selection pass rebuilt *attribute*'s tree on a new
-        backend (see :mod:`repro.match.autoselect`)."""
 
     def on_maintenance(self, task: str, ok: bool, spent_ops: int) -> None:
         """The maintenance scheduler ran *task*: ``ok`` says whether it
@@ -247,80 +215,9 @@ class StatsObserver(MatchObserver):
     ) -> None:
         self.stats.clause_migrations += 1
 
-    def on_backend_migration(
-        self,
-        relation: str,
-        attribute: str,
-        old_backend: Optional[str],
-        new_backend: str,
-    ) -> None:
-        self.stats.backend_migrations += 1
-
     def on_maintenance(self, task: str, ok: bool, spent_ops: int) -> None:
         stats = self.stats
         stats.maintenance_runs += 1
         if not ok:
             stats.maintenance_failures += 1
 
-
-class CompositeObserver(MatchObserver):
-    """Fan one stream of stage events out to several observers."""
-
-    __slots__ = ("observers", "wants_attribute_stabs")
-
-    def __init__(self, observers: Sequence[MatchObserver]) -> None:
-        self.observers = tuple(observers)
-        self.wants_attribute_stabs = any(
-            observer.wants_attribute_stabs for observer in self.observers
-        )
-
-    def on_route(self, relation: str, count: int, batched: bool) -> None:
-        for observer in self.observers:
-            observer.on_route(relation, count, batched)
-
-    def on_stab(
-        self, relation: str, probes: int, descents: int, cache_hits: int
-    ) -> None:
-        for observer in self.observers:
-            observer.on_stab(relation, probes, descents, cache_hits)
-
-    def on_attribute_stabs(self, relation: str, counts: Dict[str, int]) -> None:
-        for observer in self.observers:
-            if observer.wants_attribute_stabs:
-                observer.on_attribute_stabs(relation, counts)
-
-    def on_candidates(
-        self, relation: str, partial: int, non_indexable: int
-    ) -> None:
-        for observer in self.observers:
-            observer.on_candidates(relation, partial, non_indexable)
-
-    def on_residual(self, relation: str, full: int, memo_hits: int) -> None:
-        for observer in self.observers:
-            observer.on_residual(relation, full, memo_hits)
-
-    def on_migration(
-        self,
-        relation: str,
-        ident: Hashable,
-        old_attribute: Optional[str],
-        new_attribute: Optional[str],
-    ) -> None:
-        for observer in self.observers:
-            observer.on_migration(relation, ident, old_attribute, new_attribute)
-
-    def on_backend_migration(
-        self,
-        relation: str,
-        attribute: str,
-        old_backend: Optional[str],
-        new_backend: str,
-    ) -> None:
-        for observer in self.observers:
-            observer.on_backend_migration(
-                relation, attribute, old_backend, new_backend
-            )
-
-    def on_maintenance(self, task: str, ok: bool, spent_ops: int) -> None:
-        for observer in self.observers:
-            observer.on_maintenance(task, ok, spent_ops)

@@ -137,8 +137,6 @@ class MatchPipeline:
         else:
             candidates = set()
             probes = descents = cache_hits = 0
-            track = observer.wants_attribute_stabs
-            attr_counts: Optional[Dict[str, int]] = {} if track else None
             cache_size = self.store.stab_cache_size
             cache: Any = state.stab_cache
             lru = self.store.cache_lru
@@ -147,8 +145,6 @@ class MatchPipeline:
                 if value is None:
                     continue  # NULL matches no clause: no tree entry applies
                 probes += 1
-                if attr_counts is not None:
-                    attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
                 key = None
                 if cache_size:
                     epoch = getattr(tree, "epoch", None)
@@ -185,8 +181,6 @@ class MatchPipeline:
                     # interval clause on this attribute can match it
                     continue
             observer.on_stab(relation, probes, descents, cache_hits)
-            if attr_counts:
-                observer.on_attribute_stabs(relation, attr_counts)
             if self.adaptive:
                 self.feedback.observe_tuples(relation, 1)
                 if candidates:
@@ -214,15 +208,11 @@ class MatchPipeline:
         hits: Dict[Hashable, int] = {}
         probed: Set[str] = set()
         probes = descents = 0
-        track = self.observer.wants_attribute_stabs
-        attr_counts: Optional[Dict[str, int]] = {} if track else None
         for attribute, tree in state.trees.items():
             value = tup.get(attribute)
             if value is None:
                 continue
             probes += 1
-            if attr_counts is not None:
-                attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
             descents += 1
             try:
                 stabbed = tree.stab(value)
@@ -232,8 +222,6 @@ class MatchPipeline:
             for ident in stabbed:
                 hits[ident] = hits.get(ident, 0) + 1
         self.observer.on_stab(relation, probes, descents, 0)
-        if attr_counts:
-            self.observer.on_attribute_stabs(relation, attr_counts)
         candidates: Set[Hashable] = set()
         for ident, count in hits.items():
             attributes = state.indexed_under[ident]
@@ -295,7 +283,7 @@ class MatchPipeline:
             rows = self._columnar_match_batch(relation, state, tuples)
             if rows is not None:
                 return rows
-        stab_tables, memo_on, probes, descents, cache_hits, fallback, attr_counts = (
+        stab_tables, memo_on, probes, descents, cache_hits, fallback = (
             self._batch_stab_tables(state, tuples)
         )
         if len(fallback) == len(tuples):
@@ -304,8 +292,6 @@ class MatchPipeline:
         fallback_set = frozenset(fallback)
         observer.on_route(relation, len(tuples) - len(fallback_set), True)
         observer.on_stab(relation, probes, descents, cache_hits)
-        if attr_counts:
-            observer.on_attribute_stabs(relation, attr_counts)
         if self.catalog.multi_clause:
             per_tuple = self._batch_intersect(
                 state, tuples, stab_tables, fallback_set
@@ -558,20 +544,7 @@ class MatchPipeline:
             state.columnar_plane = (state.version, plane)
         if plane is None:
             return None
-        rows = plane.match_batch(tuples, self.observer, relation)
-        if rows is not None and self.observer.wants_attribute_stabs:
-            # same logical accounting as the scalar paths: one probe
-            # per non-NULL value of an indexed attribute
-            attr_counts: Dict[str, int] = {}
-            for attribute in state.trees:
-                count = sum(
-                    1 for tup in tuples if tup.get(attribute) is not None
-                )
-                if count:
-                    attr_counts[attribute] = count
-            if attr_counts:
-                self.observer.on_attribute_stabs(relation, attr_counts)
-        return rows
+        return plane.match_batch(tuples, self.observer, relation)
 
     def _batch_stab_tables(
         self, state: RelationState, tuples: List[Mapping[str, Any]]
@@ -582,13 +555,11 @@ class MatchPipeline:
         int,
         int,
         List[int],
-        Optional[Dict[str, int]],
     ]:
         """Stab each attribute tree once per distinct batch value.
 
         Returns ``(stab_tables, memo_on, probes, descents, cache_hits,
-        fallback, attr_counts)``: per attribute a table ``value ->
-        stabbed idents``
+        fallback)``: per attribute a table ``value -> stabbed idents``
         (``None`` for incomparable values); whether the batch shows
         enough value repetition (>= 10% duplicates across indexed
         attributes) for the residual memo to pay for its bookkeeping;
@@ -611,16 +582,12 @@ class MatchPipeline:
         attributes are **not** fallback cases: both mean "no probe" —
         the NULL rule, NULL matches no clause — on the per-tuple, the
         batched, and the columnar path alike, so such tuples stay
-        batchable.  *attr_counts* is the per-attribute split of
-        *probes* (the ``on_attribute_stabs`` payload), or ``None``
-        when the observer does not want it.
+        batchable.
         """
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
-        track = self.observer.wants_attribute_stabs
-        attr_counts: Optional[Dict[str, int]] = {} if track else None
         if not trees:
-            return stab_tables, False, 0, 0, 0, [], attr_counts
+            return stab_tables, False, 0, 0, 0, []
         attributes = list(trees)
         by_attribute: Dict[str, Set[Any]] = {a: set() for a in attributes}
         fallback: List[int] = []
@@ -648,8 +615,6 @@ class MatchPipeline:
             total += len(staged)
             for attribute, value in staged:
                 by_attribute[attribute].add(value)
-                if attr_counts is not None:
-                    attr_counts[attribute] = attr_counts.get(attribute, 0) + 1
         plans: List[Tuple[str, List[Any]]] = []
         for attribute in attributes:
             values = by_attribute[attribute]
@@ -702,7 +667,7 @@ class MatchPipeline:
                             cache[(attribute, epoch, value)] = frozenset(stabbed)
             stab_tables[attribute] = table
         memo_on = total > 0 and (total - distinct) * 10 >= total
-        return stab_tables, memo_on, total, descents, cache_hits, fallback, attr_counts
+        return stab_tables, memo_on, total, descents, cache_hits, fallback
 
     def _batch_intersect(
         self,

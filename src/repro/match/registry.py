@@ -246,12 +246,6 @@ _IBS_OPTIONS = (
     "migration_ratio",
     "auto_retune_interval",
     "columnar",
-    "auto_backend",
-    "autoselect_interval",
-    "auto_candidates",
-    "auto_cost_table",
-    "min_evidence_ops",
-    "auto_migration_ratio",
     "storage",
     "data_dir",
     "memory_budget",
@@ -269,10 +263,6 @@ _CONCURRENT_OPTIONS = (
     "snapshot_cache_size",
     "columnar",
     "pool",
-    "auto_backend",
-    "auto_candidates",
-    "auto_cost_table",
-    "min_evidence_ops",
     "storage",
     "data_dir",
     "memory_budget",
@@ -320,14 +310,6 @@ def _build_columnar(**options: Any) -> Any:
     kwargs = _accept(options, _IBS_OPTIONS)
     kwargs.setdefault("tree_factory", FlatIBSTree)
     kwargs.setdefault("columnar", True)
-    return PredicateIndex(**kwargs)
-
-
-def _build_auto(**options: Any) -> Any:
-    from ..core.predicate_index import PredicateIndex
-
-    kwargs = _accept(options, _IBS_OPTIONS)
-    kwargs.setdefault("auto_backend", True)
     return PredicateIndex(**kwargs)
 
 
@@ -467,13 +449,6 @@ DEFAULT_REGISTRY.register_matcher(
     _build_columnar,
     "predicate index with a vectorized columnar batch plane over flat trees",
     capabilities={"requires_numpy": True, "vectorized_batch": True},
-)
-DEFAULT_REGISTRY.register_matcher(
-    "auto",
-    _build_auto,
-    "self-tuning predicate index: per-attribute backend auto-selection "
-    "driven by observed workload evidence and a calibrated cost model",
-    capabilities={"auto_backend": True, "self_tuning": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "ibs-concurrent",

@@ -71,30 +71,12 @@ class TreeStore:
         cache key (or an epoch-snapshot reader) could silently confuse
         the two generations.
 
-        When *attribute* is given and the relation carries a
-        per-attribute backend override (``state.tree_backends``, written
-        by the auto-selector), that backend's factory is used instead of
-        the store-wide default — this is what makes an auto-selected
-        pick survive rebuilds, rollbacks and snapshot compactions.
+        Every tree comes from the store's one factory.  *attribute* is
+        only a name: the disk store uses it for the segment file.
         """
-        tree = self._resolve_factory(state, attribute)()
+        tree = self.tree_factory()
         self.seed_epoch(state, tree)
         return tree
-
-    def _resolve_factory(
-        self, state: RelationState, attribute: Optional[str]
-    ) -> TreeFactory:
-        """The factory for *attribute*: per-attribute override or default.
-
-        Subclasses that pin their own backend (the disk store must —
-        an auto-selected RAM structure cannot be sealed to a segment
-        file) override this instead of re-implementing ``new_tree``.
-        """
-        if attribute is not None and state.tree_backends:
-            override = state.tree_backends.get(attribute)
-            if override is not None:
-                return override[1]
-        return self.tree_factory
 
     @staticmethod
     def seed_epoch(state: RelationState, tree: Any) -> Any:
@@ -136,8 +118,7 @@ class TreeStore:
         Uses the backend's ``bulk_load`` when it has one — sorted
         endpoints, balanced structure, no per-insert rotations — and
         falls back to incremental construction for foreign backends.
-        *attribute* routes through the same per-attribute backend
-        override as :meth:`new_tree`.
+        *attribute* is passed on to :meth:`new_tree`.
         """
         tree = self.new_tree(state, attribute)
         loader = getattr(tree, "bulk_load", None)

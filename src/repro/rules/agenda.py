@@ -57,11 +57,15 @@ class Agenda:
 
         New instantiations posted while draining (by rule actions) are
         included.  Raises :class:`~repro.errors.RuleCycleError` when the
-        cumulative firing count passes :attr:`max_firings`.
+        cumulative firing count passes :attr:`max_firings`.  The
+        instantiations already pending when the drain starts are the
+        triggering mutation's own firings, not a cascade, so they do not
+        count against the limit.
         """
+        limit = self.max_firings + len(self._heap)
         while self._heap:
             self.total_fired += 1
-            if self.total_fired > self.max_firings:
+            if self.total_fired > limit:
                 self._heap.clear()
                 raise RuleCycleError(
                     f"rule firing did not reach a fixpoint within "

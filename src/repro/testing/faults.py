@@ -104,13 +104,10 @@ FAULT_SITES: Tuple[str, ...] = (
     "disk.mmap_unlink",
     # maintenance plane: a scheduled task that raises just as the
     # scheduler dispatches it (must land in the dead-letter list, never
-    # in the match path), a backend migration interrupted before its
-    # commit point (the transactional swap must leave the old tree
-    # live), and a budgeted checkpoint preempted between shards (the
-    # manifest published so far plus the journal tail must still
-    # recover every predicate).
+    # in the match path), and a budgeted checkpoint preempted between
+    # shards (the manifest published so far plus the journal tail must
+    # still recover every predicate).
     "maint.task_raises",
-    "maint.tick_during_migration",
     "maint.checkpoint_preempted",
 )
 

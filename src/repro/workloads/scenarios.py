@@ -1,9 +1,10 @@
-"""Seeded scenario families for the backend auto-selection sweep.
+"""Seeded scenario families beyond the paper's fixed workload.
 
 :mod:`repro.workloads.generator` reproduces the paper's Section 5.2
 micro-workload; this module synthesizes the *shapes* the paper's fixed
-workload never exercises — the shapes that make per-attribute backend
-choice matter:
+workload never exercises — the shapes on which tree backends and
+maintenance policies could differ.  The maintenance differential tests
+and ``python -m repro maintenance`` play them:
 
 ``uniform-stabs``
     The paper's baseline: uniform predicates, uniform query points.
@@ -13,7 +14,7 @@ choice matter:
     cache and repeated-descent costs dominate.
 ``hot-attribute``
     Predicates spread over three attributes but ~85 % of stabs hit one
-    of them — the case for *per-attribute* (not per-index) choice.
+    of them — skewed per-attribute load.
 ``churn-heavy``
     Adds and removes dominate reads; cheap insertion wins over
     balanced lookup.
@@ -24,8 +25,7 @@ choice matter:
     Interval endpoints inserted in ascending order — the degeneration
     case of Section 4.2's unbalanced IBS-tree, where incremental
     insertion builds a linked list and only a balanced (or rebuilt)
-    backend restores O(log N) stabs.  The showcase row for the
-    auto-selector's live micro-probe.
+    backend restores O(log N) stabs.
 
 Every family draws from its own ``random.Random(f"{family}:{seed}")``
 instance — scenario generation never reads or perturbs the ambient
@@ -58,7 +58,7 @@ class ScenarioSpec:
     """Size and shape knobs of one synthesized scenario.
 
     ``scaled`` produces a smaller or larger copy of the same scenario
-    (used by the sweep's ``--quick`` mode); the family and seed — and
+    (used by ``--quick`` modes and the tests); the family and seed — and
     therefore the workload's *shape* — are unchanged.
     """
 

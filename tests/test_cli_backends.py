@@ -60,8 +60,10 @@ def test_describe_requires_argument(capsys):
 def test_unknown_command_mentions_new_subcommands(capsys):
     assert main(["repro", "bogus"]) == 2
     err = capsys.readouterr().err
-    assert "backends" in err and "describe" in err and "tune" in err
-    assert "segments" in err
+    assert "backends" in err and "describe" in err
+    assert "segments" in err and "maintenance" in err
+    # a removed command is unknown too
+    assert main(["repro", "tune"]) == 2
 
 
 def test_describe_disk_matcher_shows_disk_backed(capsys):
@@ -128,35 +130,6 @@ def test_segments_flags_corruption(tmp_path, capsys):
     assert "CORRUPT" in capsys.readouterr().out
 
 
-def test_tune_prints_cost_table_and_picks(capsys):
-    assert main(["repro", "tune", "--quick", "--seed", "7"]) == 0
-    out = capsys.readouterr().out
-    assert "calibrated backend costs" in out
-    # every auto-selection candidate backend gets a cost-model line
-    for backend in ("ibs", "avl", "rb", "flat"):
-        assert f"  {backend}" in out
-        assert "stab@1000" in out
-    # every scenario family gets a picks section with live backends
-    assert "per-attribute picks" in out
-    from repro.workloads.scenarios import scenario_names
-
-    for family in scenario_names():
-        assert f"  {family}:" in out
-    assert "live backends:" in out
-    # decisions print with their pricing rationale (arrow notation)
-    assert " -> " in out
-
-
-def test_tune_bad_seed_is_usage_error(capsys):
-    assert main(["repro", "tune", "--seed", "nope"]) == 2
-    assert "usage" in capsys.readouterr().err
-
-
-def test_tune_seed_flag_without_value_is_usage_error(capsys):
-    assert main(["repro", "tune", "--seed"]) == 2
-    assert "usage" in capsys.readouterr().err
-
-
 def test_maintenance_prints_task_table(capsys):
     assert main(["repro", "maintenance", "--quick", "--seed", "7"]) == 0
     out = capsys.readouterr().out
@@ -167,7 +140,7 @@ def test_maintenance_prints_task_table(capsys):
     for family in scenario_names():
         assert f"  {family}:" in out
     assert "clock_ops=" in out
-    assert "retune" in out and "autoselect" in out
+    assert "retune" in out
     assert "runs=" in out and "next_due_ops=" in out
     # a healthy run dead-letters nothing
     assert "dead-letter" not in out

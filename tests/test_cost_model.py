@@ -5,9 +5,7 @@ import pytest
 from repro.bench.cost_model import (
     MIN_MEASURED_MS,
     CostParameters,
-    _fit_log_curve,
     calibrate,
-    calibrate_backends,
     measured_match_cost_ms,
     predicate_match_cost,
 )
@@ -125,50 +123,3 @@ class TestCalibration:
         assert params.ibs_search_cost_ms >= MIN_MEASURED_MS
         assert params.sequential_test_cost_ms >= MIN_MEASURED_MS
         assert params.full_test_cost_ms >= MIN_MEASURED_MS
-
-
-class TestBackendCalibration:
-    QUICK = dict(samples=20, sizes=(16, 128))
-
-    def test_deterministic_under_pinned_seed_and_clock(self):
-        a = calibrate_backends(seed=5, timer=ticking_timer(), **self.QUICK)
-        b = calibrate_backends(seed=5, timer=ticking_timer(), **self.QUICK)
-        assert a.as_dict() == b.as_dict()
-        assert set(a.backends()) == set(b.backends())
-
-    def test_zero_elapsed_floors_every_model(self):
-        # a quantised (or broken) clock must never price an operation
-        # at zero — a free backend would win every decision
-        table = calibrate_backends(seed=5, timer=frozen_timer(), **self.QUICK)
-        for backend in table.backends():
-            for n in (1, 16, 1024):
-                assert table.stab_ms(backend, n) >= MIN_MEASURED_MS
-                assert table.insert_ms(backend, n) >= MIN_MEASURED_MS
-
-    def test_fitted_curves_monotone_in_tree_size(self):
-        table = calibrate_backends(seed=5, **self.QUICK)
-        for backend in table.backends():
-            stabs = [table.stab_ms(backend, n) for n in (4, 64, 1024, 8192)]
-            inserts = [table.insert_ms(backend, n) for n in (4, 64, 1024, 8192)]
-            assert stabs == sorted(stabs)
-            assert inserts == sorted(inserts)
-
-    def test_requires_two_sizes(self):
-        with pytest.raises(ValueError):
-            calibrate_backends(sizes=(64,))
-
-    def test_fit_clamps_negative_slope(self):
-        # a bigger tree measuring cheaper is noise, not a speedup
-        base, slope = _fit_log_curve(1.0, 0.5, 64, 512)
-        assert slope == 0.0
-        assert base == 1.0
-
-    def test_fit_floors_base(self):
-        base, slope = _fit_log_curve(0.0, 0.0, 64, 512)
-        assert base >= MIN_MEASURED_MS
-        assert slope == 0.0
-
-    def test_subset_of_backends(self):
-        table = calibrate_backends(backends=("ibs", "avl"), seed=5, **self.QUICK)
-        assert set(table.backends()) == {"ibs", "avl"}
-        assert "ibs" in table and "flat" not in table

@@ -2,7 +2,7 @@
 
 Random schemas, random conditions (using every clause shape the
 language supports), and random mutation scripts, replayed against the
-full rule engine under each matcher strategy.  The brute-force oracle
+full rule engine under every matcher the default registry holds.  The brute-force oracle
 recomputes matches per event by direct evaluation.  Any divergence —
 between strategies, or from the oracle — fails.
 """
@@ -14,8 +14,9 @@ import pytest
 
 from repro import CollectAction, Database, RuleEngine
 from repro.lang import compile_condition
+from repro.match.registry import DEFAULT_REGISTRY
 
-STRATEGIES = ["ibs", "ibs-avl", "ibs-rb", "sequential", "hash", "locking", "rtree"]
+STRATEGIES = DEFAULT_REGISTRY.matchers()
 FNS = {"isodd": lambda x: x % 2 == 1}
 DEPTS = ["Shoe", "Toy", "Food", "Garden"]
 
@@ -66,8 +67,18 @@ def random_script(rng: random.Random, length: int) -> List[Tuple]:
     return ops
 
 
+def build_matcher(strategy: str, tmp_path):
+    """The registered *strategy*; disk-backed ones write under *tmp_path*."""
+    capabilities = DEFAULT_REGISTRY.describe_matcher(strategy)["capabilities"]
+    if capabilities.get("disk_backed"):
+        return DEFAULT_REGISTRY.create_matcher(
+            strategy, data_dir=str(tmp_path / strategy)
+        )
+    return strategy
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_differential_matchers(seed):
+def test_differential_matchers(seed, tmp_path):
     rng = random.Random(seed)
     conditions = []
     while len(conditions) < 8:
@@ -83,7 +94,9 @@ def test_differential_matchers(seed):
         db = Database()
         db.create_relation("r", ["a", "b", "dept"])
         collect = CollectAction()
-        engine = RuleEngine(db, matcher=strategy, functions=FNS)
+        engine = RuleEngine(
+            db, matcher=build_matcher(strategy, tmp_path), functions=FNS
+        )
         for index, text in enumerate(conditions):
             engine.create_rule(
                 f"rule{index}", on="r", condition=text, action=collect,
@@ -99,6 +112,7 @@ def test_differential_matchers(seed):
             elif op == "delete" and live:
                 tid = live.pop(step_rng.randrange(len(live)))
                 db.delete("r", tid)
+        engine.close()
         transcripts[strategy] = [
             (name, tuple(sorted(tup.items()))) for name, tup in collect.records
         ]
@@ -139,3 +153,62 @@ def test_differential_matchers(seed):
         assert sorted(transcript) == expected, (
             f"strategy {strategy!r} diverged on seed {seed}"
         )
+
+
+def random_tuple(rng: random.Random) -> Dict:
+    return {"a": rng.randint(0, 30), "b": rng.randint(0, 30), "dept": rng.choice(DEPTS)}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_bulk_scripts_match_oracle(strategy, tmp_path):
+    """Batched mutations through each matcher's ``match_batch`` path.
+
+    Every round bulk-inserts a batch, bulk-updates a random subset of
+    the live tuples, and deletes one; the firings must equal direct
+    evaluation of each condition on each event's tuple image.
+    """
+    rng = random.Random(41)
+    conditions = []
+    while len(conditions) < 8:
+        text = random_condition(rng)
+        if not compile_condition("r", text, FNS).group.is_empty:
+            conditions.append(text)
+    compiled = [
+        (f"rule{index}", compile_condition("r", text, FNS))
+        for index, text in enumerate(conditions)
+    ]
+
+    db = Database()
+    db.create_relation("r", ["a", "b", "dept"])
+    collect = CollectAction()
+    engine = RuleEngine(db, matcher=build_matcher(strategy, tmp_path), functions=FNS)
+    for name, text in zip((name for name, _ in compiled), conditions):
+        engine.create_rule(
+            name, on="r", condition=text, action=collect,
+            on_events=("insert", "update"),
+        )
+    oracle: List = []
+
+    def expect(image: Dict) -> None:
+        for name, condition in compiled:
+            if condition.matches(image):
+                oracle.append((name, tuple(sorted(image.items()))))
+
+    live: List[int] = []
+    for _ in range(6):
+        rows = [random_tuple(rng) for _ in range(rng.randint(1, 10))]
+        live.extend(db.bulk_insert("r", rows))
+        for row in rows:
+            expect(row)
+        changes = {
+            tid: random_tuple(rng) for tid in rng.sample(live, rng.randint(1, len(live)))
+        }
+        db.bulk_update("r", changes)
+        for change in changes.values():
+            expect(change)
+        db.delete("r", live.pop(rng.randrange(len(live))))
+    engine.close()
+
+    transcript = [(name, tuple(sorted(tup.items()))) for name, tup in collect.records]
+    assert oracle, "the script fired no rule: the comparison would be vacuous"
+    assert sorted(transcript) == sorted(oracle), f"strategy {strategy!r} diverged"

@@ -552,7 +552,6 @@ class TestSiteCoverage:
             "disk.partial_checkpoint",
             "disk.mmap_unlink",
             "maint.task_raises",
-            "maint.tick_during_migration",
             "maint.checkpoint_preempted",
         }
 

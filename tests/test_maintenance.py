@@ -10,17 +10,16 @@ Four layers of assurance, mirroring the disk tier's test discipline:
   index, one tick per matched tuple and per predicate write, batch ops
   tick ``len(batch)``, ``match_with_candidates`` ticks nothing, and a
   frozen index never ticks;
-* **differential guarantee** — a maintained index (retune, autoselect,
+* **differential guarantee** — a maintained index (retune,
   compaction, checkpointing, eviction all firing mid-stream) must
   answer every match exactly like a never-ticked twin, across the
-  scalar, columnar, auto-selecting, concurrent, and disk
+  scalar (IBS- and red-black-tree), columnar, concurrent, and disk
   configurations, over every seeded scenario family — and stay
   equivalent when each ``maint.*`` fault site fires;
 * **crash drills** — ``maint.task_raises`` is contained as a
-  dead-letter entry, ``maint.tick_during_migration`` aborts before the
-  commit point leaving the old tree live, and
-  ``maint.checkpoint_preempted`` / budget-preempted checkpoints leave a
-  manifest a cold start still recovers from.
+  dead-letter entry, and ``maint.checkpoint_preempted`` /
+  budget-preempted checkpoints leave a manifest a cold start still
+  recovers from.
 
 Environment knobs (CI's maintenance-stress job turns them up):
 
@@ -39,7 +38,6 @@ from repro.core.intervals import Interval
 from repro.core.predicate_index import PredicateIndex
 from repro.db import Database
 from repro.disk.checkpoint import DiskCheckpointer, recover_concurrent
-from repro.errors import InjectedFault, PredicateError
 from repro.maintenance import (
     CallbackTask,
     MaintenanceBudget,
@@ -59,7 +57,6 @@ MAINT_SEEDS = [int(s) for s in os.environ.get("MAINT_SEEDS", "0,1,2").split(",")
 
 MAINT_SITES = [
     "maint.task_raises",
-    "maint.tick_during_migration",
     "maint.checkpoint_preempted",
 ]
 
@@ -333,7 +330,6 @@ class TestUnifiedOpSemantics:
         # the pre-refactor per-feature counters are gone: one clock only
         index = PredicateIndex(adaptive=True, auto_retune_interval=16)
         assert not hasattr(index, "_tuples_since_retune")
-        assert not hasattr(index, "_tuples_since_autoselect")
 
     def test_legacy_sugar_maps_to_policy_intervals(self):
         index = PredicateIndex(
@@ -342,8 +338,6 @@ class TestUnifiedOpSemantics:
         report = index.maintenance_report()
         assert report["enabled"]
         assert report["tasks"]["retune"]["interval_ops"] == 20
-        auto = PredicateIndex(auto_backend=True, autoselect_interval=48)
-        assert auto.maintenance_report()["tasks"]["autoselect"]["interval_ops"] == 48
 
     def test_policy_wins_over_legacy_sugar(self):
         index = PredicateIndex(
@@ -359,24 +353,6 @@ class TestUnifiedOpSemantics:
         report = index.maintenance_report()
         assert report == {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
 
-    def test_retune_and_autoselect_share_one_clock(self):
-        rng = random.Random(2)
-        index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=8,
-            auto_backend=True,
-            min_evidence_ops=8,
-            maintenance=MaintenancePolicy(retune_interval=10, autoselect_interval=20),
-        )
-        for i in range(5):
-            index.add(make_pred(rng, "emp", i))
-        for _ in range(20):
-            index.match("emp", {"x": rng.uniform(-100, 100)})
-        report = index.maintenance_report()
-        assert report["clock_ops"] == 25
-        assert report["tasks"]["retune"]["runs"] >= 2
-        assert report["tasks"]["autoselect"]["runs"] >= 1
-
     def test_scalar_stats_count_maintenance_runs(self):
         rng = random.Random(3)
         index = PredicateIndex(
@@ -390,59 +366,6 @@ class TestUnifiedOpSemantics:
             index.match("emp", {"x": 0.0})
         assert index.stats.maintenance_runs >= 1
         assert index.stats.maintenance_failures == 0
-
-
-# ----------------------------------------------------------------------
-# capability gating of autoselect candidates (satellite 2)
-# ----------------------------------------------------------------------
-
-
-class TestCapabilityGating:
-    GATED = ["segment", "static-interval", "disk"]
-
-    def test_gated_backends_never_reach_tuning_report_candidates(self):
-        index = PredicateIndex(
-            auto_backend=True,
-            auto_candidates=["ibs", "avl"] + self.GATED,
-            min_evidence_ops=8,
-        )
-        report = index.tuning_report()
-        assert set(report["candidates"]) == {"ibs", "avl"}
-        for name in self.GATED:
-            assert name in report["excluded_candidates"]
-        reasons = report["excluded_candidates"]
-        assert "disk" in reasons and "disk-backed" in reasons["disk"]
-
-    def test_gated_backends_never_chosen_by_autoselect(self):
-        rng = random.Random(5)
-        index = PredicateIndex(
-            auto_backend=True,
-            auto_candidates=["ibs", "avl", "flat"] + self.GATED,
-            min_evidence_ops=8,
-        )
-        for i in range(40):
-            index.add(make_pred(rng, "emp", i))
-        for _ in range(200):
-            index.match("emp", {"x": rng.uniform(-100, 100)})
-        decisions = index.autoselect()
-        report = index.tuning_report()
-        gated = set(self.GATED)
-        for decision in decisions:
-            assert decision.chosen_backend not in gated
-        for entry in report["decisions"].values():
-            assert entry.get("chosen_backend") not in gated
-        for entry in report["migrations"]:
-            assert entry.get("chosen_backend") not in gated
-
-    def test_all_candidates_gated_is_a_configuration_error(self):
-        with pytest.raises(PredicateError):
-            PredicateIndex(auto_backend=True, auto_candidates=self.GATED)
-
-    def test_unknown_candidate_passes_through_ungated(self):
-        # unknown names keep the legacy behaviour: accepted here, the
-        # error surfaces at trial-build time with the registry's message
-        index = PredicateIndex(auto_backend=True, auto_candidates=["ibs", "not-a-tree"])
-        assert "not-a-tree" in index.tuning_report()["candidates"]
 
 
 # ----------------------------------------------------------------------
@@ -504,14 +427,13 @@ class TestInterleavedDeterminism:
 # the differential guarantee: maintained index ≡ never-ticked twin
 # ----------------------------------------------------------------------
 
-CONFIGS = ["scalar", "autoselect", "columnar", "concurrent", "disk"]
+CONFIGS = ["scalar", "balanced", "columnar", "concurrent", "disk"]
 
 
 def build_index(config, maintained, tmp_path, tag):
     policy = (
         MaintenancePolicy(
             retune_interval=48,
-            autoselect_interval=128,
             compact_interval=64,
             checkpoint_interval=96,
             evict_interval=80,
@@ -524,9 +446,12 @@ def build_index(config, maintained, tmp_path, tag):
         index = PredicateIndex(
             adaptive=True, min_feedback_tuples=16, maintenance=policy
         )
-    elif config == "autoselect":
+    elif config == "balanced":
         index = PredicateIndex(
-            auto_backend=True, min_evidence_ops=32, maintenance=policy
+            tree_factory="rb",
+            adaptive=True,
+            min_feedback_tuples=16,
+            maintenance=policy,
         )
     elif config == "columnar":
         index = PredicateIndex(columnar=True, maintenance=policy)
@@ -565,7 +490,29 @@ def drive_and_collect(index, scenario, rng):
     return outputs
 
 
+#: the tasks each maintained configuration registers: one scheduler
+#: carries whatever applies to the index's tiers and nothing else
+CONFIG_TASKS = {
+    "scalar": {"retune"},
+    "balanced": {"retune"},
+    "columnar": set(),
+    "concurrent": {"compact"},
+    "disk": {"compact", "evict", "checkpoint"},
+}
+
+
 class TestTickVsTwinDifferential:
+    @pytest.mark.parametrize("config", CONFIGS)
+    def test_each_configuration_registers_its_own_tasks(self, tmp_path, config):
+        ticked, checkpointer = build_index(config, True, tmp_path, "t")
+        twin, _ = build_index(config, False, tmp_path, "n")
+        report = ticked.maintenance_report()
+        assert report["enabled"]
+        assert set(report["tasks"]) == CONFIG_TASKS[config]
+        assert twin.maintenance_report()["tasks"] == {}
+        if checkpointer is not None:
+            checkpointer.close()
+
     @pytest.mark.parametrize("config", CONFIGS)
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_maintained_index_equals_never_ticked_twin(
@@ -596,7 +543,6 @@ class TestTickVsTwinDifferential:
         # absorbs the injected fault and matching must not notice
         config = {
             "maint.task_raises": "scalar",
-            "maint.tick_during_migration": "autoselect",
             "maint.checkpoint_preempted": "disk",
         }[site]
         scenario = synthesize("churn-heavy", seed=seed, scale=0.2)
@@ -642,42 +588,6 @@ class TestMaintCrashDrills:
             index.match("emp", {"x": rng.uniform(-100, 100)})
         after = index.maintenance_report()
         assert after["tasks"]["retune"]["runs"] > report["tasks"]["retune"]["runs"]
-
-    @pytest.mark.parametrize("seed", MAINT_SEEDS)
-    def test_tick_during_migration_aborts_before_commit(self, seed):
-        from repro.core.flat_ibs_tree import FlatIBSTree
-        from repro.match.autoselect import migrate_attribute_tree
-
-        rng = random.Random(seed)
-        victim = PredicateIndex(auto_backend=True, min_evidence_ops=8)
-        twin = PredicateIndex(auto_backend=True, min_evidence_ops=8)
-        for i in range(50):
-            pred = make_pred(rng, "emp", i)
-            victim.add(pred)
-            twin.add(pred)
-        probes = [{"x": rng.uniform(-100, 100)} for _ in range(150)]
-        state = victim._catalog.relations["emp"]
-        old_tree = state.trees["x"]
-        backends_before = victim.attribute_backends("emp")
-        with injected(FaultInjector(seed=seed)) as injector:
-            injector.arm("maint.tick_during_migration", at_hit=1)
-            with pytest.raises(InjectedFault):
-                migrate_attribute_tree(
-                    victim._catalog,
-                    victim._store,
-                    "emp",
-                    state,
-                    "x",
-                    "flat",
-                    FlatIBSTree,
-                    victim._observer,
-                )
-            assert injector.fired
-        # the abort landed before the commit point: old tree still live
-        assert state.trees["x"] is old_tree
-        assert victim.attribute_backends("emp") == backends_before
-        assert victim.stats.backend_migrations == 0
-        assert match_table(victim, "emp", probes) == match_table(twin, "emp", probes)
 
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_checkpoint_preempted_recovers_to_twin(self, tmp_path, seed):

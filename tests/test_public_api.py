@@ -25,6 +25,15 @@ class TestTopLevelExports:
             "repro.core.rotations",
             "repro.core.predicate_index",
             "repro.core.selectivity",
+            "repro.concurrency",
+            "repro.concurrency.facade",
+            "repro.maintenance",
+            "repro.maintenance.clock",
+            "repro.maintenance.policy",
+            "repro.maintenance.scheduler",
+            "repro.maintenance.tasks",
+            "repro.disk",
+            "repro.disk.store",
             "repro.match",
             "repro.match.catalog",
             "repro.match.columnar",
@@ -36,10 +45,17 @@ class TestTopLevelExports:
             "repro.predicates",
             "repro.lang",
             "repro.db",
+            "repro.db.statistics",
             "repro.rules",
+            "repro.rules.agenda",
             "repro.baselines",
             "repro.workloads",
+            "repro.workloads.scenarios",
             "repro.bench",
+            "repro.bench.cost_model",
+            "repro.bench.runner",
+            "repro.testing",
+            "repro.testing.faults",
             "repro.errors",
         ],
     )

@@ -222,6 +222,78 @@ class TestCascades:
         with pytest.raises(RuleCycleError):
             db.insert("loop", {"v": 0})
 
+    def test_bulk_mutation_firings_are_not_a_cascade(self, db):
+        # 10 tuples x 3 rules = 30 firings, none of them cascading: the
+        # limit applies to cascades only, exactly as for 10 single inserts
+        engine = RuleEngine(db, max_firings=10)
+        db.create_relation("t", ["a"])
+        collect = CollectAction()
+        for index in range(3):
+            engine.create_rule(f"r{index}", on="t", condition="a >= 0", action=collect)
+        db.bulk_insert("t", [{"a": value} for value in range(10)])
+        assert db.count("t") == 10
+        assert len(collect.records) == 30
+
+    def test_bulk_update_firings_are_not_a_cascade(self, db):
+        db.create_relation("t", ["a"])
+        tids = db.insert_many("t", [{"a": value} for value in range(10)])
+        engine = RuleEngine(db, max_firings=10)
+        collect = CollectAction()
+        for index in range(3):
+            engine.create_rule(f"r{index}", on="t", condition="a >= 0", action=collect)
+        db.bulk_update("t", {tid: {"a": 100 + tid} for tid in tids})
+        assert len(collect.records) == 30
+        assert sorted(row["a"] for row in db.select("t")) == [100 + t for t in tids]
+
+    def test_deferred_run_firings_are_not_a_cascade(self, db):
+        # 30 instantiations wait on the agenda; run() fires them all
+        engine = RuleEngine(db, mode="deferred", max_firings=10)
+        db.create_relation("t", ["a"])
+        collect = CollectAction()
+        for index in range(3):
+            engine.create_rule(f"r{index}", on="t", condition="a >= 0", action=collect)
+        db.insert_many("t", [{"a": value} for value in range(10)])
+        assert collect.records == []
+        assert engine.run() == 30
+        assert len(collect.records) == 30
+
+    def _copy_cascade(self, db, max_firings):
+        # each of the bulk's 10 firings inserts into "sink", whose rule
+        # then fires once: exactly 10 cascaded firings
+        engine = RuleEngine(db, max_firings=max_firings)
+        db.create_relation("t", ["a"])
+        db.create_relation("sink", ["a"])
+        collect = CollectAction()
+        engine.create_rule(
+            "copy", on="t", condition="a >= 0",
+            action=InsertAction("sink", lambda ctx: {"a": ctx.tuple["a"]}),
+        )
+        engine.create_rule("seen", on="sink", condition="a >= 0", action=collect)
+        return collect
+
+    def test_cascade_at_the_limit_completes(self, db):
+        collect = self._copy_cascade(db, max_firings=10)
+        db.bulk_insert("t", [{"a": value} for value in range(10)])
+        assert db.count("sink") == 10
+        assert len(collect.records) == 10
+
+    def test_cascade_one_past_the_limit_raises_and_rolls_back(self, db):
+        collect = self._copy_cascade(db, max_firings=9)
+        with pytest.raises(RuleCycleError):
+            db.bulk_insert("t", [{"a": value} for value in range(10)])
+        assert db.count("t") == 0 and db.count("sink") == 0
+
+    def test_bulk_mutation_cycle_still_hits_the_guard(self, db):
+        engine = RuleEngine(db, max_firings=25)
+        db.create_relation("loop", ["v"])
+        engine.create_rule(
+            "runaway", on="loop", condition="v >= 0",
+            action=UpdateAction(lambda ctx: {"v": ctx.tuple["v"] + 1}),
+        )
+        with pytest.raises(RuleCycleError):
+            db.bulk_insert("loop", [{"v": 0}, {"v": 10}, {"v": 20}])
+        assert db.count("loop") == 0
+
     def test_insert_chain(self, db, engine):
         engine.create_rule(
             "audit", on="emp", condition="salary >= 1000",

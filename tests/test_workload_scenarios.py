@@ -1,9 +1,9 @@
-"""The seeded workload synthesizer behind the auto-selection sweep.
+"""The seeded workload synthesizer behind the maintenance differential.
 
-The families must be deterministic under a pinned seed (the committed
-``BENCH_autoselect.json`` is only reproducible if the workload is),
-must never consume ambient ``random`` state, and must scale down
-cleanly for the CI smoke pass.
+The families must be deterministic under a pinned seed (a seeded
+differential is only reproducible if the workload is), must never
+consume ambient ``random`` state, and must scale down cleanly for the
+tests' small runs.
 """
 
 import random
