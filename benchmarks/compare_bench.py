@@ -27,7 +27,7 @@ Throughput metrics: rows carrying ``tuples_per_s`` compare on it
 directly (higher is better); rebuild rows compare on ``1 / bulk_ms``
 (bulk-load latency, lower is better); disk-tier cold-start rows
 compare on ``1 / coldstart_s``.  Rows are matched on every
-non-float field (backend, mode, order, workers, …); a fresh/baseline
+non-float field (backend, mode, order, pool, …); a fresh/baseline
 row without a partner is an error, not a skip — silent shape drift is
 how regressions hide.
 """
@@ -75,8 +75,6 @@ def _measure_concurrency(scenario):
         predicates=scenario["predicates"],
         batch_size=scenario["batch_size"],
         rounds=scenario["rounds"],
-        workers=scenario["workers"],
-        workers_curve=scenario.get("workers_curve"),
     )
 
 

@@ -1228,11 +1228,9 @@ def run_concurrency(
     distinct_values: int = 2_000,
     batch_size: int = 500,
     rounds: int = 20,
-    workers: int = 4,
     cache_size: int = 8_192,
     repeats: int = 3,
     seed: int = 47,
-    workers_curve: Optional[Sequence[int]] = None,
 ) -> List[Dict[str, Any]]:
     """Mixed read/write matching: mutable index vs epoch snapshots.
 
@@ -1243,49 +1241,23 @@ def run_concurrency(
     *distinct_values* per attribute so values repeat **across** rounds
     (the steady state of a rule engine fed a stream of similar tuples).
 
-    Every row carries a ``pool`` field naming the execution tier, and
-    all configurations are answer-checked against the mutable index
+    Both configurations are answer-checked against the mutable index
     before timing:
 
     * ``serial`` / ``none`` — one mutable :class:`PredicateIndex` with
       the stab cache on.  Every write bumps a tree epoch, so the
       cross-round value repetition never pays off: each batch re-stabs
       all its values.
-    * ``snapshot`` / ``inline`` (workers=0) —
-      :class:`ConcurrentPredicateIndex` matching inline.  Writes build
-      a small overlay; the frozen base's trees never bump their
-      epochs, so its stab cache stays warm across writes and
+    * ``snapshot`` / ``inline`` — :class:`ConcurrentPredicateIndex`.
+      Writes build a small overlay; the frozen base's trees never bump
+      their epochs, so its stab cache stays warm across writes and
       steady-state batches skip the tree entirely.
-    * ``snapshot`` / ``thread`` — the same facade fanning each batch
-      over a thread pool, one row per worker count in *workers_curve*.
-    * ``snapshot`` / ``process`` — the supervised multiprocess tier:
-      shard bases published once into shared memory, batches fanned to
-      worker processes over framed pipes, one row per worker count.
-    * ``snapshot`` / ``process-degraded`` — the process facade after
-      its restart budget is exhausted: matching falls back to the
-      in-process path with identical results, so this row prices the
-      graceful-degradation latency floor.
 
-    *workers_curve* defaults to ``(1, 2, 4, os.cpu_count())`` plus the
-    legacy *workers* count, deduplicated and sorted.
-
-    Honesty note: this container has **one CPU and the GIL**, so
-    neither pool tier can win by parallelism — any speedup over
+    Both rows run on one thread, so the snapshot row's speedup over
     ``serial`` is the snapshot design's *write isolation* (cache
-    retention), thread rows pay a small dispatch overhead on top of
-    the inline row, and process rows additionally pay pickling + IPC
-    per batch.  On a multi-core host the process rows overlap real
-    CPU work across cores.  ``speedup`` is relative to the ``serial``
-    row.
+    retention), not parallelism.  ``speedup`` is relative to the
+    ``serial`` row.
     """
-    if workers_curve is None:
-        workers_curve = (1, 2, 4, os.cpu_count() or 1)
-    curve: List[int] = []
-    for candidate in (*workers_curve, workers):
-        candidate = max(1, int(candidate))
-        if candidate not in curve:
-            curve.append(candidate)
-    curve.sort()
     rng = random.Random(seed)
     attributes = ("x", "y")
     predicate_list = []
@@ -1339,54 +1311,27 @@ def run_concurrency(
     sample = batches[0][:20]
     reference = [{p.ident for p in serial.match("r", tup)} for tup in sample]
 
-    def build_facade(pool_kind: str, worker_count: int) -> Any:
-        options: Dict[str, Any] = {
-            "tree_factory": "flat",
-            "workers": worker_count,
-            "snapshot_cache_size": cache_size,
-        }
-        if pool_kind.startswith("process"):
-            options["pool"] = "process"
-        index = DEFAULT_REGISTRY.create_matcher("ibs-concurrent", **options)
-        index.add_many(predicate_list)
-        return index
+    def build_facade() -> Any:
+        facade = DEFAULT_REGISTRY.create_matcher(
+            "ibs-concurrent", tree_factory="flat", snapshot_cache_size=cache_size
+        )
+        facade.add_many(predicate_list)
+        answers = [{p.ident for p in row} for row in facade.match_batch("r", sample)]
+        if answers != reference:
+            raise AssertionError("concurrent facade disagrees with the mutable index")
+        return facade
 
     total = sum(len(batch) for batch in batches)
     rows: List[Dict[str, Any]] = []
     baseline: Optional[float] = None
-    configurations: List[Tuple[str, str, int]] = [
-        ("serial", "none", 0),
-        ("snapshot", "inline", 0),
-    ]
-    configurations += [("snapshot", "thread", count) for count in curve]
-    configurations += [("snapshot", "process", count) for count in curve]
-    configurations.append(("snapshot", "process-degraded", curve[-1]))
-    for mode, pool_kind, worker_count in configurations:
-        # Build, answer-check, time, and tear down each configuration in
-        # sequence so process pools fork before any thread pool exists.
-        index = serial if mode == "serial" else build_facade(pool_kind, worker_count)
-        try:
-            if pool_kind == "process-degraded":
-                index.match_batch("r", sample)  # instantiate the pool first
-                index.degrade_process_tier("bench: degraded-mode row")
-            if mode != "serial":
-                answers = [
-                    {p.ident for p in row} for row in index.match_batch("r", sample)
-                ]
-                if answers != reference:
-                    raise AssertionError(
-                        f"concurrent facade (pool={pool_kind}, "
-                        f"workers={worker_count}) disagrees with the mutable index"
-                    )
-            mixed_rounds(index)  # warm-up: steady-state caches
-            elapsed = math.inf
-            for _ in range(repeats):
-                start = time.perf_counter()
-                mixed_rounds(index)
-                elapsed = min(elapsed, time.perf_counter() - start)
-        finally:
-            if mode != "serial":
-                index.close()
+    for mode, pool_kind in (("serial", "none"), ("snapshot", "inline")):
+        index = serial if mode == "serial" else build_facade()
+        mixed_rounds(index)  # warm-up: steady-state caches
+        elapsed = math.inf
+        for _ in range(repeats):
+            start = time.perf_counter()
+            mixed_rounds(index)
+            elapsed = min(elapsed, time.perf_counter() - start)
         throughput = total / elapsed
         if baseline is None:
             baseline = throughput
@@ -1394,7 +1339,6 @@ def run_concurrency(
             {
                 "mode": mode,
                 "pool": pool_kind,
-                "workers": worker_count,
                 "us_per_tuple": elapsed / total * 1e6,
                 "tuples_per_s": throughput,
                 "speedup": throughput / baseline,
@@ -1409,15 +1353,14 @@ def print_concurrency(
     rows = rows if rows is not None else run_concurrency()
     print_experiment(
         "CONCURRENCY: mutable index vs epoch snapshots, mixed read/write",
-        ["mode", "pool", "workers", "us_per_tuple", "tuples_per_s", "speedup"],
+        ["mode", "pool", "us_per_tuple", "tuples_per_s", "speedup"],
         [
-            [row["mode"], row["pool"], row["workers"], row["us_per_tuple"],
+            [row["mode"], row["pool"], row["us_per_tuple"],
              row["tuples_per_s"], row["speedup"]]
             for row in rows
         ],
-        note="speedup vs the mutable serial index; single-CPU host — gains "
-             "come from snapshot cache retention, not parallelism; process "
-             "rows add pickling + IPC per batch",
+        note="speedup vs the mutable serial index; both run on one thread, "
+             "so the gain is snapshot cache retention, not parallelism",
     )
     return rows
 
@@ -1614,7 +1557,6 @@ def run_maintenance(
             time_config("ckpt-stop-world", stop_world, ck_stop)
         finally:
             ck_stop.close()
-            stop_world.close()
 
         background = DEFAULT_REGISTRY.create_matcher(
             "ibs-concurrent",
@@ -1631,7 +1573,6 @@ def run_maintenance(
             time_config("ckpt-background", background)
         finally:
             ck_back.close()
-            background.close()
     finally:
         shutil.rmtree(work_dir, ignore_errors=True)
     return rows

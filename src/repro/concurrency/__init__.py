@@ -9,8 +9,9 @@ predicate registration, removal, and index maintenance:
   published RCU-style (readers are lock-free);
 * :class:`~repro.concurrency.facade.ConcurrentPredicateIndex` — the
   :class:`~repro.baselines.base.PredicateMatcher`-compatible facade
-  that routes predicates to shards and fans ``match_batch`` across a
-  worker pool with a deterministic merge.
+  that routes predicates to shards and matches each batch against one
+  snapshot.  It owns no threads: concurrency comes from the callers'
+  own reader threads.
 
 The deterministic test harness that exercises this layer lives in
 :mod:`repro.testing.concurrency`; the model and its guarantees are

@@ -10,9 +10,8 @@ registration, removal, compaction, and rebuilds:
 * reads are lock-free: a match loads the shard's current
   :class:`~repro.concurrency.shard.EpochSnapshot` once and works on
   that immutable state;
-* :meth:`match_batch` optionally fans its tuple chunks across a worker
-  pool and merges chunk results back in input order, so the output is
-  byte-for-byte identical to the serial result for the same snapshot.
+* :meth:`match_batch` matches the whole batch inline against one
+  snapshot, so a batch never straddles a concurrent write.
 
 Lock ordering (documented in ``docs/concurrency_model.md``): the
 facade's catalog lock protects only the shard table and the ident →
@@ -22,19 +21,20 @@ Publication hooks registered via :meth:`on_publish` run under the
 publishing shard's write lock and must not call back into the write
 API.
 
-On parallelism: under CPython's GIL the worker pool does not multiply
-CPU throughput — the measured advantage of this layer on a mixed
-read/write workload (see the CONCURRENCY benchmark) comes from
+On parallelism: the facade owns no threads or processes.  Callers'
+own threads read concurrently; under CPython's GIL they do not
+multiply CPU throughput.  The measured advantage of this layer on a
+mixed read/write workload (see the CONCURRENCY benchmark) comes from
 *snapshot isolation*: writes land in a small overlay instead of
 mutating the big per-attribute trees, so the frozen base's decode and
 residual caches stay warm where the serial index invalidates them on
-every mutation.
+every mutation.  Fanning a batch over worker threads or processes was
+measured slower than this inline path (EXPERIMENTS.md PROC).
 """
 
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from typing import (
     Any,
     Dict,
@@ -89,32 +89,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         life of the snapshot.  This is the snapshot design's main
         single-CPU win over a mutable index, whose every write bumps a
         tree epoch and strands the entire cache.  ``0`` disables it.
-    workers:
-        Size of the shared worker pool :meth:`match_batch` fans out
-        over.  ``0`` or ``1`` disables fan-out (everything runs
-        inline).  The pool is created lazily on first use and shut
-        down by :meth:`close` (the facade is also a context manager).
-        The string ``"process"`` is shorthand for
-        ``pool="process", workers=os.cpu_count()``.
-    pool:
-        Which worker tier backs the fan-out: ``"thread"`` (default —
-        in-process, snapshot-isolation wins only) or ``"process"`` —
-        the supervised multiprocess tier (:mod:`repro.parallel`), which
-        publishes shard bases into shared memory and matches on
-        per-core worker processes.  The process tier is self-healing:
-        worker crashes, hangs, and torn frames are retried and, past
-        the restart budget, the facade **degrades** to the in-process
-        path — results are identical in every mode, only latency
-        changes.  With ``pool="process"`` all ``match_batch`` rows are
-        returned in the snapshot's canonical order
-        (:meth:`EpochSnapshot.canonical_rank`), whichever tier served
-        them, so results are reproducible across processes and runs.
     compaction_threshold:
         Overlay/tombstone size at which a shard folds its overlay into
         a fresh bulk-loaded base.
-    min_chunk:
-        Smallest per-worker tuple chunk worth dispatching; batches
-        below ``2 * min_chunk`` run inline to avoid pool overhead.
     columnar:
         Forwarded to every internal index: batch reads try the
         vectorized columnar plane (:mod:`repro.match.columnar`) first.
@@ -128,9 +105,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         (:mod:`repro.disk`): every compacted shard base is sealed to
         segment files under ``data_dir`` and its decoded residency is
         capped by ``memory_budget``.  Overlays stay in RAM on both
-        tiers, so a write between compactions touches no file.  The
-        disk tier rejects ``pool="process"``: an mmap'd base cannot be
-        pickled into a worker's shared memory.
+        tiers, so a write between compactions touches no file.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` driving this
         facade's background work off the unified maintenance clock:
@@ -152,12 +127,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         tree_factory: Union[str, TreeFactory] = IBSTree,
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
-        workers: Union[int, str] = 0,
         compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-        min_chunk: int = 64,
         snapshot_cache_size: int = 4_096,
         columnar: bool = False,
-        pool: str = "thread",
         storage: str = "memory",
         data_dir: Optional[str] = None,
         memory_budget: Optional[int] = None,
@@ -167,23 +139,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             from ..match.registry import DEFAULT_REGISTRY
 
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
-        if workers == "process":
-            import os
-
-            pool = "process"
-            workers = os.cpu_count() or 1
-        if pool not in ("thread", "process"):
-            raise ConcurrencyError(
-                f"unknown pool kind {pool!r}: expected 'thread' or 'process'"
-            )
         if storage not in ("memory", "disk"):
             raise ConcurrencyError(
                 f"unknown storage {storage!r}: expected 'memory' or 'disk'"
-            )
-        if storage == "disk" and pool == "process":
-            raise ConcurrencyError(
-                "pool='process' cannot ship disk-tier bases to workers "
-                "(their trees are mmap'd segment files); use pool='thread'"
             )
         if storage == "disk" and data_dir is None:
             import tempfile
@@ -196,8 +154,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._estimator = estimator
         self._multi_clause = bool(multi_clause)
         self._snapshot_cache_size = max(0, int(snapshot_cache_size))
-        self._workers = max(0, int(workers))
-        self._pool_kind = pool
         self._columnar = bool(columnar)
         if (
             maintenance is not None
@@ -207,7 +163,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             # the caller pinned one explicitly
             compaction_threshold = maintenance.compaction_threshold
         self._compaction_threshold = int(compaction_threshold)
-        self._min_chunk = max(1, int(min_chunk))
         #: catalog lock: shard-table and routing-map writes only.
         self._catalog_lock = threading.Lock()
         self._shards: Dict[str, RelationShard] = {}
@@ -218,10 +173,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._relation_of: Dict[Hashable, str] = {}
         #: shared by every shard; appended to by :meth:`on_publish`.
         self._publish_hooks: List[PublishHook] = []
-        self._pool: Optional[ThreadPoolExecutor] = None
-        self._process_pool: Optional[Any] = None
-        self._pool_lock = threading.Lock()
-        self._closed = False
         self._maint_observer = StatsObserver(MatchStatistics())
         self._maintenance = self._build_maintenance(maintenance)
 
@@ -297,7 +248,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             return {"enabled": False, "clock_ops": 0, "tasks": {}, "failures": []}
         return self._maintenance.report()
 
-    # -- shard / pool management ---------------------------------------
+    # -- shard management ----------------------------------------------
 
     def _index_factory(self) -> PredicateIndex:
         """A fresh shard base; on the disk tier its trees seal to segments."""
@@ -462,99 +413,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             if self._relation_of.get(ident) == relation:
                 del self._relation_of[ident]
 
-    def _get_pool(self) -> ThreadPoolExecutor:
-        pool = self._pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._pool
-                if pool is None:
-                    if self._closed:
-                        raise ConcurrencyError(
-                            "ConcurrentPredicateIndex is closed"
-                        )
-                    pool = ThreadPoolExecutor(
-                        max_workers=self._workers,
-                        thread_name_prefix="repro-match",
-                    )
-                    self._pool = pool
-        return pool
-
-    def _get_process_pool(self) -> Any:
-        pool = self._process_pool
-        if pool is None:
-            with self._pool_lock:
-                pool = self._process_pool
-                if pool is None:
-                    if self._closed:
-                        raise ConcurrencyError(
-                            "ConcurrentPredicateIndex is closed"
-                        )
-                    from ..parallel import ProcessMatchPool
-
-                    pool = ProcessMatchPool(
-                        workers=max(1, self._workers),
-                        min_chunk=self._min_chunk,
-                    )
-                    self._process_pool = pool
-        return pool
-
-    def _process_match(
-        self, snapshot: EpochSnapshot, tuple_list: List[Mapping[str, Any]]
-    ) -> Optional[List[List[Predicate]]]:
-        """One attempt at the process tier; ``None`` means fall back."""
-        try:
-            pool = self._get_process_pool()
-            return pool.match_batch(snapshot, tuple_list)
-        except (ConcurrencyError, RuntimeError):
-            # closed (or closing) facade, or a pool that cannot start:
-            # the caller runs the batch in-process instead
-            return None
-
-    def degrade_process_tier(self, reason: str) -> None:
-        """Force the process tier into degraded mode (bench/test hook).
-
-        Subsequent ``match_batch`` calls run on the in-process path with
-        identical results — this is the state the tier enters on its own
-        when every worker slot exhausts its restart budget.  No-op
-        unless ``pool="process"``.
-        """
-        if self._pool_kind != "process":
-            return
-        self._get_process_pool().degrade(reason)
-
-    def process_stats(self) -> Optional[Dict[str, Any]]:
-        """Diagnostics from the process tier (``None`` before first use).
-
-        Keys include ``live``, ``restarts``, ``kills``, ``quarantined``,
-        ``degraded`` and ``segments`` — see
-        :meth:`repro.parallel.ProcessMatchPool.stats`.
-        """
-        pool = self._process_pool
-        return pool.stats() if pool is not None else None
-
-    def close(self) -> None:
-        """Shut down the worker pools.  Idempotent.
-
-        Matching stays available afterwards (it just runs inline, with
-        unchanged results); registration is unaffected.  For the
-        process tier this also reaps every worker process and unlinks
-        every published shared-memory segment.
-        """
-        with self._pool_lock:
-            self._closed = True
-            pool, self._pool = self._pool, None
-            process_pool = self._process_pool
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if process_pool is not None:
-            process_pool.close()
-
-    def __enter__(self) -> "ConcurrentPredicateIndex":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
     # -- publication hooks ---------------------------------------------
 
     def on_publish(self, hook: PublishHook) -> None:
@@ -671,112 +529,17 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     def match_batch(
         self, relation: str, tuples: Iterable[Mapping[str, Any]]
     ) -> List[List[Predicate]]:
-        """Match several tuples against one epoch, fanning out if enabled.
+        """Match several tuples against one epoch, in input order.
 
         The whole batch is served by a **single** snapshot — a batch
-        never straddles a concurrent write.  With ``workers > 1`` the
-        tuple list is cut into contiguous chunks, matched on the pool,
-        and the chunk results are concatenated in input order, making
-        the output independent of worker scheduling.
-
-        With ``pool="process"`` the batch is first offered to the
-        supervised multiprocess tier; if it declines (too small, no
-        worker available, degraded after exhausting its restart budget,
-        or the facade is closed) the batch runs on this tier's
-        in-process path instead.  Either way the rows are identical and
-        arrive in the snapshot's canonical order.
+        never straddles a concurrent write.
         """
         snapshot = self.snapshot(relation)
         tuple_list = tuples if isinstance(tuples, list) else list(tuples)
-        if self._pool_kind == "process" and self._workers >= 1:
-            rows = self._process_match(snapshot, tuple_list)
-            if rows is None:
-                # degraded / declined: in-process answer, same canonical
-                # order as the process tier so results are mode-independent
-                rows = snapshot.canonical_rows(
-                    self._thread_match_batch(snapshot, tuple_list)
-                )
-        else:
-            rows = self._thread_match_batch(snapshot, tuple_list)
+        rows = snapshot.match_batch(tuple_list)
         if self._maintenance is not None and tuple_list:
             self._tick(relation, len(tuple_list))
         return rows
-
-    def _thread_match_batch(
-        self, snapshot: EpochSnapshot, tuple_list: List[Mapping[str, Any]]
-    ) -> List[List[Predicate]]:
-        """The in-process tier: thread fan-out or inline."""
-        if self._workers <= 1 or len(tuple_list) < 2 * self._min_chunk:
-            return snapshot.match_batch(tuple_list)
-        chunk_size = max(
-            self._min_chunk,
-            -(-len(tuple_list) // self._workers),  # ceil division
-        )
-        chunks = [
-            tuple_list[start : start + chunk_size]
-            for start in range(0, len(tuple_list), chunk_size)
-        ]
-        if len(chunks) == 1:
-            return snapshot.match_batch(tuple_list)
-        try:
-            pool = self._get_pool()
-            futures = [
-                pool.submit(snapshot.match_batch, chunk) for chunk in chunks
-            ]
-        except (ConcurrencyError, RuntimeError):
-            # closed (or closing) facade: the pool is gone, but matching
-            # stays available — run the batch inline as close() promises.
-            return snapshot.match_batch(tuple_list)
-        rows: List[List[Predicate]] = []
-        for future in futures:
-            rows.extend(future.result())
-        return rows
-
-    def match_batch_grouped(
-        self, batches: Mapping[str, Iterable[Mapping[str, Any]]]
-    ) -> Dict[str, List[List[Predicate]]]:
-        """Match per-relation batches concurrently, one task per shard.
-
-        Each relation's batch is served by its shard's current snapshot;
-        with a pool the shards are matched in parallel.  Results are
-        keyed by relation, per-tuple rows in input order.
-
-        Each submitted task runs its relation's whole batch inline on
-        one worker (``snapshot.match_batch`` directly, never the
-        chunk-fanning :meth:`match_batch`): a task that resubmitted
-        chunks to the same bounded pool and blocked on their futures
-        could fill every worker with blocked parents and deadlock.
-        """
-        items = [
-            (relation, tuples if isinstance(tuples, list) else list(tuples))
-            for relation, tuples in batches.items()
-        ]
-        if self._pool_kind == "process":
-            # the process tier parallelises within each relation's
-            # batch; per-relation dispatch order adds nothing and the
-            # thread pool would only contend with the dispatch loop
-            return {
-                relation: self.match_batch(relation, tuples)
-                for relation, tuples in items
-            }
-        if self._workers <= 1 or len(items) <= 1:
-            return {
-                relation: self.match_batch(relation, tuples)
-                for relation, tuples in items
-            }
-        try:
-            pool = self._get_pool()
-            futures = [
-                (relation, pool.submit(self.snapshot(relation).match_batch, tuples))
-                for relation, tuples in items
-            ]
-        except (ConcurrencyError, RuntimeError):
-            # closed (or closing) facade: run everything inline.
-            return {
-                relation: self.snapshot(relation).match_batch(tuples)
-                for relation, tuples in items
-            }
-        return {relation: future.result() for relation, future in futures}
 
     # -- maintenance ---------------------------------------------------
 
@@ -871,5 +634,5 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     def __repr__(self) -> str:
         return (
             f"<ConcurrentPredicateIndex {len(self)} predicates over "
-            f"{len(self._shards)} shards, workers={self._workers}>"
+            f"{len(self._shards)} shards>"
         )

@@ -52,7 +52,6 @@ import threading
 from typing import (
     Any,
     Callable,
-    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -106,7 +105,6 @@ class EpochSnapshot:
         "overlay",
         "removed",
         "overlay_preds",
-        "_rank",
     )
 
     def __init__(
@@ -156,36 +154,6 @@ class EpochSnapshot:
             if pred.ident not in removed:
                 yield pred
         yield from self.overlay_preds
-
-    def canonical_rank(self) -> Dict[Hashable, int]:
-        """``ident -> position`` in this snapshot's enumeration order.
-
-        A *value-deterministic* total order over the live predicates —
-        base publication order, then overlay insertion order — unlike
-        the per-row match order, which falls out of set iteration inside
-        the trees and therefore depends on process memory layout and
-        hash seed.  The process tier sorts every row it returns into
-        this order so results are reproducible across processes.
-
-        Cached on first use; the lazy single-assignment publish of an
-        immutable dict is GIL-safe on this otherwise frozen object
-        (racing builders compute identical maps).
-        """
-        rank = getattr(self, "_rank", None)
-        if rank is None:
-            rank = {
-                pred.ident: position
-                for position, pred in enumerate(self.predicates())
-            }
-            self._rank = rank
-        return rank
-
-    def canonical_rows(
-        self, rows: List[List[Predicate]]
-    ) -> List[List[Predicate]]:
-        """Sort each match row into :meth:`canonical_rank` order."""
-        rank = self.canonical_rank()
-        return [sorted(row, key=lambda pred: rank[pred.ident]) for row in rows]
 
     # -- matching (lock-free) ------------------------------------------
 

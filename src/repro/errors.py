@@ -36,8 +36,6 @@ __all__ = [
     "RegistryError",
     "ConcurrencyError",
     "ConcurrencyViolation",
-    "ParallelError",
-    "FrameError",
     "InjectedFault",
 ]
 
@@ -215,28 +213,6 @@ class ConcurrencyViolation(ConcurrencyError, AssertionError):
         super().__init__(
             f"{len(self.violations)} observation(s) diverge from their epoch: {lines}"
         )
-
-
-class ParallelError(ConcurrencyError):
-    """Base class for errors raised by the multiprocess matching tier.
-
-    The process tier treats most failures (worker crash, hang, torn
-    frame, missing shared-memory segment) as *recoverable* — it retries
-    on a fresh worker or falls back to the in-process path — so these
-    errors mostly travel internally; callers only see one when the tier
-    is misused (e.g. dispatching through a closed pool).
-    """
-
-
-class FrameError(ParallelError, ValueError):
-    """An IPC frame failed its length or CRC check.
-
-    Raised by :mod:`repro.parallel.framing` when a message read off a
-    worker pipe is truncated, oversized, or fails checksum validation.
-    A frame error on a reply marks the worker as untrustworthy (it is
-    killed and replaced); a frame error on a request is rejected by the
-    worker without side effects and the batch is retried.
-    """
 
 
 class InjectedFault(ReproError, RuntimeError):

@@ -465,7 +465,11 @@ class ClauseCatalog:
             return False
         state.version += 1
         old_tree = state.trees[old_attr]
-        old_interval = old_tree.get(ident)
+        old_interval = next(
+            entry.interval
+            for entry in state.predicates[ident].indexable_clauses()
+            if entry.attribute == old_attr
+        )
         new_tree = state.trees.get(new_attr)
         created = new_tree is None
         if created:

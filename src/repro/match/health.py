@@ -20,7 +20,7 @@ behind :meth:`PredicateIndex.audit` / :meth:`check_invariants` /
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Set
+from typing import Any, Callable, Dict, Hashable, List, Set
 
 from ..core.intervals import is_infinite
 from ..errors import TreeInvariantError
@@ -89,13 +89,14 @@ def audit_relation(
             )
         for attribute in attributes:
             tree = state.trees.get(attribute)
-            if tree is None or ident not in tree:
+            if tree is None or not _holds(tree, ident):
                 problems.append(
                     f"{relation}.{attribute}: predicate {ident!r} "
                     f"indexed under the attribute but absent from its tree"
                 )
     for attribute, tree in state.trees.items():
-        for ident in tree:
+        # a foreign backend that cannot list its entries skips this check
+        for ident in tree if hasattr(tree, "__iter__") else ():
             if attribute not in state.indexed_under.get(ident, ()):
                 problems.append(
                     f"{relation}.{attribute}: stray tree entry {ident!r}"
@@ -105,6 +106,12 @@ def audit_relation(
         for problem in _tree_divergence(tree, tree_factory):
             problems.append(f"{relation}.{attribute}: {problem}")
     return problems
+
+
+def _holds(tree: Any, ident: Hashable) -> bool:
+    """Whether *tree* holds *ident*; assumed for a foreign backend
+    without a membership test."""
+    return ident in tree if hasattr(tree, "__contains__") else True
 
 
 def _tree_problems(tree: Any) -> List[str]:

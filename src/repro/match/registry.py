@@ -46,7 +46,7 @@ __all__ = [
 #: Zero-argument constructor for an interval-index backend.
 TreeFactory = Callable[[], Any]
 #: Keyword-options builder for a complete predicate matcher.  Builders
-#: receive every option the caller passed (``estimator``, ``workers``,
+#: receive every option the caller passed (``estimator``, ``storage``,
 #: …) and use the ones that apply to their backend.
 MatcherBuilder = Callable[..., Any]
 
@@ -230,7 +230,7 @@ class BackendRegistry:
 # is still initialising (it re-exports the match layer), so a
 # module-level import would see a half-built module.
 #
-# Callers pass one uniform option set (``estimator``, ``workers``, …);
+# Callers pass one uniform option set (``estimator``, ``storage``, …);
 # each builder keeps only the options its backend understands, so e.g.
 # the rule engine can hand its estimator to every strategy and the
 # baselines simply don't use it.
@@ -257,12 +257,9 @@ _CONCURRENT_OPTIONS = (
     "tree_factory",
     "estimator",
     "multi_clause",
-    "workers",
     "compaction_threshold",
-    "min_chunk",
     "snapshot_cache_size",
     "columnar",
-    "pool",
     "storage",
     "data_dir",
     "memory_budget",
@@ -355,8 +352,7 @@ def _build_disk_concurrent(**options: Any) -> Any:
 
 def _build_ibs_concurrent(**options: Any) -> Any:
     # Imported here: building the concurrent matcher must not drag the
-    # concurrency layer (and its pool) in for the common
-    # single-threaded strategies.
+    # concurrency layer in for the common single-threaded strategies.
     from ..concurrency import ConcurrentPredicateIndex
 
     return ConcurrentPredicateIndex(**_accept(options, _CONCURRENT_OPTIONS))
@@ -454,7 +450,6 @@ DEFAULT_REGISTRY.register_matcher(
     "ibs-concurrent",
     _build_ibs_concurrent,
     "sharded epoch-snapshot concurrent predicate index",
-    capabilities={"process_parallel": True},
 )
 DEFAULT_REGISTRY.register_matcher(
     "disk",

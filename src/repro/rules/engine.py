@@ -275,8 +275,9 @@ class RuleEngine:
     def close(self) -> None:
         """Detach from the database's event bus.
 
-        Also releases matcher-held resources (the concurrent matcher's
-        worker pool); matchers without a ``close`` are unaffected.
+        Also calls the matcher's ``close``, if it has one, so a
+        user-registered matcher can release what it holds; the built-in
+        matchers have none.
         """
         self._unsubscribe()
         closer = getattr(self.matcher, "close", None)

@@ -77,28 +77,15 @@ FAULT_SITES: Tuple[str, ...] = (
     "journal.append",
     # engine layer: at the moment a rule action is invoked
     "engine.action",
-    # process-parallel matching tier: a shard worker SIGKILLed after a
-    # batch is dispatched but before it replies, a worker that hangs
-    # past the per-batch deadline, a torn/corrupted IPC frame, and a
-    # shared-memory segment unlinked while a worker still needs it.
-    # These sites fire on the supervisor side and are converted into
-    # the *real* failure (an actual SIGKILL, an actual oversized sleep,
-    # an actually corrupted frame, an actual early unlink), so the
-    # recovery they exercise is genuine, not simulated.
-    "worker.kill_before_reply",
-    "worker.hang",
-    "ipc.corrupt_frame",
-    "shm.unlink_early",
     # disk tier: a segment write torn halfway through its payload (the
     # temp file is abandoned, the target untouched), a checkpoint that
     # crashes after writing new-generation segments but before the
     # manifest is published, and a segment file unlinked while a reader
-    # still has it mmap'd.  Like the worker sites, ``disk.mmap_unlink``
-    # is converted into the *real* failure — an actual unlink of a
-    # manifest-referenced segment — so the recovery it exercises
-    # (serving reads from the surviving mapping, then rebuilding the
-    # attribute from the predicate log at the next cold start) is
-    # genuine.
+    # still has it mmap'd.  ``disk.mmap_unlink`` is converted into the
+    # *real* failure — an actual unlink of a manifest-referenced
+    # segment — so the recovery it exercises (serving reads from the
+    # surviving mapping, then rebuilding the attribute from the
+    # predicate log at the next cold start) is genuine.
     "disk.torn_segment",
     "disk.partial_checkpoint",
     "disk.mmap_unlink",

@@ -133,17 +133,13 @@ def test_registered_backends_agree(subtests=None):
     expected = [sorted(oracle.match_idents("r", t)) for t in batch]
     for name in DEFAULT_REGISTRY.matchers():
         matcher = DEFAULT_REGISTRY.create_matcher(name)
-        try:
-            loaded(matcher, predicates)
-            assert ident_rows(matcher.match_batch("r", batch)) == expected, name
-            if hasattr(matcher, "freeze"):
-                matcher.freeze()
-                assert (
-                    ident_rows(matcher.match_batch("r", batch)) == expected
-                ), f"{name} (frozen)"
-        finally:
-            if hasattr(matcher, "close"):
-                matcher.close()
+        loaded(matcher, predicates)
+        assert ident_rows(matcher.match_batch("r", batch)) == expected, name
+        if hasattr(matcher, "freeze"):
+            matcher.freeze()
+            assert (
+                ident_rows(matcher.match_batch("r", batch)) == expected
+            ), f"{name} (frozen)"
 
 
 def test_out_of_domain_values_use_the_scalar_pipeline():
@@ -252,12 +248,12 @@ def test_concurrent_facade_with_columnar_snapshots():
     batch = [make_tuple(rng) for _ in range(60)]
     oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
     expected = [sorted(oracle.match_idents("r", t)) for t in batch]
-    with ConcurrentPredicateIndex(tree_factory="flat", columnar=True) as index:
-        for predicate in predicates:
-            index.add(predicate)
-        assert ident_rows(index.match_batch("r", batch)) == expected
-        index.compact()  # snapshot bases are frozen -> plane built once
-        assert ident_rows(index.match_batch("r", batch)) == expected
+    index = ConcurrentPredicateIndex(tree_factory="flat", columnar=True)
+    for predicate in predicates:
+        index.add(predicate)
+    assert ident_rows(index.match_batch("r", batch)) == expected
+    index.compact()  # snapshot bases are frozen -> plane built once
+    assert ident_rows(index.match_batch("r", batch)) == expected
 
 
 def test_columnar_capability_flags():

@@ -81,34 +81,6 @@ def test_duplicate_and_unknown_idents():
         idx.remove("a")
 
 
-def test_match_batch_fanout_merges_in_input_order():
-    """Pool fan-out must be byte-identical to the inline result."""
-    inline = ConcurrentPredicateIndex(workers=0)
-    fanned = ConcurrentPredicateIndex(workers=4, min_chunk=8)
-    for i in range(30):
-        inline.add(interval_pred(f"p{i}", i, i + 12))
-        fanned.add(interval_pred(f"p{i}", i, i + 12))
-    tuples = [{"x": value % 45} for value in range(200)]
-    inline_rows = inline.match_batch("r", tuples)
-    fanned_rows = fanned.match_batch("r", tuples)
-    assert [[p.ident for p in row] for row in fanned_rows] == [
-        [p.ident for p in row] for row in inline_rows
-    ]
-    fanned.close()
-
-
-def test_match_batch_grouped_covers_all_relations():
-    idx = ConcurrentPredicateIndex(workers=2)
-    idx.add(interval_pred("a", 0, 10, relation="r1"))
-    idx.add(interval_pred("b", 0, 10, relation="r2"))
-    grouped = idx.match_batch_grouped(
-        {"r1": [{"x": 5}], "r2": [{"x": 5}, {"x": 99}]}
-    )
-    assert [[p.ident for p in row] for row in grouped["r1"]] == [["a"]]
-    assert [[p.ident for p in row] for row in grouped["r2"]] == [["b"], []]
-    idx.close()
-
-
 def test_snapshot_isolation_across_writes():
     """A snapshot taken before a write never sees that write."""
     idx = ConcurrentPredicateIndex()
@@ -154,15 +126,6 @@ def test_shard_rejects_foreign_relation():
         shard.add(interval_pred("a", 0, 1, relation="other"))
 
 
-def test_close_is_idempotent_and_context_manager_closes():
-    with ConcurrentPredicateIndex(workers=2, min_chunk=1) as idx:
-        idx.add(interval_pred("a", 0, 10))
-        idx.match_batch("r", [{"x": 1}] * 8)
-    idx.close()  # second close is a no-op
-    # matching still works inline after close
-    assert idx.match_idents("r", {"x": 5}) == {"a"}
-
-
 # ----------------------------------------------------------------------
 # differential: concurrent run vs serial replay, all four backends
 # ----------------------------------------------------------------------
@@ -173,9 +136,7 @@ def test_stress_concurrent_equals_serial_replay(backend):
     """4 writers + 8 readers; every observed read must equal the serial
     replay of the publication log at its epoch (StressDriver raises
     ConcurrencyViolation otherwise)."""
-    idx = ConcurrentPredicateIndex(
-        tree_factory=backend, workers=2, compaction_threshold=16
-    )
+    idx = ConcurrentPredicateIndex(tree_factory=backend, compaction_threshold=16)
     driver = StressDriver(
         idx,
         relations=("r1", "r2"),
@@ -188,7 +149,6 @@ def test_stress_concurrent_equals_serial_replay(backend):
     report = driver.run()
     assert report["observations"] == 8 * 80
     assert sum(report["publications"].values()) == 4 * 40
-    idx.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
@@ -259,56 +219,8 @@ def test_concurrent_readers_see_only_published_epochs():
 
 
 # ----------------------------------------------------------------------
-# regression: pool discipline, close semantics, routing-map guards
+# regression: routing-map guards
 # ----------------------------------------------------------------------
-
-
-def test_match_batch_grouped_saturated_pool_does_not_deadlock():
-    """Grouped matching with as many big relation batches as workers.
-
-    Each grouped task used to call ``self.match_batch``, which fanned
-    chunk sub-tasks into the *same* bounded pool and blocked on their
-    futures — with every worker occupied by a blocked parent, the chunk
-    tasks could never run and the pool deadlocked permanently.  Grouped
-    tasks now match their relation's whole batch inline on one worker.
-    """
-    idx = ConcurrentPredicateIndex(workers=2, min_chunk=4)
-    serial = PredicateIndex()
-    relations = ["r1", "r2", "r3", "r4"]
-    for rel in relations:
-        for i in range(10):
-            idx.add(interval_pred(f"{rel}-p{i}", i * 2, i * 2 + 9, relation=rel))
-            serial.add(interval_pred(f"{rel}-p{i}", i * 2, i * 2 + 9, relation=rel))
-    # every batch >= 2 * min_chunk so the old code would have chunked it
-    batches = {rel: [{"x": v % 30} for v in range(24)] for rel in relations}
-    grouped = idx.match_batch_grouped(batches)
-    for rel, tuples in batches.items():
-        expected = serial.match_batch(rel, tuples)
-        # per-row sets: the facade's bulk-loaded base orders rows
-        # differently from the incrementally-built serial index
-        assert [{p.ident for p in row} for row in grouped[rel]] == [
-            {p.ident for p in row} for row in expected
-        ]
-    idx.close()
-
-
-def test_match_batch_after_close_runs_inline():
-    """close() promises matching stays available; it must not raise."""
-    idx = ConcurrentPredicateIndex(workers=4, min_chunk=2)
-    for i in range(10):
-        idx.add(interval_pred(f"p{i}", i, i + 5))
-    tuples = [{"x": v % 16} for v in range(40)]  # >= 2 * min_chunk
-    before = idx.match_batch("r", tuples)
-    idx.close()
-    after = idx.match_batch("r", tuples)
-    assert [[p.ident for p in row] for row in after] == [
-        [p.ident for p in row] for row in before
-    ]
-    grouped = idx.match_batch_grouped({"r": tuples, "other": [{"x": 1}]})
-    assert [[p.ident for p in row] for row in grouped["r"]] == [
-        [p.ident for p in row] for row in before
-    ]
-    assert grouped["other"] == [[]]
 
 
 def test_cross_relation_duplicate_ident_rejected():

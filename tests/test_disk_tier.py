@@ -47,13 +47,11 @@ from repro.disk.segment import SegmentReader, write_segment
 from repro.disk.store import DiskTreeStore
 from repro.disk.tree import DiskIBSTree
 from repro.errors import (
-    ConcurrencyError,
     CorruptSegmentError,
     DatabaseError,
     InjectedFault,
     TreeError,
 )
-from repro.match.registry import DEFAULT_REGISTRY
 from repro.predicates.clauses import EqualityClause, FunctionClause, IntervalClause
 from repro.predicates.predicate import Predicate
 from repro.testing.faults import FaultInjector, injected
@@ -831,11 +829,3 @@ class TestRamOverlay:
         index._evict_pass()
         assert index.shard("emp").snapshot.overlay is overlay
         assert len(overlay) == 1
-
-    def test_process_pool_is_rejected_up_front(self, tmp_path):
-        with pytest.raises(ConcurrencyError):
-            ConcurrentPredicateIndex(
-                storage="disk", data_dir=str(tmp_path), pool="process", workers=2
-            )
-        caps = DEFAULT_REGISTRY.describe_matcher("disk-concurrent")["capabilities"]
-        assert not caps.get("process_parallel")

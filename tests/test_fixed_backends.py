@@ -35,9 +35,6 @@ def _dynamic(name):
 #: In-memory backends an index can insert into and delete from.  The
 #: static ones (segment, static-interval) only build from a full set.
 DYNAMIC = [name for name in DEFAULT_REGISTRY.tree_backends() if _dynamic(name)]
-#: The IBS-tree variants; adaptive migration reads an entry back with
-#: ``tree.get``, which only these implement.
-IBS_VARIANTS = ["ibs", "avl", "rb", "flat"]
 
 
 def backend_type(name):
@@ -104,7 +101,7 @@ def test_index_builds_every_tree_from_its_factory(backend):
     )
 
 
-@pytest.mark.parametrize("backend", IBS_VARIANTS)
+@pytest.mark.parametrize("backend", DYNAMIC)
 def test_entry_clause_migration_builds_from_the_factory(backend):
     index = PredicateIndex(tree_factory=backend, adaptive=True, min_feedback_tuples=8)
     live = {}
@@ -160,20 +157,20 @@ def test_concurrent_facade_builds_bases_and_overlays_from_its_factory(backend):
     rng = random.Random(11)
     want = backend_type(backend)
     live = {}
-    with ConcurrentPredicateIndex(tree_factory=backend, compaction_threshold=8) as index:
-        for pred in ranges(rng, "r", "x", 20):
-            live[index.add(pred)] = pred
-        for ident in list(live)[:5]:
-            index.remove(ident)
-            del live[ident]
-        for pred in ranges(rng, "r", "x", 3):
-            live[index.add(pred)] = pred
-        shard = index.shard("r")
-        snap = shard.snapshot
-        assert shard.compactions >= 1 and snap.overlay is not None
-        assert set(tree_types(snap.base).values()) == {want}
-        assert set(tree_types(snap.overlay).values()) == {want}
-        assert_matches_direct(index, "r", live, [{"x": v} for v in range(-5, 130, 3)])
+    index = ConcurrentPredicateIndex(tree_factory=backend, compaction_threshold=8)
+    for pred in ranges(rng, "r", "x", 20):
+        live[index.add(pred)] = pred
+    for ident in list(live)[:5]:
+        index.remove(ident)
+        del live[ident]
+    for pred in ranges(rng, "r", "x", 3):
+        live[index.add(pred)] = pred
+    shard = index.shard("r")
+    snap = shard.snapshot
+    assert shard.compactions >= 1 and snap.overlay is not None
+    assert set(tree_types(snap.base).values()) == {want}
+    assert set(tree_types(snap.overlay).values()) == {want}
+    assert_matches_direct(index, "r", live, [{"x": v} for v in range(-5, 130, 3)])
 
 
 def test_disk_index_builds_only_disk_trees(tmp_path):
@@ -194,16 +191,16 @@ def test_disk_index_builds_only_disk_trees(tmp_path):
 def test_disk_facade_seals_bases_and_keeps_overlays_on_its_tree_factory(tmp_path):
     rng = random.Random(17)
     live = {}
-    with ConcurrentPredicateIndex(
+    index = ConcurrentPredicateIndex(
         tree_factory="rb",
         storage="disk",
         data_dir=str(tmp_path),
         compaction_threshold=8,
-    ) as index:
-        for pred in ranges(rng, "r", "x", 12):
-            live[index.add(pred)] = pred
-        snap = index.shard("r").snapshot
-        assert snap.overlay is not None
-        assert set(tree_types(snap.base).values()) == {DiskIBSTree}
-        assert set(tree_types(snap.overlay).values()) == {backend_type("rb")}
-        assert_matches_direct(index, "r", live, [{"x": v} for v in range(-5, 130, 3)])
+    )
+    for pred in ranges(rng, "r", "x", 12):
+        live[index.add(pred)] = pred
+    snap = index.shard("r").snapshot
+    assert snap.overlay is not None
+    assert set(tree_types(snap.base).values()) == {DiskIBSTree}
+    assert set(tree_types(snap.overlay).values()) == {backend_type("rb")}
+    assert_matches_direct(index, "r", live, [{"x": v} for v in range(-5, 130, 3)])
