@@ -16,8 +16,8 @@ the mutation never happened.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..errors import (
     DatabaseError,
@@ -150,6 +150,61 @@ class Transaction:
 
     def __repr__(self) -> str:
         return f"<Transaction {self.state}, {len(self._ops)} ops>"
+
+
+class _TransactionScope:
+    """The ``with`` scope returned by :meth:`Database.transaction`.
+
+    A plain class rather than a ``@contextmanager`` generator, because
+    the rule engine opens one scope per rule firing.  ``__enter__``
+    takes the mutation lock and either begins a transaction or, inside
+    one, marks a savepoint; ``__exit__`` commits or rolls back to match,
+    then releases the lock.  An unlocked database's lock is a no-op
+    ``nullcontext``, so the scope skips it rather than call it twice.
+    """
+
+    __slots__ = ("_db", "_txn", "_savepoint")
+
+    _txn: Transaction
+    #: journal length at entry when nested; None for the outermost scope
+    _savepoint: Optional[int]
+
+    def __init__(self, db: "Database") -> None:
+        self._db = db
+
+    def __enter__(self) -> Transaction:
+        db = self._db
+        if db.threadsafe:
+            db._mutation_lock.acquire()
+        outer = db._txn
+        if outer is not None:
+            self._txn = outer
+            self._savepoint = outer.savepoint()
+            return outer
+        txn = self._txn = db._txn = Transaction(db)
+        self._savepoint = None
+        return txn
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        db = self._db
+        txn = self._txn
+        try:
+            if self._savepoint is not None:
+                if exc_type is not None and txn.active:
+                    txn.rollback_to(self._savepoint)
+            elif exc_type is not None:
+                try:
+                    if txn.active:
+                        txn.rollback()
+                finally:
+                    db._txn = None
+            else:
+                db._txn = None
+                if txn.active:
+                    txn.state = "committed"
+        finally:
+            if db.threadsafe:
+                db._mutation_lock.release()
 
 
 class Database:
@@ -288,8 +343,7 @@ class Database:
         """The open :class:`Transaction`, if any."""
         return self._txn
 
-    @contextmanager
-    def transaction(self) -> Iterator[Transaction]:
+    def transaction(self) -> _TransactionScope:
         """All-or-nothing scope for a group of mutations.
 
         Every mutation inside the ``with`` block — including cascades
@@ -314,32 +368,7 @@ class Database:
         rather than interleave their journals (the reentrant lock still
         admits same-thread nesting and rule-action cascades).
         """
-        with self._mutation_lock:
-            outer = self._txn
-            if outer is not None:
-                sp = outer.savepoint()
-                try:
-                    yield outer
-                except BaseException:
-                    if outer.active:
-                        outer.rollback_to(sp)
-                    raise
-                return
-            txn = Transaction(self)
-            self._txn = txn
-            try:
-                yield txn
-            except BaseException:
-                try:
-                    if txn.active:
-                        txn.rollback()
-                finally:
-                    self._txn = None
-                raise
-            else:
-                self._txn = None
-                if txn.active:
-                    txn.state = "committed"
+        return _TransactionScope(self)
 
     # -- mutations ------------------------------------------------------------
 

@@ -12,10 +12,9 @@ looping forever.
 
 from __future__ import annotations
 
-import heapq
-import itertools
+from bisect import insort
 from collections import deque
-from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Deque, Dict, Iterator, List, Tuple
 
 from ..errors import RuleCycleError
 from .rule import Rule, RuleContext
@@ -27,29 +26,47 @@ __all__ = ["Agenda", "DeadLetterQueue"]
 
 
 class Agenda:
-    """A priority queue of pending rule instantiations."""
+    """A priority queue of pending rule instantiations.
+
+    Within one priority, most-recent-first is a stack, so each priority
+    has one LIFO *level*: parallel lists of rules and contexts.
+    ``_priorities`` holds the priorities whose level is not empty, in
+    ascending order; the next firing is the top of the last one's level.
+    Posting is two list appends.
+    """
 
     def __init__(self, max_firings: int = 10_000):
-        # heap entries: (-priority, -recency, seq, rule, context)
-        self._heap: List[Tuple[int, int, int, Rule, RuleContext]] = []
-        self._seq = itertools.count()
+        self._levels: Dict[int, Tuple[List[Rule], List[RuleContext]]] = {}
+        self._priorities: List[int] = []
         self.max_firings = max_firings
         self.total_fired = 0
 
     def post(self, rule: Rule, context: RuleContext) -> None:
         """Add one instantiation to the agenda."""
-        seq = next(self._seq)
-        heapq.heappush(self._heap, (-rule.priority, -seq, seq, rule, context))
+        level = self._levels.get(rule.priority)
+        if level is None:
+            level = self._levels[rule.priority] = ([], [])
+        if not level[0]:
+            insort(self._priorities, rule.priority)
+        level[0].append(rule)
+        level[1].append(context)
 
     def __len__(self) -> int:
-        return len(self._heap)
+        return sum(len(rules) for rules, _ in self._levels.values())
 
     def __bool__(self) -> bool:
-        return bool(self._heap)
+        return bool(self._priorities)
 
     def pop(self) -> Tuple[Rule, RuleContext]:
         """Remove and return the next instantiation to fire."""
-        _, _, _, rule, context = heapq.heappop(self._heap)
+        if not self._priorities:
+            raise IndexError("pop from an empty agenda")
+        priority = self._priorities[-1]
+        rules, contexts = self._levels[priority]
+        rule = rules.pop()
+        context = contexts.pop()
+        if not rules:
+            self._priorities.pop()
         return rule, context
 
     def drain(self) -> Iterator[Tuple[Rule, RuleContext]]:
@@ -62,11 +79,11 @@ class Agenda:
         triggering mutation's own firings, not a cascade, so they do not
         count against the limit.
         """
-        limit = self.max_firings + len(self._heap)
-        while self._heap:
+        limit = self.max_firings + len(self)
+        while self._priorities:
             self.total_fired += 1
             if self.total_fired > limit:
-                self._heap.clear()
+                self.clear()
                 raise RuleCycleError(
                     f"rule firing did not reach a fixpoint within "
                     f"{self.max_firings} firings (likely a rule cycle)"
@@ -75,7 +92,8 @@ class Agenda:
 
     def clear(self) -> None:
         """Discard all pending instantiations."""
-        self._heap.clear()
+        self._levels.clear()
+        self._priorities.clear()
 
     def reset_counter(self) -> None:
         """Reset the cumulative firing count (new top-level transaction)."""

@@ -45,6 +45,7 @@ from typing import (
     List,
     Mapping,
     Optional,
+    Sequence,
     Set,
     Union,
 )
@@ -63,7 +64,7 @@ from ..errors import (
 )
 from ..match.registry import DEFAULT_REGISTRY
 from ..lang.compiler import compile_condition
-from ..testing.faults import fault_point
+from ..testing import faults
 from .agenda import Agenda, DeadLetterQueue
 from .failures import ActionFailure, RetryPolicy
 from .rule import Rule, RuleContext
@@ -392,29 +393,19 @@ class RuleEngine:
         image = event.tuple
         if image is None:
             return
-        matched_predicates = self.matcher.match(event.relation, image)
-        matched_idents = {pred.ident for pred in matched_predicates}
         if event.compensating:
-            # A rollback notification: bring derived state (join alpha
-            # memories; monitors already handled above) back in line
-            # with the restored relation contents, but fire no rules —
-            # the mutation being compensated officially never happened.
-            self.joins.process(event, matched_idents, post=False)
+            # A rollback notification: bring join alpha memories back in
+            # line with the restored relation contents (monitors already
+            # saw it above), but fire no rules — the mutation being
+            # compensated officially never happened.  Only the join
+            # layer needs the match, so without a join rule watching the
+            # relation the matcher is not consulted at all.
+            if self.joins.watches(event.relation):
+                matched = self.matcher.match(event.relation, image)
+                self.joins.process(event, {p.ident for p in matched}, post=False)
             return
-        posted = False
-        old = getattr(event, "old", None)
-        seen: Set[str] = set()
-        for predicate in matched_predicates:
-            rule = self._rule_of_ident.get(predicate.ident)
-            if rule is None or rule.name in seen or not rule.reacts_to(event):
-                continue
-            seen.add(rule.name)
-            context = RuleContext(self.db, self, rule, event, dict(image), old)
-            self.agenda.post(rule, context)
-            posted = True
-        if self.joins.process(event, matched_idents):
-            posted = True
-        if posted and self.mode == "immediate":
+        matched = self.matcher.match(event.relation, image)
+        if self._instantiate(event.relation, (event,), (matched,)) and self.mode == "immediate":
             self._drain()
 
     def _on_batch(self, batch: BatchEvent) -> None:
@@ -434,23 +425,52 @@ class RuleEngine:
                 live._handle(event)
         images = [event.tuple for event in events]
         matched_lists = self.matcher.match_batch(batch.relation, images)
-        posted = False
-        for event, image, matched_predicates in zip(events, images, matched_lists):
-            matched_idents = {pred.ident for pred in matched_predicates}
-            old = getattr(event, "old", None)
-            seen: Set[str] = set()
-            for predicate in matched_predicates:
-                rule = self._rule_of_ident.get(predicate.ident)
-                if rule is None or rule.name in seen or not rule.reacts_to(event):
-                    continue
-                seen.add(rule.name)
-                context = RuleContext(self.db, self, rule, event, dict(image), old)
-                self.agenda.post(rule, context)
-                posted = True
-            if self.joins.process(event, matched_idents):
-                posted = True
-        if posted and self.mode == "immediate":
+        if self._instantiate(batch.relation, events, matched_lists) and self.mode == "immediate":
             self._drain()
+
+    def _instantiate(
+        self,
+        relation: str,
+        events: Sequence[Event],
+        matched_lists: Sequence[Sequence[Any]],
+    ) -> bool:
+        """Post the instantiations of *events*; True if any was posted.
+
+        ``matched_lists[i]`` holds the predicates that matched
+        ``events[i]``'s tuple.  Per tuple, each matched rule is posted
+        once if it is enabled, listens for the event's kind and, for a
+        transition rule, accepts the old image (:meth:`Rule.reacts_to`);
+        then the join layer posts the tuple's new pairs.
+        """
+        rule_of_ident = self._rule_of_ident
+        post = self.agenda.post
+        db = self.db
+        joins = self.joins if self.joins.watches(relation) else None
+        posted = False
+        for event, matched in zip(events, matched_lists):
+            image = event.tuple
+            kind = event.kind
+            old = getattr(event, "old", None)
+            seen: Set[Rule] = set()
+            for predicate in matched:
+                rule = rule_of_ident.get(predicate.ident)
+                if (
+                    rule is None
+                    or not rule.enabled
+                    or kind not in rule.on_events
+                    or rule in seen
+                ):
+                    continue
+                if rule.old_group is not None and not rule.reacts_to(event):
+                    continue
+                seen.add(rule)
+                post(rule, RuleContext(db, self, rule, event, dict(image), old))
+                posted = True
+            if joins is not None and joins.process(
+                event, {predicate.ident for predicate in matched}
+            ):
+                posted = True
+        return posted
 
     def _drain(self) -> int:
         """Fire until the agenda is empty; returns the number fired.
@@ -489,7 +509,8 @@ class RuleEngine:
             attempt += 1
             try:
                 with self.db.transaction():
-                    fault_point("engine.action")
+                    if faults._ACTIVE is not None:  # an injector is installed
+                        faults.fault_point("engine.action")
                     rule.action(context)
             except (AbortMutation, RuleCycleError, RuleError):
                 # control flow (vetoes, firing limit) and rule-system
@@ -506,7 +527,8 @@ class RuleEngine:
                 self._quarantine(rule, context, exc, attempt)
                 return
             else:
-                self._failure_streaks.pop(rule.name, None)
+                if self._failure_streaks:
+                    self._failure_streaks.pop(rule.name, None)
                 return
 
     def _quarantine(

@@ -243,6 +243,10 @@ class JoinLayer:
     def rules(self) -> List[JoinRule]:
         return list(self._rules.values())
 
+    def watches(self, relation: str) -> bool:
+        """True if some join rule has a side on *relation*."""
+        return bool(self._watchers.get(relation))
+
     def rule(self, name: str) -> JoinRule:
         try:
             return self._rules[name]

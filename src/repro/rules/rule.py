@@ -153,10 +153,11 @@ class Rule:
     def reacts_to(self, event: Event) -> bool:
         """True if this rule listens for the event's kind (and is enabled).
 
-        A transition rule additionally requires a pre-update image
-        matching its old-condition — so it can only fire on updates
-        (and deletes, where the final image plays the new role is not
-        meaningful; inserts have no old image at all).
+        A transition rule additionally requires the event's ``old``
+        image to match its old-condition.  An update carries the
+        pre-update image there; a delete carries the tuple's final
+        image, which must then satisfy both conditions; an insert has
+        no old image, so a transition rule never fires on one.
         """
         if not (self.enabled and event.kind in self.on_events):
             return False

@@ -1,8 +1,18 @@
 """Tests for RuleEngine.explain and miscellaneous engine surfaces."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import CollectAction, Database, RuleEngine
+from repro.errors import RuleCycleError
+from repro.predicates import PredicateGroup
+from repro.rules import Agenda
+from repro.rules.rule import Rule
+
+
+def agenda_rule(name, priority=0):
+    return Rule(name, "rel", PredicateGroup("rel", []), lambda ctx: None,
+                priority=priority)
 
 
 @pytest.fixture
@@ -93,3 +103,64 @@ class TestAgendaSurface:
         agenda.post(high, "c")
         names = [agenda.pop()[0].name for _ in range(3)]
         assert names == ["high", "low2", "low1"]  # priority, then recency
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(st.just("post"), st.integers(min_value=-3, max_value=3)),
+                st.tuples(st.just("pop"), st.none()),
+                st.tuples(st.just("clear"), st.none()),
+            ),
+            max_size=80,
+        )
+    )
+    def test_order_matches_sorted_reference(self, ops):
+        """Interleaved post/pop/clear agree with a list kept sorted by
+        (-priority, -post order); few priorities force ties."""
+        agenda = Agenda()
+        reference = []  # (priority, post order, rule)
+        for order, (op, priority) in enumerate(ops):
+            if op == "post":
+                rule = agenda_rule(f"r{order}", priority)
+                agenda.post(rule, order)
+                reference.append((priority, order, rule))
+            elif op == "pop":
+                if not reference:
+                    with pytest.raises(IndexError):
+                        agenda.pop()
+                    continue
+                reference.sort(key=lambda entry: (-entry[0], -entry[1]))
+                _, expected_order, expected_rule = reference.pop(0)
+                assert agenda.pop() == (expected_rule, expected_order)
+            else:
+                agenda.clear()
+                reference.clear()
+            assert len(agenda) == len(reference)
+            assert bool(agenda) == bool(reference)
+
+    @given(
+        pending=st.integers(min_value=1, max_value=12),
+        max_firings=st.integers(min_value=0, max_value=12),
+        cascade=st.integers(min_value=0, max_value=30),
+    )
+    def test_drain_limit_is_max_firings_plus_pending(self, pending, max_firings, cascade):
+        """A drain fires its *pending* instantiations plus at most
+        *max_firings* cascaded ones; one more raises RuleCycleError."""
+        agenda = Agenda(max_firings=max_firings)
+        for n in range(pending):
+            agenda.post(agenda_rule(f"r{n}", n % 3 - 1), n)
+        fired = cascaded = 0
+        try:
+            for rule, context in agenda.drain():
+                fired += 1
+                if cascaded < cascade:
+                    agenda.post(rule, context)
+                    cascaded += 1
+        except RuleCycleError:
+            assert cascade > max_firings
+            assert fired == pending + max_firings
+            assert not agenda
+        else:
+            assert cascade <= max_firings
+            assert fired == pending + cascade
+        assert agenda.total_fired == fired + (cascade > max_firings)

@@ -390,7 +390,13 @@ class TestPersistenceFaults:
 # ----------------------------------------------------------------------
 
 
-class TestActionFaults:
+class FiringIsolationCases:
+    """Each rule firing runs in its own savepoint, whichever call fired it.
+
+    ``insert`` is the call that fires the rule; each subclass runs these
+    cases through another entry path.
+    """
+
     @staticmethod
     def build_engine(**kwargs):
         db = Database()
@@ -398,6 +404,10 @@ class TestActionFaults:
         db.create_relation("log", ["message"])
         engine = RuleEngine(db, **kwargs)
         return db, engine
+
+    @staticmethod
+    def insert(db, values):
+        return db.insert("emp", values)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_action_fault_is_quarantined(self, seed):
@@ -411,7 +421,7 @@ class TestActionFaults:
         inj = FaultInjector(seed=seed)
         inj.arm("engine.action", at_hit=1)
         with injected(inj):
-            tid = db.insert("emp", {"name": "A", "salary": 100})
+            tid = self.insert(db, {"name": "A", "salary": 100})
         # the trigger commits; the failed firing is quarantined
         assert db.relation("emp").get(tid)["name"] == "A"
         assert db.count("log") == 0
@@ -431,7 +441,7 @@ class TestActionFaults:
         inj = FaultInjector()  # max_faults=1: the retry succeeds
         inj.arm("engine.action", at_hit=1)
         with injected(inj):
-            db.insert("emp", {"name": "A", "salary": 100})
+            self.insert(db, {"name": "A", "salary": 100})
         assert db.count("log") == 1
         assert engine.failures() == []
 
@@ -445,11 +455,32 @@ class TestActionFaults:
         engine.create_rule(
             "buggy", on="emp", condition="salary > 10", action=log_then_fail
         )
-        db.insert("emp", {"name": "A", "salary": 100})
+        self.insert(db, {"name": "A", "salary": 100})
         # the action's own insert was rolled back with the failure
         assert db.count("log") == 0
+        assert db.count("emp") == 1
         assert len(engine.failures()) == 1
 
+
+class TestActionFaultsOnBulkInsert(FiringIsolationCases):
+    """The firing's savepoint nests in the bulk mutation's transaction."""
+
+    @staticmethod
+    def insert(db, values):
+        (tid,) = db.bulk_insert("emp", [values])
+        return tid
+
+
+class TestActionFaultsInUserTransaction(FiringIsolationCases):
+    """The firing's savepoint nests in the caller's transaction."""
+
+    @staticmethod
+    def insert(db, values):
+        with db.transaction():
+            return db.insert("emp", values)
+
+
+class TestActionFaults(FiringIsolationCases):
     def test_poison_pill_disables_rule(self):
         db, engine = self.build_engine(
             retry_policy=RetryPolicy(poison_threshold=2)

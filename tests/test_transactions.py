@@ -226,6 +226,27 @@ class TestMidCascadeRollback:
                 db.insert("emp", {"name": "rich", "salary": 5000})
         assert snapshot(db) == snapshot(clone)
 
+    def test_outside_a_transaction_earlier_firings_stay_committed(self):
+        db, engine = self.build(lambda db: None)
+
+        def veto_and_cascade(ctx):
+            ctx.db.insert("audit", {"who": ctx.tuple["name"], "note": "x"})
+            raise AbortMutation("rejected after cascading")
+
+        engine.create_rule(
+            "veto",
+            on="emp",
+            condition="salary > 1000",
+            action=veto_and_cascade,
+            priority=-1,
+        )
+        with pytest.raises(AbortMutation):
+            db.insert("emp", {"name": "rich", "salary": 5000})
+        # the vetoed insert and the veto's own cascade are undone, but
+        # audit-high fired first and its firing's commit was final
+        assert db.count("emp") == 0
+        assert [(t["who"], t["note"]) for t in db.select("audit")] == [("rich", "high")]
+
     def test_successful_cascade_commits(self):
         def populate(db):
             pass
@@ -244,3 +265,54 @@ class TestRuleEngineIntegration:
         engine.create_rule("all", on="emp", condition="salary > 10", action=collect)
         db.bulk_insert("emp", [{"name": "A", "salary": 20}, {"name": "B", "salary": 5}])
         assert [rec[1]["name"] for rec in collect.records] == ["A"]
+
+    def test_rollback_without_join_rules_skips_the_matcher(self, db, monkeypatch):
+        engine = RuleEngine(db)
+
+        def veto(ctx):
+            raise AbortMutation("batch rejected")
+
+        engine.create_rule("veto", on="emp", condition="salary > 0", action=veto)
+        match = engine.matcher.match
+        matched = []
+
+        def spy(relation, tup):
+            matched.append(tup)
+            return match(relation, tup)
+
+        monkeypatch.setattr(engine.matcher, "match", spy)
+        with pytest.raises(AbortMutation):
+            db.bulk_insert("emp", [{"name": f"e{i}", "salary": i + 1} for i in range(10)])
+        assert db.count("emp") == 0
+        # the ten compensating deletes reach no matcher: only the batch
+        # itself was matched
+        assert matched == []
+        assert engine.matcher.stats.tuples_matched == 10
+
+    def test_rollback_clears_join_memories(self, db):
+        db.create_relation("dept", ["dname", "budget"])
+        engine = RuleEngine(db)
+        pairs = []
+        engine.create_join_rule(
+            "staffed",
+            "emp",
+            "dept",
+            "emp.dept = dept.dname and emp.salary > 0",
+            lambda ctx: pairs.append(ctx.bindings["emp"]["name"]),
+        )
+
+        def veto(ctx):
+            raise AbortMutation("batch rejected")
+
+        engine.create_rule("veto", on="emp", condition="salary > 5000", action=veto)
+        with pytest.raises(AbortMutation):
+            db.bulk_insert(
+                "emp",
+                [
+                    {"name": "A", "salary": 100, "dept": "Shoe"},
+                    {"name": "B", "salary": 9000, "dept": "Shoe"},
+                ],
+            )
+        # the rolled-back employees left the join's memory with the rollback
+        db.insert("dept", {"dname": "Shoe", "budget": 1})
+        assert pairs == []
