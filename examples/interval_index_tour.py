@@ -73,8 +73,9 @@ def open_bounds_demo() -> None:
 
     pst = PrioritySearchTree()
     pst.insert(Interval.closed_open(10, 20), "half")
-    print(f"  PST (closed-only semantics) stab(20) = {sorted(pst.stab(20))} "
-          "<- false positive, needs post-filter")
+    print(f"  PST (closed-only tree) stab_candidates(20) = "
+          f"{sorted(pst.stab_candidates(20))} <- false positive; "
+          f"stab(20) = {sorted(pst.stab(20))} after the post-filter")
     print()
 
 

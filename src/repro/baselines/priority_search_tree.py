@@ -21,9 +21,12 @@ IBS-tree, both of which this implementation exhibits honestly:
   with a per-insert sequence number — note that unlike the paper's
   per-type scheme this needs the domain to tolerate tuple extension,
   which is exactly the kind of adapter code the IBS-tree avoids;
-* **endpoint semantics** are closed-closed only: open endpoints are
-  treated as closed (``supports_open_bounds = False``), so exact users
-  must post-filter — the ABL1 ablation does.
+* **endpoint semantics** are closed-closed only: the tree treats open
+  endpoints as closed (``supports_open_bounds = False``), so
+  :meth:`~PrioritySearchTree.stab` post-filters its candidates by each
+  interval's true semantics, as the R-tree baselines do;
+  :meth:`~PrioritySearchTree.stab_candidates` returns the raw
+  closed-bound answer.
 
 Unbounded ends are supported through the infinity sentinels, which
 order correctly against every domain value.
@@ -186,7 +189,12 @@ class PrioritySearchTree(IntervalIndex):
     # -- queries ------------------------------------------------------------------
 
     def stab(self, x: Any) -> Set[Hashable]:
-        """All intervals with ``low <= x <= high`` (closed semantics)."""
+        """Exact stabbing: closed-bound candidates filtered by true semantics."""
+        intervals = self._intervals
+        return {ident for ident in self.stab_candidates(x) if intervals[ident].contains(x)}
+
+    def stab_candidates(self, x: Any) -> Set[Hashable]:
+        """All intervals with ``low <= x <= high`` (closed semantics, no filtering)."""
         result: Set[Hashable] = set()
         self._search(self._root, x, result)
         return result

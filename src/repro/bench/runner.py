@@ -807,11 +807,12 @@ def run_batch(
     batch plane; its single-tuple row shows that the plane only pays
     off on batches).  Without NumPy the columnar rows silently measure
     the scalar fallback, so the runner works from a bare install.
-    Every configuration is checked for agreement with the per-tuple
-    reference on a sample before timing; each timing keeps the best of
-    *repeats* runs after one warm-up pass (the warm-up compiles the
-    residual evaluators and fills the flat backend's decode cache, the
-    steady state a rule engine runs in).
+    Before timing, every configuration's answers on a sample are
+    checked against direct ``Predicate.matches`` evaluation — an
+    oracle independent of the residual stage the per-tuple and batched
+    paths share.  Each timing keeps the best of *repeats* runs after
+    one warm-up pass (the warm-up fills the flat backend's decode
+    cache, the steady state a rule engine runs in).
 
     ``speedup`` is relative to the first configuration (per-tuple
     matching over ``IBSTree`` — the paper's design point).
@@ -829,12 +830,18 @@ def run_batch(
         for predicate in predicate_list:
             index.add(predicate)
     sample = batch[: min(20, batch_size)]
-    reference = [{p.ident for p in indexes["ibs"].match("r0", tup)} for tup in sample]
-    for backend, index in indexes.items():
-        answers = [{p.ident for p in row} for row in index.match_batch("r0", sample)]
-        if answers != reference:
+    stored = indexes["ibs"].predicates_for("r0")
+    reference = [{p.ident for p in stored if p.matches(tup)} for tup in sample]
+    for backend, mode in BATCH_CONFIGURATIONS:
+        index = indexes[backend]
+        if mode == "single":
+            rows = [index.match("r0", tup) for tup in sample]
+        else:
+            rows = index.match_batch("r0", sample)
+        if [{p.ident for p in row} for row in rows] != reference:
             raise AssertionError(
-                f"match_batch over {backend!r} disagrees with per-tuple match"
+                f"{mode} matching over {backend!r} disagrees with "
+                "direct Predicate.matches evaluation"
             )
     rows: List[Dict[str, Any]] = []
     baseline: Optional[float] = None

@@ -27,7 +27,7 @@ multiply CPU throughput.  The measured advantage of this layer on a
 mixed read/write workload (see the CONCURRENCY benchmark) comes from
 *snapshot isolation*: writes land in a small overlay instead of
 mutating the big per-attribute trees, so the frozen base's decode and
-residual caches stay warm where the serial index invalidates them on
+stab caches stay warm where the serial index invalidates them on
 every mutation.  Fanning a batch over worker threads or processes was
 measured slower than this inline path (EXPERIMENTS.md PROC).
 """

@@ -44,7 +44,6 @@ from typing import (
     Dict,
     Hashable,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -266,9 +265,8 @@ class PredicateIndex:
 
         The one op-count semantics (documented on
         :class:`~repro.maintenance.MaintenanceClock`): matched tuples
-        and predicate writes tick, candidate-supplied matching does
-        not, and a frozen index never ticks — so no maintenance task
-        can run against frozen state.
+        and predicate writes tick, and a frozen index never ticks — so
+        no maintenance task can run against frozen state.
         """
         if self._frozen:
             return
@@ -339,9 +337,11 @@ class PredicateIndex:
         never bump their epochs, those cached stabs stay valid for the
         snapshot's whole lifetime — this is what lets an epoch-snapshot
         base keep serving cache hits across writes that would invalidate
-        a mutable index's entire cache.  (Lazy residual compilation is
-        likewise safe — per-key dict writes are atomic under the GIL and
-        every thread computes the same value.)
+        a mutable index's entire cache.  Residuals are compiled when a
+        predicate is registered, so the read path of a frozen index
+        compiles nothing; the only lazily built read-path structures are
+        the per-version non-indexable shape lists and columnar plane,
+        each published by one attribute assignment.
         """
         self._frozen = True
         self._store.cache_lru = False
@@ -509,21 +509,10 @@ class PredicateIndex:
 
     def match_idents(self, relation: str, tup: Mapping[str, Any]) -> Set[Hashable]:
         """Identifiers of all fully matching predicates."""
-        matched = self._pipeline.match_idents(relation, tup)
+        matched = {pred.ident for pred in self._pipeline.match(relation, tup)}
         if self._maintenance is not None:
             self._tick(relation, 1)
         return matched
-
-    def match_with_candidates(
-        self, relation: str, tup: Mapping[str, Any]
-    ) -> Iterator[Tuple[Optional[Predicate], Hashable]]:
-        """Yield ``(predicate_or_None, ident)`` for each candidate.
-
-        A candidate whose residual test fails yields ``(None, ident)``;
-        a full match yields the predicate.  Exposed so benchmarks can
-        count partial matches exactly as the cost model does.
-        """
-        return self._pipeline.match_with_candidates(relation, tup)
 
     def match_batch(
         self, relation: str, tuples: Iterable[Mapping[str, Any]]
@@ -532,12 +521,11 @@ class PredicateIndex:
 
         Semantically identical to ``[self.match(relation, t) for t in
         tuples]`` (the differential tests assert exactly that), but the
-        work is restructured around the batch — grouped per-attribute
-        stab descents, compiled residual evaluators, and a per-batch
-        memo; see :meth:`MatchPipeline.match_batch` for the stages.
-        Batches containing unhashable or infinity-sentinel values in
-        indexed attributes fall back to the per-tuple loop
-        transparently.
+        stab stage is restructured around the batch — one grouped
+        descent per attribute tree — before the residual stage both
+        paths share; see :meth:`MatchPipeline.match_batch`.  Tuples
+        with an unhashable value in an indexed attribute fall back to
+        the per-tuple path transparently.
         """
         tuple_list = list(tuples)
         results = self._pipeline.match_batch(relation, tuple_list)

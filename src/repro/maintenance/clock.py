@@ -16,8 +16,6 @@ every tier and pinned by ``tests/test_maintenance.py``:
   1, ``match_batch`` by ``len(batch)``;
 * one op per predicate write — ``add`` / ``remove`` advance by 1,
   ``add_many`` by ``len(batch)``;
-* caller-supplied candidate matching (``match_with_candidates``)
-  advances nothing — the index did no routing work;
 * a frozen index advances nothing — no maintenance runs while frozen,
   full stop (this closes the retune-while-frozen hole).
 

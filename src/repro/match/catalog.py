@@ -11,9 +11,9 @@
   choice via a pluggable selectivity estimator, or every indexable
   clause under multi-clause indexing — and feedback-driven entry-clause
   **migration** (:meth:`ClauseCatalog.retune`);
-* the **compiled-residual cache**: each predicate's residual test
-  compiled once into a tagged dispatch tuple (see
-  :func:`compile_residual`) and reused by every batched match.
+* the **compiled residuals**: each predicate's residual test compiled
+  into a tagged dispatch tuple (see :func:`compile_residual`) by every
+  path that enters the predicate, and run by both match paths.
 
 The catalog never descends a tree itself: tree storage and lifecycle
 belong to :class:`~repro.match.store.TreeStore`, which registration
@@ -80,6 +80,7 @@ class RelationState:
         "indexed_under",
         "predicates",
         "residuals",
+        "non_indexable_shapes",
         "stab_cache",
         "epoch_floor",
         "version",
@@ -101,9 +102,14 @@ class RelationState:
         self.indexed_under: Dict[Hashable, Tuple[str, ...]] = {}
         #: the PREDICATES table: ident -> full predicate
         self.predicates: Dict[Hashable, Predicate] = {}
-        #: ident -> compiled residual evaluator (built lazily by the
-        #: batched pipeline); see :func:`compile_residual`
+        #: ident -> compiled residual entry (see :func:`compile_residual`),
+        #: written by every registration path and only read by matching,
+        #: so it always holds exactly the live predicates
         self.residuals: Dict[Hashable, Tuple[Any, ...]] = {}
+        #: ``(version, shapes)`` — the non-indexable predicates' residual
+        #: entries grouped by shape for the match pipeline, cached on
+        #: ``version`` like ``columnar_plane`` below; ``None`` until built
+        self.non_indexable_shapes: Optional[Tuple[int, Tuple[List[Any], ...]]] = None
         #: LRU stab cache: ``(attribute, tree_epoch, value) ->
         #: frozenset(idents)``.  Because the tree's epoch is part of
         #: the key, a mutation invalidates every prior entry *by key
@@ -126,9 +132,10 @@ class RelationState:
         #: monotone mutation counter, bumped by every catalog operation
         #: that changes what this relation matches (register, remove,
         #: entry-clause migration, rebuild, rollback).  Derived
-        #: read-path structures — the columnar plane below — key their
-        #: caches on it, so a mutation invalidates them by version
-        #: mismatch instead of an explicit notification.
+        #: read-path structures — the non-indexable shapes above and the
+        #: columnar plane below — key their caches on it, so a mutation
+        #: invalidates them by version mismatch instead of an explicit
+        #: notification.
         self.version: int = 0
         #: ``(version, plane_or_None)`` — the relation's cached columnar
         #: batch plane (see :mod:`repro.match.columnar`), or ``None``
@@ -138,6 +145,28 @@ class RelationState:
         #: snapshot and shared by lock-free readers (single attribute
         #: assignment; concurrent builders compute equal planes).
         self.columnar_plane: Optional[Tuple[int, Any]] = None
+
+
+def _file_entry(
+    state: RelationState,
+    ident: Hashable,
+    predicate: Predicate,
+    under: Tuple[str, ...],
+) -> None:
+    """Record *ident*'s entry attributes and compile its residual entry.
+
+    *under* names the attributes whose trees hold the predicate's entry
+    clause(s); empty files it on the non-indexable list.  Every path
+    that enters a predicate ends here — registration, bulk
+    registration, disk cold start, rebuild and entry-clause migration —
+    so ``state.residuals`` always holds exactly the live predicates and
+    no match path ever compiles.
+    """
+    if under:
+        state.indexed_under[ident] = under
+    else:
+        state.non_indexable.add(ident)
+    state.residuals[ident] = compile_residual(predicate, under)
 
 
 class ClauseCatalog:
@@ -263,12 +292,8 @@ class ClauseCatalog:
                     self.relation_of[ident] = relation
                     added.append((relation, ident))
                     entry_clauses = self.entry_clauses_of(normalized)
-                    if not entry_clauses:
-                        state.non_indexable.add(ident)
-                        continue
-                    state.indexed_under[ident] = tuple(
-                        clause.attribute for clause in entry_clauses
-                    )
+                    under = tuple(clause.attribute for clause in entry_clauses)
+                    _file_entry(state, ident, normalized, under)
                     for clause in entry_clauses:
                         tree = state.trees.get(clause.attribute)
                         if tree is None:
@@ -289,7 +314,6 @@ class ClauseCatalog:
                 if state_or_none is None:
                     continue
                 state_or_none.predicates.pop(ident, None)
-                state_or_none.residuals.pop(ident, None)
                 self.relation_of.pop(ident, None)
                 self.rollback_add(store, relation, state_or_none, ident)
             raise
@@ -318,10 +342,7 @@ class ClauseCatalog:
         state = self._state_for(relation)
         state.predicates[ident] = normalized
         self.relation_of[ident] = relation
-        if under:
-            state.indexed_under[ident] = tuple(under)
-        else:
-            state.non_indexable.add(ident)
+        _file_entry(state, ident, normalized, tuple(under))
         state.version += 1
         return ident
 
@@ -330,9 +351,6 @@ class ClauseCatalog:
     ) -> None:
         """Enter *normalized*'s clause(s) into the per-attribute trees."""
         entry_clauses = self.entry_clauses_of(normalized)
-        if not entry_clauses:
-            state.non_indexable.add(ident)
-            return
         for clause in entry_clauses:
             tree = state.trees.get(clause.attribute)
             if tree is None:
@@ -341,8 +359,8 @@ class ClauseCatalog:
                 )
                 state.stab_cache.clear()  # tree map changed shape
             tree.insert(clause.interval, ident)
-        state.indexed_under[ident] = tuple(
-            clause.attribute for clause in entry_clauses
+        _file_entry(
+            state, ident, normalized, tuple(c.attribute for c in entry_clauses)
         )
 
     def rollback_add(
@@ -352,6 +370,7 @@ class ClauseCatalog:
         state.version += 1
         state.non_indexable.discard(ident)
         state.indexed_under.pop(ident, None)
+        state.residuals.pop(ident, None)
         for attribute in list(state.trees):
             tree = state.trees[attribute]
             if ident in tree:
@@ -485,8 +504,7 @@ class ClauseCatalog:
                 # force is always sound, so park the predicate on the
                 # non-indexable list rather than lose it.
                 state.indexed_under.pop(ident, None)
-                state.residuals.pop(ident, None)
-                state.non_indexable.add(ident)
+                _file_entry(state, ident, state.predicates[ident], ())
                 if not old_tree:
                     store.drop_tree(state, old_attr)
                 raise
@@ -496,10 +514,8 @@ class ClauseCatalog:
             state.stab_cache.clear()  # tree map changed shape
         if not old_tree:
             store.drop_tree(state, old_attr)
-        state.indexed_under[ident] = (new_attr,)
-        # the residual must re-test the old entry clause and skip the
-        # new one; the batched pipeline recompiles it lazily
-        state.residuals.pop(ident, None)
+        # the residual now re-tests the old entry clause and skips the new
+        _file_entry(state, ident, state.predicates[ident], (new_attr,))
         observer.on_migration(relation, ident, old_attr, new_attr)
         return True
 
@@ -528,33 +544,15 @@ class ClauseCatalog:
         for ident, predicate in state.predicates.items():
             self.relation_of[ident] = relation
             entry_clauses = self.entry_clauses_of(predicate)
-            if not entry_clauses:
-                state.non_indexable.add(ident)
-                continue
             for clause in entry_clauses:
                 per_attribute.setdefault(clause.attribute, []).append(
                     (clause.interval, ident)
                 )
-            state.indexed_under[ident] = tuple(
-                clause.attribute for clause in entry_clauses
+            _file_entry(
+                state, ident, predicate, tuple(c.attribute for c in entry_clauses)
             )
         for attribute, pairs in per_attribute.items():
             state.trees[attribute] = store.build_tree(state, pairs, attribute)
-
-    # -- residual cache -------------------------------------------------
-
-    def ensure_residuals(self, state: RelationState) -> Dict[Hashable, Tuple[Any, ...]]:
-        """Compile (and cache) every predicate's residual evaluator."""
-        residuals = state.residuals
-        predicates = state.predicates
-        if len(residuals) != len(predicates):
-            indexed_under = state.indexed_under
-            for ident, predicate in predicates.items():
-                if ident not in residuals:
-                    residuals[ident] = compile_residual(
-                        predicate, indexed_under.get(ident, ())
-                    )
-        return residuals
 
     # -- introspection --------------------------------------------------
 
@@ -602,23 +600,22 @@ class ClauseCatalog:
 # proved.  The compiled form drops the proven clauses (the entry
 # clause in the paper's scheme; every indexed clause under
 # multi-clause indexing) and shape-specializes what remains.  Entries
-# are small tagged tuples dispatched inline by the batched pipeline:
+# are small tagged tuples, compiled when a predicate is registered and
+# dispatched inline by the pipeline's one residual stage, which both
+# match paths run:
 #
 #   (TRIVIAL, pred)                      nothing left to test
 #   (CLOSED,  pred, attr, low, high)     one closed interval, inlined
-#   (SINGLE,  pred, attr, check, memo)   one residual attribute
-#   (MULTI,   pred, attrs, eval, memo)   several residual attributes
+#   (SINGLE,  pred, attr, check)         one residual clause
+#   (MULTI,   pred, ((attr, check), ...))  several residual clauses,
+#                                        tested in clause order
 #   (OPAQUE,  pred)                      unknown clause subclass:
 #                                        fall back to pred.matches
 #
-# ``memo`` marks interval-only residuals, whose verdicts depend only
-# on ``==``-interchangeable values (the total-order assumption the
-# tree itself rests on) and are therefore safe to memoize; function
-# clauses are not (a type-sensitive function distinguishes ``2`` from
-# ``2.0``, which share a memo key).  Semantics are identical to
-# clause.matches(): None never matches, the infinity sentinels never
-# match an interval clause, incomparable values fail the clause
-# instead of raising, and function-clause exceptions propagate.
+# Semantics are identical to clause.matches(): None never matches, the
+# infinity sentinels never match an interval clause, incomparable
+# values fail the clause instead of raising, and function-clause
+# exceptions propagate.
 #
 # Interval tests are compiled in the same *rejection* style as
 # ``Interval.contains`` — fail when a bound comparison proves the
@@ -626,9 +623,9 @@ class ClauseCatalog:
 # containment tests.  The two styles agree on every totally-ordered
 # value but diverge on partially-ordered ones: ``nan <= high`` and
 # ``nan > high`` are both False, so a positive test rejects NaN while
-# the per-tuple oracle (``contains``) accepts it.  The per-tuple path
-# is the documented semantics, so the compiled form must mirror its
-# branch structure exactly.
+# ``Interval.contains`` accepts it.  ``Predicate.matches`` is the
+# documented semantics, so the compiled form must mirror its branch
+# structure exactly.
 
 TRIVIAL, CLOSED, SINGLE, MULTI, OPAQUE = range(5)
 
@@ -666,76 +663,25 @@ def compile_residual(
                 and interval.high_inclusive
             ):
                 return (CLOSED, predicate, clause.attribute, interval.low, interval.high)
-            return (
-                SINGLE,
-                predicate,
-                clause.attribute,
-                _compile_interval_vcheck(interval),
-                True,
-            )
-        return (
-            SINGLE,
-            predicate,
-            clause.attribute,
-            _compile_function_vcheck(clause),
-            False,
-        )
-    attrs: List[str] = []
-    for clause in residual:
-        if clause.attribute not in attrs:
-            attrs.append(clause.attribute)
-    memo_ok = all(isinstance(clause, IntervalClause) for clause in residual)
-    vchecks = [
-        _compile_interval_vcheck(clause.interval)
-        if isinstance(clause, IntervalClause)
-        else _compile_function_vcheck(clause)
-        for clause in residual
-    ]
-    if len(attrs) == 1:
-
-        def combined(
-            v: Any, _vchecks: Tuple[Callable[[Any], bool], ...] = tuple(vchecks)
-        ) -> bool:
-            for vcheck in _vchecks:
-                if not vcheck(v):
-                    return False
-            return True
-
-        return (SINGLE, predicate, attrs[0], combined, memo_ok)
+            return (SINGLE, predicate, clause.attribute, _compile_interval_vcheck(interval))
+        return (SINGLE, predicate, clause.attribute, _compile_function_vcheck(clause))
     pairs = tuple(
-        (clause.attribute, vcheck) for clause, vcheck in zip(residual, vchecks)
+        (
+            clause.attribute,
+            _compile_interval_vcheck(clause.interval)
+            if isinstance(clause, IntervalClause)
+            else _compile_function_vcheck(clause),
+        )
+        for clause in residual
     )
-    if len(pairs) == 2:
-        (attr_a, check_a), (attr_b, check_b) = pairs
-
-        def evaluate(
-            tup_get: Callable[[str], Any],
-            _a: str = attr_a,
-            _ca: Callable[[Any], bool] = check_a,
-            _b: str = attr_b,
-            _cb: Callable[[Any], bool] = check_b,
-        ) -> bool:
-            return _ca(tup_get(_a)) and _cb(tup_get(_b))
-
-    else:
-
-        def evaluate(
-            tup_get: Callable[[str], Any],
-            _pairs: Tuple[Tuple[str, Callable[[Any], bool]], ...] = pairs,
-        ) -> bool:
-            for attribute, vcheck in _pairs:
-                if not vcheck(tup_get(attribute)):
-                    return False
-            return True
-
-    return (MULTI, predicate, tuple(attrs), evaluate, memo_ok)
+    return (MULTI, predicate, pairs)
 
 
 def _compile_interval_vcheck(interval: Any) -> Callable[[Any], bool]:
     # Rejection-style tests mirroring Interval.contains: each branch
     # fails only when a comparison *proves* the value outside a bound,
     # so values incomparable under <
-    # (NaN) pass exactly as the per-tuple oracle passes them.
+    # (NaN) pass exactly as ``Interval.contains`` passes them.
     low, high = interval.low, interval.high
     low_inc, high_inc = interval.low_inclusive, interval.high_inclusive
     test: Optional[Callable[[Any], bool]]
@@ -789,7 +735,7 @@ def _compile_interval_vcheck(interval: Any) -> Callable[[Any], bool]:
 # non-numeric or float64-inexact bounds, unknown clause subclasses —
 # returns None, and the plane falls back to per-candidate
 # ``predicate.matches`` for that predicate, the same seam the scalar
-# batch path's OPAQUE entries use.
+# residual stage's OPAQUE entries use.
 
 #: Largest magnitude an int may have and still be exactly representable
 #: as a float64 (columns are float64; 2**53 is the first integer with a

@@ -42,7 +42,7 @@ emit time.
 Predicates whose residual :func:`~repro.match.catalog.vector_residual_spec`
 cannot express (unknown clause subclasses, bounds outside the exact
 float64 domain) fall back to per-candidate ``predicate.matches`` at
-emit time — the same seam the scalar batch path's OPAQUE entries use —
+emit time — the same seam the scalar residual stage's OPAQUE entries use —
 so the plane never guesses.
 
 Correctness boundaries, all enforced here:
@@ -485,7 +485,7 @@ class ColumnarRelationPlane:
         observer.on_route(relation, size, True)
         observer.on_stab(relation, probes, 0, 0)
         observer.on_candidates(relation, partial, self.ni_count * size)
-        observer.on_residual(relation, full, 0)
+        observer.on_residual(relation, full)
         return results
 
 

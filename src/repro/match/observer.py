@@ -35,8 +35,6 @@ and cached paths deliberately reduce:
 * ``stab_cache_hits`` — probes answered from the epoch-keyed stab
   cache;
 * ``batches_matched`` — :meth:`match_batch` invocations;
-* ``residual_memo_hits`` — residual verdicts reused from the
-  per-batch memo;
 * ``clause_migrations`` — adaptive entry-clause migrations performed;
 * ``maintenance_runs`` / ``maintenance_failures`` — scheduled
   maintenance-task executions and how many of them failed (see
@@ -72,7 +70,6 @@ class MatchStatistics:
         "non_indexable_tested",
         "full_matches",
         "batches_matched",
-        "residual_memo_hits",
         "stab_cache_hits",
         "clause_migrations",
         "maintenance_runs",
@@ -101,7 +98,6 @@ class MatchStatistics:
         self.non_indexable_tested = 0
         self.full_matches = 0
         self.batches_matched = 0
-        self.residual_memo_hits = 0
         self.stab_cache_hits = 0
         self.clause_migrations = 0
         self.maintenance_runs = 0
@@ -152,9 +148,8 @@ class MatchObserver:
         """The candidate stage admitted *partial* index candidates and
         scheduled *non_indexable* brute-force residual tests."""
 
-    def on_residual(self, relation: str, full: int, memo_hits: int) -> None:
-        """The residual stage confirmed *full* complete matches;
-        *memo_hits* verdicts came from the per-batch memo."""
+    def on_residual(self, relation: str, full: int) -> None:
+        """The residual stage confirmed *full* complete matches."""
 
     def on_migration(
         self,
@@ -201,10 +196,8 @@ class StatsObserver(MatchObserver):
         stats.partial_matches += partial
         stats.non_indexable_tested += non_indexable
 
-    def on_residual(self, relation: str, full: int, memo_hits: int) -> None:
-        stats = self.stats
-        stats.full_matches += full
-        stats.residual_memo_hits += memo_hits
+    def on_residual(self, relation: str, full: int) -> None:
+        self.stats.full_matches += full
 
     def on_migration(
         self,

@@ -4,14 +4,18 @@ One implementation of the paper's matching procedure (module docstring
 of :mod:`repro.core.predicate_index`, steps 1–4) serves every read
 path:
 
-* the per-tuple generator (:meth:`MatchPipeline.match_with_candidates`)
-  behind ``match`` / ``match_idents``;
+* the per-tuple path (:meth:`MatchPipeline.match`) behind ``match`` /
+  ``match_idents``;
 * the batched path (:meth:`MatchPipeline.match_batch`) with grouped
-  stab descents, compiled residuals, and the per-batch memo;
+  stab descents;
 * the concurrency layer's epoch-snapshot reads, via the module-level
   :func:`snapshot_match` / :func:`snapshot_match_idents` /
   :func:`snapshot_match_batch` merge functions (base results filtered
   through tombstones, overlay results appended in insertion order).
+
+Both scalar paths end in one residual stage, :func:`_residual_matches`,
+over the entries the catalog compiles at registration
+(:func:`~repro.match.catalog.compile_residual`).
 
 Every stage reports what it did through a
 :class:`~repro.match.observer.MatchObserver` — the pipeline itself
@@ -21,18 +25,7 @@ hang off one seam instead of scattered increments.
 
 from __future__ import annotations
 
-from typing import (
-    Any,
-    Dict,
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Mapping,
-    Optional,
-    Set,
-    Tuple,
-)
+from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Set, Tuple
 
 from ..core.intervals import MINUS_INF, PLUS_INF
 from ..predicates.predicate import Predicate
@@ -55,7 +48,7 @@ class MatchPipeline:
     ----------
     catalog:
         The :class:`~repro.match.catalog.ClauseCatalog` holding the
-        per-relation state (trees, predicates, residual cache).
+        per-relation state (trees, predicates, compiled residuals).
     store:
         The :class:`~repro.match.store.TreeStore` whose cache policy
         (``stab_cache_size``, ``cache_lru``) governs the stab stage.
@@ -70,16 +63,12 @@ class MatchPipeline:
         Record observed entry-clause selectivities on the match path
         (never safe on a frozen index read concurrently).
     columnar:
-        Try the vectorized columnar plane
-        (:mod:`repro.match.columnar`) first on every
-        :meth:`match_batch` call.  The plane is built lazily per
-        relation, cached on the relation's mutation version, and
-        silently skipped whenever NumPy is missing, the relation's
-        shape is not vectorizable, or the batch carries values outside
-        the plane's numeric domain — the scalar stages below remain
-        the semantics of record.  Ignored under ``adaptive`` (the
-        feedback counters need the scalar path's per-candidate
-        bookkeeping) and under multi-clause indexing.
+        Try the vectorized columnar plane (:mod:`repro.match.columnar`)
+        first on every :meth:`match_batch` call; it steps aside, and the
+        scalar stages below remain the semantics of record, whenever
+        NumPy is missing or the relation or batch leaves its domain.
+        Ignored under ``adaptive`` (the feedback counters need the
+        scalar path's bookkeeping) and under multi-clause indexing.
     """
 
     __slots__ = ("catalog", "store", "observer", "feedback", "adaptive", "columnar")
@@ -103,131 +92,72 @@ class MatchPipeline:
     # -- per-tuple path -------------------------------------------------
 
     def match(self, relation: str, tup: Mapping[str, Any]) -> List[Predicate]:
-        """All predicates of *relation* that fully match the tuple."""
-        return [
-            pred
-            for pred, _ in self.match_with_candidates(relation, tup)
-            if pred is not None
-        ]
+        """All predicates of *relation* that fully match the tuple.
 
-    def match_idents(self, relation: str, tup: Mapping[str, Any]) -> Set[Hashable]:
-        """Identifiers of all fully matching predicates."""
-        return {
-            pred.ident
-            for pred, _ in self.match_with_candidates(relation, tup)
-            if pred is not None
-        }
-
-    def match_with_candidates(
-        self, relation: str, tup: Mapping[str, Any]
-    ) -> Iterator[Tuple[Optional[Predicate], Hashable]]:
-        """Yield ``(predicate_or_None, ident)`` for each candidate.
-
-        A candidate whose residual test fails yields ``(None, ident)``;
-        a full match yields the predicate.  Exposed so benchmarks can
-        count partial matches exactly as the cost model does.
+        Stabs each attribute tree with the tuple's value, then hands
+        the candidates to the residual stage :meth:`match_batch` runs
+        too.  A ``None``, missing or infinity-sentinel value is not
+        probed: no interval contains it.
         """
         observer = self.observer
         observer.on_route(relation, 1, False)
         state = self.catalog.relations.get(relation)
         if state is None:
-            return
-        if self.catalog.multi_clause:
-            candidates = self._intersect_candidates(relation, state, tup)
-        else:
-            candidates = set()
-            probes = descents = cache_hits = 0
-            cache_size = self.store.stab_cache_size
-            cache: Any = state.stab_cache
-            lru = self.store.cache_lru
-            for attribute, tree in state.trees.items():
-                value = tup.get(attribute)
-                if value is None:
-                    continue  # NULL matches no clause: no tree entry applies
-                probes += 1
-                key = None
-                if cache_size:
-                    epoch = getattr(tree, "epoch", None)
-                    if epoch is not None:
-                        try:
-                            key = (attribute, epoch, value)
-                            cached = cache.get(key)
-                        except TypeError:
-                            key = None  # unhashable value: uncacheable
-                        else:
-                            if cached is not None:
-                                if lru:
-                                    cache.move_to_end(key)
-                                cache_hits += 1
-                                candidates |= cached
-                                continue
-                descents += 1
-                try:
-                    if key is None:
-                        tree.stab_into(value, candidates)
-                    else:
-                        stabbed = frozenset(tree.stab(value))
-                        candidates |= stabbed
-                        if lru:
-                            cache[key] = stabbed
-                            if len(cache) > cache_size:
-                                cache.popitem(last=False)
-                        elif len(cache) < cache_size:
-                            # frozen: append-only, never evict
-                            cache[key] = stabbed
-                except TypeError:
-                    # the value's type is incomparable with this
-                    # attribute's indexed bounds (mixed-domain data): no
-                    # interval clause on this attribute can match it
-                    continue
-            observer.on_stab(relation, probes, descents, cache_hits)
-            if self.adaptive:
-                self.feedback.observe_tuples(relation, 1)
-                if candidates:
-                    self.feedback.observe_candidates(candidates)
-        observer.on_candidates(relation, len(candidates), len(state.non_indexable))
-        candidates |= state.non_indexable
-        for ident in candidates:
-            predicate = state.predicates[ident]
-            if predicate.matches(tup):
-                observer.on_residual(relation, 1, 0)
-                yield predicate, ident
-            else:
-                yield None, ident
-
-    def _intersect_candidates(
-        self, relation: str, state: RelationState, tup: Mapping[str, Any]
-    ) -> Set[Hashable]:
-        """Multi-clause candidates: hit in *every* indexed attribute.
-
-        An ident is a candidate only if every tree it is indexed under
-        was probed and reported it — a NULL or incomparable value in
-        any indexed attribute disqualifies the predicate outright
-        (that clause cannot match).
-        """
-        hits: Dict[Hashable, int] = {}
-        probed: Set[str] = set()
-        probes = descents = 0
+            return []
+        # one stabbed set per probed attribute; in the paper's
+        # single-clause scheme they are disjoint, so none is unioned
+        groups: List[Set[Hashable]] = []
+        probes = descents = cache_hits = partial = 0
+        cache_size = self.store.stab_cache_size
+        cache: Any = state.stab_cache
+        lru = self.store.cache_lru
         for attribute, tree in state.trees.items():
             value = tup.get(attribute)
-            if value is None:
-                continue
+            if value is None or value is MINUS_INF or value is PLUS_INF:
+                continue  # no interval contains it: no tree entry applies
             probes += 1
+            key: Optional[Tuple[str, Any, Any]] = None
+            if cache_size:
+                epoch = getattr(tree, "epoch", None)
+                if epoch is not None:
+                    try:
+                        key = (attribute, epoch, value)
+                        cached = cache.get(key)
+                    except TypeError:
+                        key = None  # unhashable value: uncacheable
+                    else:
+                        if cached is not None:
+                            if lru:
+                                cache.move_to_end(key)
+                            cache_hits += 1
+                            if cached:
+                                partial += len(cached)
+                                groups.append(cached)
+                            continue
             descents += 1
             try:
                 stabbed = tree.stab(value)
             except TypeError:
+                # incomparable with this attribute's bounds (mixed-domain
+                # data): no interval clause on it can match the value
                 continue
-            probed.add(attribute)
-            for ident in stabbed:
-                hits[ident] = hits.get(ident, 0) + 1
-        self.observer.on_stab(relation, probes, descents, 0)
-        candidates: Set[Hashable] = set()
-        for ident, count in hits.items():
-            attributes = state.indexed_under[ident]
-            if count == len(attributes) and all(a in probed for a in attributes):
-                candidates.add(ident)
-        return candidates
+            if key is not None:
+                stabbed = self._remember(cache, key, stabbed)
+            if stabbed:
+                partial += len(stabbed)
+                groups.append(stabbed)
+        if self.catalog.multi_clause:
+            groups = [_intersect(state.indexed_under, groups)]
+            partial = len(groups[0])
+        elif self.adaptive:
+            self.feedback.observe_tuples(relation, 1)
+            for group in groups:
+                self.feedback.observe_candidates(group)
+        observer.on_stab(relation, probes, descents, cache_hits)
+        observer.on_candidates(relation, partial, len(state.non_indexable))
+        row = _residual_matches(tup, groups, state.residuals, _non_indexable_shapes(state))
+        observer.on_residual(relation, len(row))
+        return row
 
     # -- batched path ---------------------------------------------------
 
@@ -238,38 +168,18 @@ class MatchPipeline:
 
         Semantically identical to ``[self.match(relation, t) for t in
         tuples]`` (the differential tests assert exactly that), but the
-        work is restructured around the batch:
+        stab stage is restructured around the batch: each attribute
+        tree is stabbed **once per distinct value** in one sorted
+        ``stab_many`` descent, and the stabbed sets are fanned back out
+        per tuple (disjoint in the paper's single-clause scheme, so no
+        per-tuple union is built) into the residual stage :meth:`match`
+        runs too.
 
-        1. the batch's values are grouped per indexed attribute,
-           deduplicated and sorted, and each attribute tree is stabbed
-           **once per distinct value** via ``stab_many`` (sorted order
-           keeps the grouped descent's sibling partitions adjacent and
-           shares search-path prefixes);
-        2. the stab results are fanned back out per tuple (in the
-           paper's single-clause scheme the per-attribute stabbed sets
-           are disjoint, so no per-tuple union is built);
-        3. residual tests run through **compiled evaluators** that
-           skip the clauses already *proven* by the index probe — a
-           stabbed candidate's entry clause is known to match, so only
-           the remaining clauses are tested — and interval-only
-           residuals are **memoized** per batch on ``(ident,
-           restricted-tuple-projection)`` whenever the batch shows
-           enough value repetition for the memo to pay off.
-
-        Function clauses are always (re-)evaluated per tuple, exactly
-        as the per-tuple path does: memoizing them on ``==``-collapsed
-        keys would be unsound for type-sensitive functions (``2`` and
-        ``2.0`` share a key), and the paper assumes nothing about them
-        "except that it returns true or false".
-
-        Tuples the batch stages cannot handle — an unhashable or
-        infinity-sentinel value in an indexed attribute — are routed
-        through the per-tuple path *individually* while the rest of the
-        batch stays batched (one adversarial tuple no longer degrades
-        the whole batch); the columnar plane falls back through this
-        same seam when it bails out.  ``None``-valued and missing
-        attributes are equivalent everywhere (the NULL rule: NULL
-        matches no clause) and never force a fallback.
+        A tuple with an unhashable value in an indexed attribute cannot
+        be grouped; it alone goes through the per-tuple path while the
+        rest stays batched.  ``None``-valued, missing and
+        infinity-sentinel values mean "no probe" on every path and never
+        force a fallback.
         """
         tuples = list(tuples)
         if not tuples:
@@ -279,233 +189,58 @@ class MatchPipeline:
         if state is None:
             observer.on_route(relation, len(tuples), True)
             return [[] for _ in tuples]
-        if self.columnar and not self.adaptive and not self.catalog.multi_clause:
+        multi_clause = self.catalog.multi_clause
+        if self.columnar and not self.adaptive and not multi_clause:
             rows = self._columnar_match_batch(relation, state, tuples)
             if rows is not None:
                 return rows
-        stab_tables, memo_on, probes, descents, cache_hits, fallback = (
+        stab_tables, probes, descents, cache_hits, fallback = (
             self._batch_stab_tables(state, tuples)
         )
         if len(fallback) == len(tuples):
             # nothing batchable: a pure per-tuple run, no batch events
             return [self.match(relation, tup) for tup in tuples]
         fallback_set = frozenset(fallback)
-        observer.on_route(relation, len(tuples) - len(fallback_set), True)
+        batched = len(tuples) - len(fallback_set)
+        observer.on_route(relation, batched, True)
         observer.on_stab(relation, probes, descents, cache_hits)
-        if self.catalog.multi_clause:
-            per_tuple = self._batch_intersect(
-                state, tuples, stab_tables, fallback_set
-            )
-        else:
-            per_tuple = None
-        non_indexable = state.non_indexable
-        predicates = state.predicates
-        residuals = self.catalog.ensure_residuals(state)
-        # Non-indexable predicates are tested against *every* tuple:
-        # resolve their entries once per batch into homogeneous
-        # per-kind lists so the tuple loop runs without per-candidate
-        # dict lookups or kind dispatch.
-        ni_trivial: List[Predicate] = []
-        ni_closed: List[Tuple[Any, ...]] = []
-        ni_single: List[Tuple[Hashable, Tuple[Any, ...]]] = []
-        ni_multi: List[Tuple[Hashable, Tuple[Any, ...]]] = []
-        ni_opaque: List[Predicate] = []
-        for ident in non_indexable:
-            entry = residuals[ident]
-            kind = entry[0]
-            if kind == MULTI:
-                ni_multi.append((ident, entry))
-            elif kind == SINGLE:
-                ni_single.append((ident, entry))
-            elif kind == CLOSED:
-                ni_closed.append(entry)
-            elif kind == TRIVIAL:
-                ni_trivial.append(entry[1])
-            else:
-                ni_opaque.append(entry[1])
-        # With the memo disabled (the common case for low-repetition
-        # batches) the non-indexable loops reduce to bare
-        # ``check(value)`` calls over pre-extracted pairs.
-        ni_single_fast = [(e[1], e[2], e[3]) for _, e in ni_single]
-        ni_multi_fast = [(e[1], e[3]) for _, e in ni_multi]
+        residuals = state.residuals
+        shapes = _non_indexable_shapes(state)
+        indexed_under = state.indexed_under
         stab_items = list(stab_tables.items())
-        memo: Dict[Tuple[Hashable, Any], bool] = {}
-        memo_get = memo.get
-        partial = full = memo_hits = 0
+        observe: Any = None
+        if self.adaptive and not multi_clause:
+            observe = self.feedback.observe_candidates
+            self.feedback.observe_tuples(relation, batched)
+        partial = full = 0
         results: List[List[Predicate]] = []
         for position, tup in enumerate(tuples):
             if position in fallback_set:
-                # unbatchable value: the per-tuple path reports its own
+                # unhashable value: the per-tuple path reports its own
                 # route/stab/candidate/residual events for this tuple
                 results.append(self.match(relation, tup))
                 continue
             tup_get = tup.get
-            row: List[Predicate] = []
-            append = row.append
-            # In the paper's single-clause scheme every predicate is
-            # indexed under exactly one attribute, so the per-attribute
-            # stabbed sets are disjoint: iterate them directly instead
-            # of unioning into a per-tuple candidate set.
-            if per_tuple is None:
-                groups: List[Iterable[Hashable]] = []
-                for attribute, table in stab_items:
-                    value = tup_get(attribute)
-                    if value is None:
-                        continue
-                    stabbed = table.get(value)
-                    if stabbed:
-                        partial += len(stabbed)
-                        groups.append(stabbed)
-            else:
-                candidates = per_tuple[position]
-                partial += len(candidates)
-                groups = [candidates] if candidates else []
+            groups: List[Set[Hashable]] = []
+            for attribute, table in stab_items:
+                value = tup_get(attribute)
+                if value is None:
+                    continue
+                # a sentinel or incomparable value has no stabbed set
+                stabbed = table.get(value)
+                if stabbed:
+                    groups.append(stabbed)
+            if multi_clause:
+                groups = [_intersect(indexed_under, groups)]
             for group in groups:
-                for ident in group:
-                    entry = residuals[ident]
-                    kind = entry[0]
-                    if kind == CLOSED:
-                        # (kind, pred, attr, low, high): the dominant
-                        # shape, inlined — a closure call per candidate
-                        # would double the cost of this loop.  The test
-                        # is rejection-style, like Interval.contains, so
-                        # partially-ordered values (NaN) get the same
-                        # verdict as on the per-tuple path; sentinels
-                        # still fail (one bound comparison proves them
-                        # outside any closed interval).
-                        v = tup_get(entry[2])
-                        try:
-                            ok = v is not None and not (
-                                v < entry[3] or v > entry[4]
-                            )
-                        except TypeError:
-                            ok = False  # incomparable value
-                        if ok:
-                            append(entry[1])
-                    elif kind == SINGLE:
-                        # (kind, pred, attr, check, memo_ok)
-                        v = tup_get(entry[2])
-                        if memo_on and entry[4]:
-                            key = (ident, v)
-                            try:
-                                verdict = memo_get(key)
-                            except TypeError:
-                                verdict = entry[3](v)  # unhashable value
-                            else:
-                                if verdict is None:
-                                    verdict = memo[key] = entry[3](v)
-                                else:
-                                    memo_hits += 1
-                            if verdict:
-                                append(entry[1])
-                        elif entry[3](v):
-                            append(entry[1])
-                    elif kind == TRIVIAL:
-                        # every clause was proven by the index probes
-                        append(entry[1])
-                    elif kind == MULTI:
-                        # (kind, pred, attrs, evaluate, memo_ok);
-                        # evaluate fetches its own values, the
-                        # projection tuple is built only as a memo key
-                        if memo_on and entry[4]:
-                            proj = tuple([tup_get(a) for a in entry[2]])
-                            key = (ident, proj)
-                            try:
-                                verdict = memo_get(key)
-                            except TypeError:
-                                verdict = entry[3](tup_get)
-                            else:
-                                if verdict is None:
-                                    verdict = memo[key] = entry[3](tup_get)
-                                else:
-                                    memo_hits += 1
-                            if verdict:
-                                append(entry[1])
-                        elif entry[3](tup_get):
-                            append(entry[1])
-                    else:  # OPAQUE: unknown clause subclass
-                        if entry[1].matches(tup):
-                            append(entry[1])
-            for entry in ni_closed:
-                v = tup_get(entry[2])
-                try:
-                    ok = v is not None and not (v < entry[3] or v > entry[4])
-                except TypeError:
-                    ok = False
-                if ok:
-                    append(entry[1])
-            if not memo_on:
-                for predicate, attribute, check in ni_single_fast:
-                    if check(tup_get(attribute)):
-                        append(predicate)
-                for predicate, evaluate in ni_multi_fast:
-                    if evaluate(tup_get):
-                        append(predicate)
-            else:
-                for ident, entry in ni_single:
-                    v = tup_get(entry[2])
-                    if entry[4]:
-                        key = (ident, v)
-                        try:
-                            verdict = memo_get(key)
-                        except TypeError:
-                            verdict = entry[3](v)
-                        else:
-                            if verdict is None:
-                                verdict = memo[key] = entry[3](v)
-                            else:
-                                memo_hits += 1
-                        if verdict:
-                            append(entry[1])
-                    elif entry[3](v):
-                        append(entry[1])
-                for ident, entry in ni_multi:
-                    if entry[4]:
-                        proj = tuple([tup_get(a) for a in entry[2]])
-                        key = (ident, proj)
-                        try:
-                            verdict = memo_get(key)
-                        except TypeError:
-                            verdict = entry[3](tup_get)
-                        else:
-                            if verdict is None:
-                                verdict = memo[key] = entry[3](tup_get)
-                            else:
-                                memo_hits += 1
-                        if verdict:
-                            append(entry[1])
-                    elif entry[3](tup_get):
-                        append(entry[1])
-            for predicate in ni_trivial:
-                append(predicate)
-            for predicate in ni_opaque:
-                if predicate.matches(tup):
-                    append(predicate)
+                partial += len(group)
+                if observe is not None:
+                    observe(group)
+            row = _residual_matches(tup, groups, residuals, shapes)
             full += len(row)
             results.append(row)
-        observer.on_candidates(
-            relation, partial, len(non_indexable) * (len(tuples) - len(fallback_set))
-        )
-        observer.on_residual(relation, full, memo_hits)
-        if self.adaptive and not self.catalog.multi_clause:
-            feedback = self.feedback
-            # fallback tuples already reported through the per-tuple
-            # path's own adaptive hooks inside self.match
-            feedback.observe_tuples(relation, len(tuples) - len(fallback_set))
-            # candidate counts reconstructed from the stab tables: each
-            # ident stabbed at a value was a candidate once per tuple
-            # carrying that value
-            for attribute, table in stab_tables.items():
-                counts: Dict[Any, int] = {}
-                for position, tup in enumerate(tuples):
-                    if position in fallback_set:
-                        continue
-                    value = tup.get(attribute)
-                    if value is not None:
-                        counts[value] = counts.get(value, 0) + 1
-                for value, stabbed in table.items():
-                    if stabbed:
-                        feedback.observe_candidates(stabbed, counts.get(value, 1))
+        observer.on_candidates(relation, partial, len(state.non_indexable) * batched)
+        observer.on_residual(relation, full)
         return results
 
     def _columnar_match_batch(
@@ -523,14 +258,9 @@ class MatchPipeline:
         builder computes an equivalent plane, so concurrent readers of
         a frozen index race benignly.  No observer event fires unless
         the plane actually answers the batch — the scalar fallback
-        must report a virgin stage sequence.
-
-        Fallbacks chain through one seam: the plane bails (``None``)
-        on out-of-domain values, the scalar batch takes over, and the
-        scalar batch in turn routes only the individual tuples *it*
-        cannot handle (unhashable or sentinel values) through the
-        per-tuple path.  ``None``-valued and missing attributes are
-        equivalent at every link (the NULL rule) and bail nothing.
+        must report a virgin stage sequence.  The plane bails on
+        out-of-domain values; the scalar batch then takes over and
+        routes only unhashable values through the per-tuple path.
         """
         from . import columnar
 
@@ -548,77 +278,48 @@ class MatchPipeline:
 
     def _batch_stab_tables(
         self, state: RelationState, tuples: List[Mapping[str, Any]]
-    ) -> Tuple[
-        Dict[str, Dict[Any, Optional[Set[Hashable]]]],
-        bool,
-        int,
-        int,
-        int,
-        List[int],
-    ]:
+    ) -> Tuple[Dict[str, Dict[Any, Optional[Set[Hashable]]]], int, int, int, List[int]]:
         """Stab each attribute tree once per distinct batch value.
 
-        Returns ``(stab_tables, memo_on, probes, descents, cache_hits,
+        Returns ``(stab_tables, probes, descents, cache_hits,
         fallback)``: per attribute a table ``value -> stabbed idents``
-        (``None`` for incomparable values); whether the batch shows
-        enough value repetition (>= 10% duplicates across indexed
-        attributes) for the residual memo to pay for its bookkeeping;
-        the stab-stage counts for the observer (*probes* is the logical
-        per-tuple per-attribute probe count — identical to what the
-        per-tuple path would report — while *descents* counts the
-        grouped ``stab_many`` descents actually performed); and
-        *fallback* — the positions of tuples the batch stages must not
-        touch, in ascending order.
-
-        A tuple lands in *fallback* when an indexed attribute holds an
-        unhashable value — the per-value grouping, the stab tables and
-        the residual memo all need to hash it — or an infinity
-        sentinel, for which skipping the proven entry clause would be
-        unsound (``clause.matches`` rejects sentinels that a tree stab
-        may admit).  The caller routes those positions through the
-        per-tuple path, which needs neither hashing nor the
-        proven-entry shortcut; fallback tuples contribute nothing to
-        the returned tables or counts.  ``None``-valued and *missing*
-        attributes are **not** fallback cases: both mean "no probe" —
-        the NULL rule, NULL matches no clause — on the per-tuple, the
-        batched, and the columnar path alike, so such tuples stay
-        batchable.
+        (``None`` for incomparable values); the stab-stage counts
+        (*probes* is the logical count the per-tuple path would report,
+        *descents* the grouped descents performed); and the ascending
+        positions of the tuples holding an unhashable value in an
+        indexed attribute, which the caller matches per tuple and which
+        contribute nothing to the tables or counts.  ``None``, missing
+        and sentinel values are not probed, as on the per-tuple path.
         """
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
-        if not trees:
-            return stab_tables, False, 0, 0, 0, []
         attributes = list(trees)
         by_attribute: Dict[str, Set[Any]] = {a: set() for a in attributes}
         fallback: List[int] = []
-        total = distinct = 0
+        probes = 0
         for position, tup in enumerate(tuples):
             tup_get = tup.get
             staged: List[Tuple[str, Any]] = []
-            batchable = True
             for attribute in attributes:
                 value = tup_get(attribute)
-                if value is None:
-                    continue  # NULL rule: no probe, as on the per-tuple path
-                if value is MINUS_INF or value is PLUS_INF:
-                    batchable = False
-                    break
+                if value is None or value is MINUS_INF or value is PLUS_INF:
+                    continue  # no probe, as on the per-tuple path
                 try:
                     hash(value)
                 except TypeError:
-                    batchable = False
+                    fallback.append(position)
                     break
                 staged.append((attribute, value))
-            if not batchable:
-                fallback.append(position)
-                continue
-            total += len(staged)
-            for attribute, value in staged:
-                by_attribute[attribute].add(value)
-        plans: List[Tuple[str, List[Any]]] = []
+            else:
+                probes += len(staged)
+                for attribute, value in staged:
+                    by_attribute[attribute].add(value)
+        cache_size = self.store.stab_cache_size
+        cache: Any = state.stab_cache
+        lru = self.store.cache_lru
+        descents = cache_hits = 0
         for attribute in attributes:
             values = by_attribute[attribute]
-            distinct += len(values)
             if not values:
                 stab_tables[attribute] = {}
                 continue
@@ -626,17 +327,10 @@ class MatchPipeline:
                 ordered: List[Any] = sorted(values)
             except TypeError:
                 ordered = list(values)  # mixed domains: order is just locality
-            plans.append((attribute, ordered))
-        cache_size = self.store.stab_cache_size
-        cache: Any = state.stab_cache
-        lru = self.store.cache_lru
-        descents = cache_hits = 0
-        for attribute, ordered in plans:
             tree = trees[attribute]
             epoch = getattr(tree, "epoch", None) if cache_size else None
             if epoch is None:
-                # one grouped descent per tree per batch
-                descents += 1
+                descents += 1  # one grouped descent per tree per batch
                 stab_tables[attribute] = tree.stab_many(ordered)
                 continue
             # answer cached values without touching the tree; stab the
@@ -658,56 +352,154 @@ class MatchPipeline:
                 for value, stabbed in tree.stab_many(misses).items():
                     table[value] = stabbed
                     if stabbed is not None:
-                        if lru:
-                            cache[(attribute, epoch, value)] = frozenset(stabbed)
-                            if len(cache) > cache_size:
-                                cache.popitem(last=False)
-                        elif len(cache) < cache_size:
-                            # frozen: append-only, never evict
-                            cache[(attribute, epoch, value)] = frozenset(stabbed)
+                        self._remember(cache, (attribute, epoch, value), stabbed)
             stab_tables[attribute] = table
-        memo_on = total > 0 and (total - distinct) * 10 >= total
-        return stab_tables, memo_on, total, descents, cache_hits, fallback
+        return stab_tables, probes, descents, cache_hits, fallback
 
-    def _batch_intersect(
-        self,
-        state: RelationState,
-        tuples: List[Mapping[str, Any]],
-        stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]],
-        fallback_set: "frozenset[int]",
-    ) -> List[Set[Hashable]]:
-        """Multi-clause fan-out: candidates hit in *every* indexed tree.
+    def _remember(
+        self, cache: Any, key: Tuple[str, int, Any], stabbed: Iterable[Hashable]
+    ) -> "frozenset[Hashable]":
+        """Cache a stab result: LRU when mutable, append-only when frozen."""
+        frozen = frozenset(stabbed)
+        if self.store.cache_lru:
+            cache[key] = frozen
+            if len(cache) > self.store.stab_cache_size:
+                cache.popitem(last=False)
+        elif len(cache) < self.store.stab_cache_size:
+            cache[key] = frozen
+        return frozen
 
-        Positions in *fallback_set* get an empty placeholder — the emit
-        loop matches those tuples per-tuple and never reads the entry
-        (their values may be unhashable, so the tables cannot answer
-        them).
-        """
-        indexed_under = state.indexed_under
-        out: List[Set[Hashable]] = []
-        for position, tup in enumerate(tuples):
-            if position in fallback_set:
-                out.append(set())
-                continue
-            hits: Dict[Hashable, int] = {}
-            probed: Set[str] = set()
-            for attribute, table in stab_tables.items():
-                value = tup.get(attribute)
-                if value is None:
-                    continue
-                stabbed = table.get(value)
-                if stabbed is None:
-                    continue  # incomparable value: attribute not probed
-                probed.add(attribute)
-                for ident in stabbed:
-                    hits[ident] = hits.get(ident, 0) + 1
-            candidates: Set[Hashable] = set()
-            for ident, count in hits.items():
-                attributes = indexed_under[ident]
-                if count == len(attributes) and all(a in probed for a in attributes):
-                    candidates.add(ident)
-            out.append(candidates)
-        return out
+
+# ----------------------------------------------------------------------
+# candidate intersection and the residual stage (shared by both paths)
+# ----------------------------------------------------------------------
+
+
+def _intersect(
+    indexed_under: Mapping[Hashable, Tuple[str, ...]],
+    stabbed_sets: Iterable[Iterable[Hashable]],
+) -> Set[Hashable]:
+    """Multi-clause candidates: idents hit in *every* indexed tree.
+
+    *stabbed_sets* holds one stabbed set per probed attribute.  A tree
+    reports an ident at most once, so an ident is a candidate exactly
+    when its hit count equals the number of attributes it is indexed
+    under; a NULL, sentinel or incomparable value in any of them left
+    that tree unprobed, and its clause cannot match.
+    """
+    hits: Dict[Hashable, int] = {}
+    for stabbed in stabbed_sets:
+        for ident in stabbed:
+            hits[ident] = hits.get(ident, 0) + 1
+    return {ident for ident, count in hits.items() if count == len(indexed_under[ident])}
+
+
+def _non_indexable_shapes(state: RelationState) -> Tuple[List[Any], ...]:
+    """The relation's non-indexable residual entries, grouped by shape.
+
+    Every tuple tests every non-indexable predicate, so their entries
+    are resolved once per relation version into per-shape lists
+    ``(closed, single, multi, trivial, opaque)`` that the residual stage
+    runs without dict lookups or shape dispatch; ``()`` when there are
+    none, so the stage skips them in one test.  Cached on
+    ``state.version`` like the columnar plane: one attribute assignment,
+    so lock-free readers of a frozen index race benignly.
+    """
+    cached = state.non_indexable_shapes
+    if cached is not None and cached[0] == state.version:
+        return cached[1]
+    shapes: Tuple[List[Any], ...] = ([], [], [], [], [])
+    closed, single, multi, trivial, opaque = shapes
+    residuals = state.residuals
+    for ident in state.non_indexable:
+        entry = residuals[ident]
+        kind = entry[0]
+        if kind == CLOSED:
+            closed.append(entry[1:])
+        elif kind == SINGLE:
+            single.append(entry[1:])
+        elif kind == MULTI:
+            multi.append(entry[1:])
+        elif kind == TRIVIAL:
+            trivial.append(entry[1])
+        else:
+            opaque.append(entry[1])
+    if not state.non_indexable:
+        shapes = ()
+    state.non_indexable_shapes = (state.version, shapes)
+    return shapes
+
+
+def _residual_matches(
+    tup: Mapping[str, Any],
+    groups: Iterable[Iterable[Hashable]],
+    residuals: Mapping[Hashable, Tuple[Any, ...]],
+    shapes: Tuple[List[Any], ...],
+) -> List[Predicate]:
+    """Step 4: the candidates and non-indexable predicates matching *tup*.
+
+    Each ident in *groups* is tested by its compiled residual entry
+    (see :func:`~repro.match.catalog.compile_residual`), which skips
+    the clauses its index probe proved; the non-indexable predicates
+    follow from their per-shape lists (:func:`_non_indexable_shapes`).
+    Only OPAQUE entries fall back to ``Predicate.matches``.
+    """
+    tup_get = tup.get
+    row: List[Predicate] = []
+    append = row.append
+    for group in groups:
+        for ident in group:
+            entry = residuals[ident]
+            kind = entry[0]
+            if kind == CLOSED:
+                # (kind, pred, attr, low, high): the dominant shape, inlined
+                # (a closure call would double this loop's cost); rejection-
+                # style like Interval.contains: NaN passes, sentinels fail
+                v = tup_get(entry[2])
+                try:
+                    ok = v is not None and not (v < entry[3] or v > entry[4])
+                except TypeError:
+                    ok = False  # incomparable value
+                if ok:
+                    append(entry[1])
+            elif kind == SINGLE:  # (kind, pred, attr, check)
+                if entry[3](tup_get(entry[2])):
+                    append(entry[1])
+            elif kind == TRIVIAL:  # every clause was proven by the probes
+                append(entry[1])
+            elif kind == MULTI:  # (kind, pred, ((attr, check), ...))
+                for attribute, check in entry[2]:
+                    if not check(tup_get(attribute)):
+                        break
+                else:
+                    append(entry[1])
+            elif entry[1].matches(tup):  # OPAQUE: unknown clause subclass
+                append(entry[1])
+    if not shapes:
+        return row
+    closed, single, multi, trivial, opaque = shapes
+    for predicate, attribute, low, high in closed:
+        v = tup_get(attribute)
+        try:
+            ok = v is not None and not (v < low or v > high)
+        except TypeError:
+            ok = False
+        if ok:
+            append(predicate)
+    for predicate, attribute, check in single:
+        if check(tup_get(attribute)):
+            append(predicate)
+    for predicate, pairs in multi:
+        for attribute, check in pairs:
+            if not check(tup_get(attribute)):
+                break
+        else:
+            append(predicate)
+    row.extend(trivial)
+    for predicate in opaque:
+        if predicate.matches(tup):
+            append(predicate)
+    return row
 
 
 # ----------------------------------------------------------------------

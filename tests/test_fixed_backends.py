@@ -17,6 +17,7 @@ import pytest
 
 from repro import PredicateIndex
 from repro.concurrency.facade import ConcurrentPredicateIndex
+from repro.core.intervals import Interval
 from repro.disk.tree import DiskIBSTree
 from repro.match.registry import DEFAULT_REGISTRY
 from repro.predicates import PredicateBuilder
@@ -150,6 +151,31 @@ def test_phase_shifts_on_one_live_index_match_direct_evaluation(backend):
         for ident in list(live):
             index.remove(ident)
         assert len(index) == 0 and tree_types(index) == {}, family
+
+
+@pytest.mark.parametrize("backend", DYNAMIC)
+def test_open_endpoints_match_direct_evaluation(backend):
+    # the residual stage trusts the stab for the entry clause, so a
+    # backend whose tree stores open bounds as closed must filter them
+    index = PredicateIndex(tree_factory=backend)
+    live = {}
+    for interval in (
+        Interval.greater_than(5),
+        Interval.less_than(5),
+        Interval.closed_open(0, 5),
+        Interval.open_closed(5, 10),
+        Interval.open(0, 10),
+        Interval.closed(5, 5),
+    ):
+        pred = PredicateBuilder("r").in_interval("a", interval).build()
+        live[index.add(pred)] = pred
+    tuples = [{"a": v} for v in (-1, 0, 4, 5, 6, 10, 11)]
+    rows = index.match_batch("r", tuples)
+    for tup, row in zip(tuples, rows):
+        want = sorted(ident for ident, pred in live.items() if pred.matches(tup))
+        assert sorted(p.ident for p in index.match("r", tup)) == want, tup
+        assert sorted(index.match_idents("r", tup)) == want, tup
+        assert sorted(p.ident for p in row) == want, tup
 
 
 @pytest.mark.parametrize("backend", DYNAMIC)

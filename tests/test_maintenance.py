@@ -8,8 +8,7 @@ Four layers of assurance, mirroring the disk tier's test discipline:
   budgets, and a json-serializable ``report()``;
 * **unified op-count semantics** (satellite 1) — exactly one clock per
   index, one tick per matched tuple and per predicate write, batch ops
-  tick ``len(batch)``, ``match_with_candidates`` ticks nothing, and a
-  frozen index never ticks;
+  tick ``len(batch)``, and a frozen index never ticks;
 * **differential guarantee** — a maintained index (retune,
   compaction, checkpointing, eviction all firing mid-stream) must
   answer every match exactly like a never-ticked twin, across the
@@ -308,9 +307,6 @@ class TestUnifiedOpSemantics:
         index.match_idents("emp", {"x": 1.0})
         assert clock.ops == 8
         index.match_batch("emp", [{"x": 1.0}, {"x": 2.0}, {"x": 3.0}])
-        assert clock.ops == 11
-        # the explain/diagnostic path is free
-        index.match_with_candidates("emp", {"x": 1.0})
         assert clock.ops == 11
         index.match_batch("emp", [])
         assert clock.ops == 11

@@ -2,8 +2,8 @@
 
 The :class:`~repro.match.observer.MatchStatistics` counters split into
 logical (describe the matching problem) and physical (describe the work
-actually done).  The batch path, the stab cache, and the residual memo
-all reduce *physical* work, but a per-tuple loop and a single
+actually done).  The batch path and the stab cache reduce *physical*
+work, but a per-tuple loop and a single
 ``match_batch`` call over the same workload must report identical
 *logical* counts — same tuples, same probes, same partial matches, same
 residual outcomes.  These tests pin that symmetry, which is what makes
@@ -73,6 +73,12 @@ def test_batch_reports_same_logical_counts(workload, options):
 
     assert [set(p.ident for p in r) for r in serial_results] == [
         set(p.ident for p in r) for r in batch_results
+    ]
+    # both paths share one residual stage: check them against direct
+    # evaluation too, which shares no code with it
+    stored = serial.predicates_for("r0")
+    assert [set(p.ident for p in r) for r in serial_results] == [
+        {p.ident for p in stored if p.matches(tup)} for tup in tuples
     ]
     assert serial_logical == batch_logical
 
