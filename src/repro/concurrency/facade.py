@@ -257,11 +257,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     def _overlay_factory(self) -> PredicateIndex:
         """A fresh shard overlay, which always lives in RAM.
 
-        The overlay is rebuilt on every write, so sealing it would cost
-        one fsynced segment file per attribute per rule change.  It
-        holds at most ``compaction_threshold`` predicates, and on the
-        disk tier each of them is durable in the checkpointer's
-        journal.  Only compacted bases are sealed.
+        Every write derives a new overlay, so sealing it would cost
+        one fsynced segment file per changed attribute per rule
+        change.  It holds at most ``compaction_threshold`` predicates,
+        and on the disk tier each of them is durable in the
+        checkpointer's journal.  Only compacted bases are sealed.
         """
         return self._new_index(sealed=False)
 
@@ -557,10 +557,13 @@ class ConcurrentPredicateIndex(PredicateMatcher):
 
         The serial index migrates individual entry clauses in place;
         under snapshot publication the equivalent safe operation is a
-        per-shard compaction — the fresh base re-runs entry-clause
-        selection against the current estimator for every live
-        predicate, and readers only ever see the old or the new epoch.
-        Returns the identifiers whose entry attribute changed.
+        per-shard fold (:meth:`RelationShard.retune`) whose fresh base
+        re-runs entry-clause selection against the current estimator
+        for every live predicate, and readers only ever see the old or
+        the new epoch.  This is the one call that re-chooses: a plain
+        :meth:`compact`, the maintenance ``compact`` task and the
+        threshold fold keep every predicate's filed decisions.  Returns
+        the identifiers whose entry attribute changed.
         """
         migrated: List[Hashable] = []
         if relation is not None:
@@ -574,7 +577,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 pred.ident: before.base.indexed_attributes(pred.ident)
                 for pred in before.base.predicates_for(rel)
             }
-            shard.compact()
+            shard.retune()
             after = shard.snapshot
             for pred in after.base.predicates_for(rel):
                 old = old_attrs.get(pred.ident)

@@ -29,8 +29,11 @@ A snapshot is a three-part structure so that writes stay cheap:
     strand the base's cached stabs.
 ``overlay``
     A *small* frozen PredicateIndex over the predicates added since the
-    base was compacted.  Rebuilt copy-on-write on every write — O(size
-    of overlay), bounded by the compaction threshold — so a write never
+    base was compacted.  Each write derives a successor overlay from
+    its predecessor: it copies the predecessor's filed entries, adds or
+    drops the one changed entry, bulk-loads only the trees of that
+    entry's attributes (at most ``compaction_threshold`` intervals
+    each) and shares every other frozen tree object.  A write never
     touches the big base trees and never invalidates their decode or
     stab caches.  Built by the shard's ``overlay_factory``, which may
     differ from the base's: the disk tier seals bases to segment files
@@ -40,10 +43,18 @@ A snapshot is a three-part structure so that writes stay cheap:
     Matching filters base results through it.
 
 When the overlay or the tombstone set outgrows ``compaction_threshold``
-the writer folds everything into a fresh base via ``add_many`` (which
-bulk-loads each attribute tree) and starts over with an empty overlay.
-Readers holding the old snapshot keep using it; they simply see the
-state as of their epoch.
+the writer folds everything into a fresh base (one bulk load per
+attribute tree) and starts over with an empty overlay.  Readers holding
+the old snapshot keep using it; they simply see the state as of their
+epoch.
+
+Each predicate's registration decisions — its normalized form, entry
+attribute(s) and compiled residual — are made once, when it first
+enters the shard.  Overlay writes and folds (threshold, :meth:`compact`,
+:meth:`add_many`) file every live predicate with the decisions held by
+the snapshot part that holds it, so a write decides only the predicate
+it adds.  :meth:`RelationShard.retune` and :meth:`RelationShard.rebuild`
+decide every live predicate afresh.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ import threading
 from typing import (
     Any,
     Callable,
+    Dict,
     Hashable,
     Iterable,
     Iterator,
@@ -65,6 +77,7 @@ from typing import (
 
 from ..core.predicate_index import PredicateIndex
 from ..errors import ConcurrencyError, PredicateError, UnknownIntervalError
+from ..match.catalog import Decision
 from ..match.pipeline import (
     snapshot_match,
     snapshot_match_batch,
@@ -252,16 +265,7 @@ class RelationShard:
 
     def add(self, predicate: Predicate) -> Hashable:
         """Register *predicate* and publish the successor epoch."""
-        normalized = predicate.normalized()
-        if normalized is None:
-            raise PredicateError(
-                f"predicate {predicate} is unsatisfiable and cannot be indexed"
-            )
-        if normalized.relation != self.relation:
-            raise ConcurrencyError(
-                f"shard {self.relation!r} cannot index a predicate of "
-                f"relation {normalized.relation!r}"
-            )
+        normalized = self._own(predicate)
         ident = normalized.ident
         with self._lock:
             snap = self._snapshot
@@ -272,13 +276,13 @@ class RelationShard:
                 len(overlay_preds) >= self._compaction_threshold
                 or len(snap.removed) >= self._compaction_threshold
             ):
-                successor = self._compacted(snap, overlay_preds, snap.removed)
+                successor = self._compacted(snap, added=(normalized,))
             else:
                 successor = EpochSnapshot(
                     self.relation,
                     snap.epoch + 1,
                     snap.base,
-                    self._build_overlay(overlay_preds),
+                    self._next_overlay(snap.overlay, add=normalized),
                     snap.removed,
                     overlay_preds,
                 )
@@ -290,26 +294,16 @@ class RelationShard:
 
         Equivalent to calling :meth:`add` for each predicate, but the
         whole batch is folded straight into a fresh bulk-loaded base —
-        one build instead of ``len(batch)`` copy-on-write overlay
-        rebuilds, and the steady state starts with an *empty* overlay
-        rather than whatever the last compaction left behind.  One
-        ``"add"`` hook fires per predicate, each on its own epoch (the
-        op log stays strictly monotone); readers only ever observe the
-        final epoch — the intermediate ones are never published.
+        one build instead of ``len(batch)`` overlay writes, and the
+        steady state starts with an *empty* overlay rather than
+        whatever the last compaction left behind.  As in every fold,
+        the live predicates keep the decisions they were filed with;
+        only the batch is decided.  One ``"add"`` hook fires per
+        predicate, each on its own epoch (the op log stays strictly
+        monotone); readers only ever observe the final epoch — the
+        intermediate ones are never published.
         """
-        normalized_group: List[Predicate] = []
-        for predicate in predicates:
-            normalized = predicate.normalized()
-            if normalized is None:
-                raise PredicateError(
-                    f"predicate {predicate} is unsatisfiable and cannot be indexed"
-                )
-            if normalized.relation != self.relation:
-                raise ConcurrencyError(
-                    f"shard {self.relation!r} cannot index a predicate of "
-                    f"relation {normalized.relation!r}"
-                )
-            normalized_group.append(normalized)
+        normalized_group = [self._own(predicate) for predicate in predicates]
         if not normalized_group:
             return []
         with self._lock:
@@ -322,24 +316,8 @@ class RelationShard:
                         f"predicate ident {ident!r} already indexed"
                     )
                 seen.add(ident)
-            base = self._index_factory()
-            live: List[Predicate] = [
-                pred
-                for pred in snap.base.predicates_for(self.relation)
-                if pred.ident not in snap.removed
-            ]
-            live.extend(snap.overlay_preds)
-            live.extend(normalized_group)
-            base.add_many(live)
-            base.freeze()
-            self.compactions += 1
-            successor = EpochSnapshot(
-                self.relation,
-                snap.epoch + len(normalized_group),
-                base,
-                None,
-                frozenset(),
-                (),
+            successor = self._compacted(
+                snap, added=tuple(normalized_group), epochs=len(normalized_group)
             )
             self._snapshot = successor
             for offset, normalized in enumerate(normalized_group, start=1):
@@ -362,7 +340,7 @@ class RelationShard:
                     self.relation,
                     snap.epoch + 1,
                     snap.base,
-                    self._build_overlay(overlay_preds),
+                    self._next_overlay(snap.overlay, remove=ident),
                     snap.removed,
                     overlay_preds,
                 )
@@ -370,7 +348,7 @@ class RelationShard:
                 removed_pred = snap.base.get(ident)
                 removed = snap.removed | {ident}
                 if len(removed) >= self._compaction_threshold:
-                    successor = self._compacted(snap, snap.overlay_preds, removed)
+                    successor = self._compacted(snap, removed=removed)
                 else:
                     successor = EpochSnapshot(
                         self.relation,
@@ -388,12 +366,30 @@ class RelationShard:
     def compact(self) -> int:
         """Fold the overlay and tombstones into a fresh base now.
 
-        Publishes a new epoch with identical contents (the checker's
-        replay treats ``"compact"`` as a no-op).  Returns the new epoch.
+        Every live predicate keeps the entry clause and compiled
+        residual it was filed with; choosing again is :meth:`retune`'s
+        job.  Publishes a new epoch with identical contents (the
+        checker's replay treats ``"compact"`` as a no-op).  Returns the
+        new epoch.
         """
         with self._lock:
             snap = self._snapshot
-            successor = self._compacted(snap, snap.overlay_preds, snap.removed)
+            successor = self._compacted(snap)
+            self._publish(successor, "compact", None)
+            return successor.epoch
+
+    def retune(self) -> int:
+        """Fold like :meth:`compact`, choosing every entry clause afresh.
+
+        Each live predicate's entry clause is chosen again from the
+        estimator's current answers and its residual recompiled, so a
+        predicate filed under stale estimates can move to another
+        attribute's tree.  Publishes ``"compact"`` (contents are
+        unchanged) and returns the new epoch.
+        """
+        with self._lock:
+            snap = self._snapshot
+            successor = self._compacted(snap, rechoose=True)
             self._publish(successor, "compact", None)
             return successor.epoch
 
@@ -402,13 +398,15 @@ class RelationShard:
 
         The concurrent counterpart of
         :meth:`~repro.core.predicate_index.PredicateIndex.verify_and_rebuild`:
-        readers keep matching against the old epoch while the fresh
-        base is built and checked; only a *verified* snapshot is ever
-        published.  Returns the new epoch.
+        a repair path, so every live predicate is decided afresh rather
+        than trusting decisions the damaged state holds.  Readers keep
+        matching against the old epoch while the fresh base is built
+        and checked; only a *verified* snapshot is ever published.
+        Returns the new epoch.
         """
         with self._lock:
             snap = self._snapshot
-            successor = self._compacted(snap, snap.overlay_preds, snap.removed)
+            successor = self._compacted(snap, rechoose=True)
             if not successor.base.check_invariants():
                 raise ConcurrencyError(
                     f"rebuilt base for shard {self.relation!r} failed its audit; "
@@ -419,34 +417,84 @@ class RelationShard:
 
     # -- internals (call with the write lock held) ---------------------
 
-    def _build_overlay(
-        self, overlay_preds: Tuple[Predicate, ...]
+    def _own(self, predicate: Predicate) -> Predicate:
+        """*predicate* normalized, checked to be indexable by this shard."""
+        normalized = predicate.normalized()
+        if normalized is None:
+            raise PredicateError(
+                f"predicate {predicate} is unsatisfiable and cannot be indexed"
+            )
+        if normalized.relation != self.relation:
+            raise ConcurrencyError(
+                f"shard {self.relation!r} cannot index a predicate of "
+                f"relation {normalized.relation!r}"
+            )
+        return normalized
+
+    def _next_overlay(
+        self,
+        overlay: Optional[PredicateIndex],
+        add: Optional[Predicate] = None,
+        remove: Optional[Hashable] = None,
     ) -> Optional[PredicateIndex]:
-        if not overlay_preds:
+        """The overlay after one add or remove, derived from *overlay*.
+
+        The one overlay write path (an empty predecessor is ``None``):
+        the successor copies the predecessor's filed entries, decides
+        only *add*, rebuilds only the trees of the changed entry's
+        attributes and shares every other frozen tree.  ``None`` when
+        the result is empty.
+        """
+        successor = self._overlay_factory()
+        successor._derive(overlay, self.relation, add, remove)
+        if not len(successor):
             return None
-        overlay = self._overlay_factory()
-        overlay.add_many(overlay_preds)
-        overlay.freeze()
-        return overlay
+        successor.freeze()
+        return successor
 
     def _compacted(
         self,
         snap: EpochSnapshot,
-        overlay_preds: Tuple[Predicate, ...],
-        removed: frozenset,
+        added: Tuple[Predicate, ...] = (),
+        removed: Optional[frozenset] = None,
+        epochs: int = 1,
+        rechoose: bool = False,
     ) -> EpochSnapshot:
-        base = self._index_factory()
+        """Fold *snap*'s live predicates plus *added* into a fresh base.
+
+        *removed* replaces the snapshot's tombstones.  Each live
+        predicate is filed with the decisions of the part that holds it
+        — the base for base predicates, the overlay for overlay
+        predicates — so only *added* is decided, unless *rechoose*
+        decides every predicate afresh.  The successor is *epochs*
+        publications past *snap*.
+        """
+        if removed is None:
+            removed = snap.removed
         live: List[Predicate] = [
             pred
             for pred in snap.base.predicates_for(self.relation)
             if pred.ident not in removed
         ]
-        live.extend(overlay_preds)
-        base.add_many(live)
+        decided: Dict[Hashable, Decision] = {}
+        if not rechoose:
+            decided = snap.base._catalog.decisions(
+                self.relation, [pred.ident for pred in live]
+            )
+            if snap.overlay is not None:
+                decided.update(
+                    snap.overlay._catalog.decisions(
+                        self.relation, [pred.ident for pred in snap.overlay_preds]
+                    )
+                )
+        live.extend(snap.overlay_preds)
+        live.extend(added)
+        base = self._index_factory()
+        base._add_many_decided(live, decided)
         base.freeze()
         self.compactions += 1
         return EpochSnapshot(
-            self.relation, snap.epoch + 1, base, None, frozenset(), ()
+            self.relation, snap.epoch + epochs, base, None, frozenset(), ()
         )
 
     def _publish(self, successor: EpochSnapshot, kind: str, payload: Any) -> None:

@@ -55,7 +55,7 @@ from typing import (
 from ..errors import PredicateError
 from ..maintenance import MaintenancePolicy, MaintenanceScheduler
 from ..match import health as _health
-from ..match.catalog import ClauseCatalog, RelationState
+from ..match.catalog import ClauseCatalog, Decision, RelationState
 from ..match.observer import MatchStatistics, StatsObserver
 from ..match.pipeline import MatchPipeline
 from ..match.store import TreeStore
@@ -483,11 +483,43 @@ class PredicateIndex:
         Atomic: on any failure every predicate this call registered is
         removed again before the exception propagates.
         """
+        return self._add_many_decided(predicates, None)
+
+    # -- snapshot successors ------------------------------------------------
+    #
+    # Seams for the epoch-snapshot shard (repro.concurrency.shard): it
+    # builds every successor index from the decisions its predecessor
+    # parts already made, so only predicates new to the shard are decided.
+
+    def _add_many_decided(
+        self,
+        predicates: Iterable[Predicate],
+        decided: Optional[Mapping[Hashable, Decision]],
+    ) -> List[Hashable]:
+        """:meth:`add_many`, filing predicates with *decided*'s decisions
+        where :meth:`ClauseCatalog.register_many` accepts them."""
         self._check_mutable()
-        idents = self._catalog.register_many(self._store, predicates)
+        idents = self._catalog.register_many(self._store, predicates, decided)
         if self._maintenance is not None and idents:
             self._tick(None, len(idents))
         return idents
+
+    def _derive(
+        self,
+        source: Optional["PredicateIndex"],
+        relation: str,
+        add: Optional[Predicate] = None,
+        remove: Optional[Hashable] = None,
+    ) -> None:
+        """Fill this empty index with *source*'s *relation* plus one change.
+
+        See :meth:`ClauseCatalog.derive_relation`: *source*'s entries are
+        copied, only *add* is decided, and only the trees of the changed
+        entry's attributes are built; the rest are shared with *source*.
+        """
+        self._check_mutable()
+        state = None if source is None else source._catalog.relations.get(relation)
+        self._catalog.derive_relation(self._store, state, relation, add, remove)
 
     def remove(self, ident: Hashable) -> Predicate:
         """Un-index and return the predicate registered under *ident*."""

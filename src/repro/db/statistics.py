@@ -130,11 +130,14 @@ class AttributeStatistics:
         if self.non_null_count == 0:
             return _default_for(interval)
         if self.value_counts is not None:
-            matched = sum(
-                count
-                for value, count in self.value_counts.items()
-                if interval.contains(value)
-            )
+            contains = interval.contains
+            matched = 0
+            for value, count in self.value_counts.items():
+                try:
+                    if contains(value):
+                        matched += count
+                except TypeError:
+                    pass  # cannot be ordered against the bounds: outside
             return matched / self.non_null_count
         return self._uniform_fraction(interval)
 
@@ -145,10 +148,10 @@ class AttributeStatistics:
         except TypeError:
             return _default_for(interval)
         if span <= 0:
-            return 1.0 if interval.contains(lo) else 0.0
-        low = lo if is_infinite(interval.low) else max(lo, interval.low)
-        high = hi if is_infinite(interval.high) else min(hi, interval.high)
+            return 1.0 if _inside(interval, lo) else 0.0
         try:
+            low = lo if is_infinite(interval.low) else max(lo, interval.low)
+            high = hi if is_infinite(interval.high) else min(hi, interval.high)
             covered = float(high - low)
         except TypeError:
             return _default_for(interval)
@@ -299,6 +302,17 @@ def _default_for(interval: Interval) -> float:
     if interval.is_unbounded:
         return DEFAULT_SELECTIVITIES["half_open_interval"]
     return DEFAULT_SELECTIVITIES["bounded_interval"]
+
+
+def _inside(interval: Interval, value: Any) -> bool:
+    """``interval.contains(value)``, counting a value that cannot be
+    ordered against the interval's bounds as outside it — the rule
+    :meth:`IntervalClause.matches` and every match path follow.
+    """
+    try:
+        return interval.contains(value)
+    except TypeError:
+        return False
 
 
 def _safe_lt(a: Any, b: Any) -> bool:

@@ -93,7 +93,7 @@ class DiskIBSTree:
         This is what the epoch-snapshot tier calls before publishing a
         compacted base, so every frozen base a concurrent reader stabs
         is an mmap'd segment, not a Python object graph.  (Overlays are
-        never disk-backed: they are rebuilt per write and stay in RAM.)
+        never disk-backed: every write derives a new one, kept in RAM.)
         """
         if not self._frozen:
             self.seal(release=True)

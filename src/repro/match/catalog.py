@@ -13,7 +13,12 @@
   **migration** (:meth:`ClauseCatalog.retune`);
 * the **compiled residuals**: each predicate's residual test compiled
   into a tagged dispatch tuple (see :func:`compile_residual`) by every
-  path that enters the predicate, and run by both match paths.
+  path that enters the predicate, and run by both match paths;
+* **carried decisions** for the epoch-snapshot layer: a fold files
+  predicates with the entry attributes and residuals an earlier index
+  decided (:meth:`ClauseCatalog.register_many`), and an overlay write
+  derives its successor from its predecessor
+  (:meth:`ClauseCatalog.derive_relation`).
 
 The catalog never descends a tree itself: tree storage and lifecycle
 belong to :class:`~repro.match.store.TreeStore`, which registration
@@ -31,6 +36,7 @@ from typing import (
     Hashable,
     Iterable,
     List,
+    Mapping,
     MutableMapping,
     Optional,
     Set,
@@ -147,26 +153,46 @@ class RelationState:
         self.columnar_plane: Optional[Tuple[int, Any]] = None
 
 
+#: A predicate's registration decisions: the attributes whose trees
+#: hold its entry clause(s), and its compiled residual entry.
+Decision = Tuple[Tuple[str, ...], Tuple[Any, ...]]
+
+
 def _file_entry(
     state: RelationState,
     ident: Hashable,
     predicate: Predicate,
     under: Tuple[str, ...],
+    residual: Optional[Tuple[Any, ...]] = None,
 ) -> None:
-    """Record *ident*'s entry attributes and compile its residual entry.
+    """Record *ident*'s entry attributes and its compiled residual entry.
 
     *under* names the attributes whose trees hold the predicate's entry
-    clause(s); empty files it on the non-indexable list.  Every path
+    clause(s); empty files it on the non-indexable list.  *residual* is
+    a residual already compiled for exactly this *under*, carried from
+    an earlier filing; without one it is compiled here.  Every path
     that enters a predicate ends here — registration, bulk
-    registration, disk cold start, rebuild and entry-clause migration —
-    so ``state.residuals`` always holds exactly the live predicates and
-    no match path ever compiles.
+    registration, disk cold start, rebuild, entry-clause migration and
+    the snapshot layer's overlay writes — so ``state.residuals`` always
+    holds exactly the live predicates and no match path ever compiles.
     """
     if under:
         state.indexed_under[ident] = under
     else:
         state.non_indexable.add(ident)
-    state.residuals[ident] = compile_residual(predicate, under)
+    if residual is None:
+        residual = compile_residual(predicate, under)
+    state.residuals[ident] = residual
+
+
+def _interval_on(predicate: Predicate, attribute: str) -> Any:
+    """*predicate*'s entry interval on *attribute* (one per attribute
+    once normalized)."""
+    return next(
+        clause.interval
+        for clause in predicate.indexable_clauses()
+        if clause.attribute == attribute
+    )
 
 
 class ClauseCatalog:
@@ -258,7 +284,10 @@ class ClauseCatalog:
         return ident
 
     def register_many(
-        self, store: Any, predicates: Iterable[Predicate]
+        self,
+        store: Any,
+        predicates: Iterable[Predicate],
+        decided: Optional[Mapping[Hashable, Decision]] = None,
     ) -> List[Hashable]:
         """Bulk-register *predicates*; returns their identifiers in order.
 
@@ -268,6 +297,13 @@ class ClauseCatalog:
         tree are inserted incrementally.  Atomic: on any failure every
         predicate this call registered is removed again before the
         exception propagates.
+
+        *decided* maps idents to decisions an earlier filing made
+        (``(under, residual)``, see :meth:`decisions`).  A predicate is
+        filed with its carried decision, skipping entry-clause selection
+        and residual compilation, only when that residual was compiled
+        for this very predicate object: a decision never passes to
+        another predicate that reuses the ident.
         """
         normalized_list: List[Predicate] = []
         seen: Set[Hashable] = set()
@@ -291,9 +327,19 @@ class ClauseCatalog:
                     state.predicates[ident] = normalized
                     self.relation_of[ident] = relation
                     added.append((relation, ident))
-                    entry_clauses = self.entry_clauses_of(normalized)
-                    under = tuple(clause.attribute for clause in entry_clauses)
-                    _file_entry(state, ident, normalized, under)
+                    decision = decided.get(ident) if decided else None
+                    residual: Optional[Tuple[Any, ...]] = None
+                    if decision is not None and decision[1][1] is normalized:
+                        under, residual = decision
+                        entry_clauses = [
+                            clause
+                            for clause in normalized.indexable_clauses()
+                            if clause.attribute in under
+                        ]
+                    else:
+                        entry_clauses = self.entry_clauses_of(normalized)
+                        under = tuple(clause.attribute for clause in entry_clauses)
+                    _file_entry(state, ident, normalized, under, residual)
                     for clause in entry_clauses:
                         tree = state.trees.get(clause.attribute)
                         if tree is None:
@@ -403,6 +449,75 @@ class ClauseCatalog:
             del self.relations[relation]
         return predicate
 
+    # -- snapshot successors --------------------------------------------
+
+    def decisions(
+        self, relation: str, idents: Iterable[Hashable]
+    ) -> Dict[Hashable, Decision]:
+        """``ident -> (under, residual)`` as filed, for *idents* of *relation*."""
+        state = self.relations.get(relation)
+        if state is None:
+            return {}
+        under_of = state.indexed_under
+        residuals = state.residuals
+        return {ident: (under_of.get(ident, ()), residuals[ident]) for ident in idents}
+
+    def derive_relation(
+        self,
+        store: Any,
+        source: Optional[RelationState],
+        relation: str,
+        add: Optional[Predicate] = None,
+        remove: Optional[Hashable] = None,
+    ) -> None:
+        """File *relation* as *source*'s entries plus one add or remove.
+
+        The snapshot layer's overlay write.  *source* is the predecessor
+        overlay's record (``None`` when it was empty) and this catalog
+        must not hold *relation* yet.  The source's maps are copied as
+        they stand; only *add* (a normalized predicate) is decided and
+        compiled.  Only the trees of the changed entry's attributes are
+        bulk-loaded again, and every other tree object is shared with
+        *source* — frozen there, so an accidental mutation raises.
+        """
+        state = self._state_for(relation)
+        if source is not None:
+            state.predicates = dict(source.predicates)
+            state.residuals = dict(source.residuals)
+            state.indexed_under = dict(source.indexed_under)
+            state.non_indexable = set(source.non_indexable)
+            state.trees = dict(source.trees)
+            state.epoch_floor = source.epoch_floor
+        if add is not None:
+            ident = add.ident
+            if ident in state.predicates:
+                raise PredicateError(f"predicate ident {ident!r} already indexed")
+            changed = tuple(clause.attribute for clause in self.entry_clauses_of(add))
+            state.predicates[ident] = add
+            _file_entry(state, ident, add, changed)
+        else:
+            if remove not in state.predicates:
+                raise UnknownIntervalError(remove)
+            del state.predicates[remove]
+            del state.residuals[remove]
+            changed = state.indexed_under.pop(remove, ())
+            state.non_indexable.discard(remove)
+        for attribute in changed:
+            old = state.trees.pop(attribute, None)
+            if old is not None:
+                store.retire_tree(state, old)
+            pairs = [
+                (_interval_on(state.predicates[ident], attribute), ident)
+                for ident, under in state.indexed_under.items()
+                if attribute in under
+            ]
+            if pairs:
+                state.trees[attribute] = store.build_tree(state, pairs, attribute)
+        self.relation_of.update(dict.fromkeys(state.predicates, relation))
+        state.version += 1
+        if not state.predicates:
+            del self.relations[relation]
+
     # -- adaptive entry-clause migration --------------------------------
 
     def retune(
@@ -484,11 +599,7 @@ class ClauseCatalog:
             return False
         state.version += 1
         old_tree = state.trees[old_attr]
-        old_interval = next(
-            entry.interval
-            for entry in state.predicates[ident].indexable_clauses()
-            if entry.attribute == old_attr
-        )
+        old_interval = _interval_on(state.predicates[ident], old_attr)
         new_tree = state.trees.get(new_attr)
         created = new_tree is None
         if created:

@@ -64,6 +64,7 @@ from ..errors import (
 )
 from ..match.registry import DEFAULT_REGISTRY
 from ..lang.compiler import compile_condition
+from ..predicates.predicate import Predicate
 from ..testing import faults
 from .agenda import Agenda, DeadLetterQueue
 from .failures import ActionFailure, RetryPolicy
@@ -250,13 +251,26 @@ class RuleEngine:
         return rule
 
     def drop_rule(self, name: str) -> None:
-        """Unregister a rule and all its predicates."""
+        """Unregister a rule and all its predicates.
+
+        Atomic, mirroring :meth:`create_rule`: the predicates leave the
+        matcher first, and if one removal raises, the ones already
+        removed are added back and the rule stays registered.
+        """
+        if name not in self._rules:
+            raise UnknownRuleError(name)
+        idents = self._idents_of_rule[name]
+        removed: List[Predicate] = []
         try:
-            del self._rules[name]
-        except KeyError:
-            raise UnknownRuleError(name) from None
-        for ident in self._idents_of_rule.pop(name):
-            self.matcher.remove(ident)
+            for ident in idents:
+                removed.append(self.matcher.remove(ident))
+        except Exception:
+            for predicate in removed:
+                self.matcher.add(predicate)
+            raise
+        del self._rules[name]
+        del self._idents_of_rule[name]
+        for ident in idents:
             del self._rule_of_ident[ident]
 
     def rule(self, name: str) -> Rule:

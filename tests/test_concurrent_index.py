@@ -131,12 +131,28 @@ def test_shard_rejects_foreign_relation():
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS, ids=BACKEND_IDS)
-def test_stress_concurrent_equals_serial_replay(backend):
+#: every backend on the RAM tier, and again (``-disk`` ids) on the disk
+#: tier, whose folds seal segment files while overlays stay in RAM
+STRESS_CASES = [
+    pytest.param(backend, "memory", id=backend_id)
+    for backend, backend_id in zip(BACKENDS, BACKEND_IDS)
+] + [
+    pytest.param(backend, "disk", id=f"{backend_id}-disk")
+    for backend, backend_id in zip(BACKENDS, BACKEND_IDS)
+]
+
+
+@pytest.mark.parametrize("backend,storage", STRESS_CASES)
+def test_stress_concurrent_equals_serial_replay(backend, storage, tmp_path):
     """4 writers + 8 readers; every observed read must equal the serial
     replay of the publication log at its epoch (StressDriver raises
     ConcurrencyViolation otherwise)."""
-    idx = ConcurrentPredicateIndex(tree_factory=backend, compaction_threshold=16)
+    idx = ConcurrentPredicateIndex(
+        tree_factory=backend,
+        compaction_threshold=16,
+        storage=storage,
+        data_dir=str(tmp_path / "data") if storage == "disk" else None,
+    )
     driver = StressDriver(
         idx,
         relations=("r1", "r2"),

@@ -13,6 +13,8 @@ from repro import (
     UpdateAction,
     chain,
 )
+from repro.baselines.base import PredicateMatcher
+from repro.core.predicate_index import PredicateIndex
 from repro.errors import (
     DuplicateRuleError,
     RuleCycleError,
@@ -22,6 +24,31 @@ from repro.errors import (
 )
 
 FNS = {"isodd": lambda x: x % 2 == 1}
+
+
+class FailingRemoveMatcher(PredicateMatcher):
+    """A scalar index whose remove of ``fail_on`` raises, once."""
+
+    name = "failing-remove"
+
+    def __init__(self):
+        self.inner = PredicateIndex()
+        self.fail_on = None
+
+    def add(self, predicate):
+        return self.inner.add(predicate)
+
+    def remove(self, ident):
+        if ident == self.fail_on:
+            self.fail_on = None
+            raise RuntimeError(f"remove of {ident!r} failed")
+        return self.inner.remove(ident)
+
+    def match(self, relation, tup):
+        return self.inner.match(relation, tup)
+
+    def __len__(self):
+        return len(self.inner)
 
 
 @pytest.fixture
@@ -143,6 +170,52 @@ class TestRuleManagement:
             engine.drop_rule("r1")
         with pytest.raises(UnknownRuleError):
             engine.rule("r1")
+
+    def test_failed_drop_keeps_the_rule(self, db):
+        # the second disjunct's remove fails: the first goes back in and
+        # the rule stays registered, firing, and droppable
+        matcher = FailingRemoveMatcher()
+        engine = RuleEngine(db, matcher=matcher)
+        collect = CollectAction()
+        rule = engine.create_rule(
+            "r1", on="emp", condition="age < 10 or age > 90", action=collect
+        )
+        idents = [predicate.ident for predicate in rule.group]
+        assert len(idents) == 2
+        matcher.fail_on = idents[1]
+        with pytest.raises(RuntimeError):
+            engine.drop_rule("r1")
+        assert [r.name for r in engine.rules()] == ["r1"] and len(engine) == 1
+        assert len(matcher) == 2
+        db.insert("emp", {"name": "A", "age": 5})
+        db.insert("emp", {"name": "B", "age": 95})
+        assert [name for name, _ in collect.records] == ["r1", "r1"]
+        engine.drop_rule("r1")
+        assert len(engine) == 0 and len(matcher) == 0
+        db.insert("emp", {"name": "C", "age": 5})
+        assert len(collect.records) == 2
+
+    @pytest.mark.parametrize("matcher", ["ibs", "ibs-concurrent"])
+    def test_unorderable_value_leaves_rule_changes_working(self, matcher):
+        db = Database()
+        db.create_relation("r", ["a", "b"])
+        engine = RuleEngine(db, matcher=matcher)
+        collect = CollectAction()
+        for i in range(10):
+            db.insert("r", {"a": i, "b": i})
+        engine.create_rule("low", on="r", condition="a <= 2 and b >= 0", action=collect)
+        engine.create_rule("high", on="r", condition="a >= 7 and b >= 0", action=collect)
+        db.insert("r", {"a": "x", "b": 1})  # a string among the integers
+        engine.create_rule("ge5", on="r", condition="a >= 5", action=collect)
+        engine.create_rule("on_b", on="r", condition="b <= 3", action=collect)
+        compact = getattr(engine.matcher, "compact", None)
+        if compact is not None:
+            compact()
+        engine.drop_rule("low")
+        collect.clear()
+        db.insert("r", {"a": "x", "b": 2})
+        db.insert("r", {"a": 8, "b": 9})
+        assert sorted(name for name, _ in collect.records) == ["ge5", "high", "on_b"]
 
     def test_rules_listing_and_fire_count(self, db, engine):
         collect = CollectAction()

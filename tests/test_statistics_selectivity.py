@@ -64,6 +64,25 @@ class TestAttributeStatistics:
         sel = stats.interval_selectivity(Interval.closed("a", "b"))
         assert 0 < sel <= 1  # falls back to shape default
 
+    def test_unorderable_value_counts_as_outside(self):
+        # one string among integers: matching leaves it out of every
+        # integer range, so the exact estimate must too (not raise)
+        stats = AttributeStatistics()
+        for v in list(range(10)) + ["x"]:
+            stats.observe_insert(v)
+        assert stats.interval_selectivity(Interval.at_least(5)) == pytest.approx(5 / 11)
+        assert stats.interval_selectivity(Interval.closed("a", "z")) == pytest.approx(
+            1 / 11
+        )
+
+    def test_uniform_fraction_unorderable_bound(self):
+        stats = AttributeStatistics(max_tracked_values=4)
+        for v in range(10):
+            stats.observe_insert(v)
+        assert stats.value_counts is None
+        sel = stats.interval_selectivity(Interval.at_least("m"))
+        assert 0 < sel <= 1  # falls back to shape default
+
 
 class TestRelationStatistics:
     def test_clause_selectivities(self):
