@@ -3,7 +3,9 @@
 The paper indexes each predicate under "the most selective" of its
 indexable clauses, with "selectivity estimates ... obtained from the
 query optimizer".  This ablation quantifies that design choice on a
-skewed domain where shape-based constants (System R style) pick wrong.
+skewed domain where shape-based constants (System R style) pick wrong,
+and checks that ``retune()`` re-files rules created before their data
+as if the data had come first.
 """
 
 import pytest
@@ -29,6 +31,22 @@ def test_abl3_tree_layout_differs(ablation_rows):
     by_name = {row["estimator"]: row for row in ablation_rows}
     assert by_name["default constants"]["status_tree"] == 200
     assert by_name["statistics"]["value_tree"] == 200
+
+
+def test_abl3_retune_rechooses_rules_created_before_data(ablation_rows):
+    # rules created on an empty relation are filed by the System R
+    # constants (all under "status"); once the rows load, retune()
+    # must reach the layout and partial-match count of the row whose
+    # data came first
+    by_name = {row["estimator"]: row for row in ablation_rows}
+    late = by_name["rules first + retune"]
+    assert late["value_tree"] == 200
+    assert late["status_tree"] == 0
+    assert late["partials_per_tuple"] == by_name["statistics"]["partials_per_tuple"]
+    assert (
+        late["partials_per_tuple"]
+        < by_name["default constants"]["partials_per_tuple"] / 3
+    )
 
 
 def test_abl3_both_layouts_answer_identically():

@@ -56,7 +56,6 @@ from .db import (
     BatchEvent,
     Database,
     Domain,
-    EntryClauseFeedback,
     OperationJournal,
     Relation,
     Schema,
@@ -128,7 +127,6 @@ __all__ = [
     "DefaultEstimator",
     "StatisticsEstimator",
     "rank_index_clauses",
-    "EntryClauseFeedback",
     # concurrent matching layer
     "ConcurrentPredicateIndex",
     "EpochSnapshot",

@@ -145,12 +145,12 @@ def _describe(name: str) -> int:
 def _maintenance(arguments: list) -> int:
     """Drive the unified maintenance scheduler over a synthetic workload.
 
-    Builds one adaptive ``PredicateIndex`` per scenario family with a
-    :class:`~repro.maintenance.MaintenancePolicy` that retunes entry
-    clauses, plays the family's churn and batches (every write and
-    matched tuple ticks the clock), then prints the scheduler's task
-    table — runs, failures, next-due op — and the dead-letter queue,
-    mirroring ``maintenance_report()``.
+    Builds one ``PredicateIndex`` per scenario family with a
+    :class:`~repro.maintenance.MaintenancePolicy` that re-chooses entry
+    clauses (the ``retune`` task), plays the family's churn and batches
+    (every write and matched tuple ticks the clock), then prints the
+    scheduler's task table — runs, failures, next-due op — and the
+    dead-letter queue, mirroring ``maintenance_report()``.
     """
     quick = "--quick" in arguments
     seed = 42
@@ -177,9 +177,7 @@ def _maintenance(arguments: list) -> int:
     for family in scenario_names():
         scenario = synthesize(family, seed=seed, scale=scale)
         relation = scenario.spec.relation
-        index = PredicateIndex(
-            adaptive=True, min_feedback_tuples=16, maintenance=policy
-        )
+        index = PredicateIndex(maintenance=policy)
         for predicate in scenario.predicates():
             index.add(predicate)
         for op, payload in scenario.churn():

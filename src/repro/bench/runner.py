@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tupl
 from ..core.intervals import Interval
 from ..core.predicate_index import PredicateIndex
 from ..match.registry import DEFAULT_REGISTRY
-from ..predicates.clauses import IntervalClause
+from ..predicates.clauses import EqualityClause, IntervalClause
 from ..predicates.predicate import Predicate
 from ..workloads.generator import IntervalWorkload, ScenarioConfig, ScenarioWorkload
 from .cost_model import (
@@ -529,6 +529,44 @@ def print_ablation_balancing(
 # ----------------------------------------------------------------------
 
 
+def ablation_selectivity_workload(
+    predicates: int = 200,
+    tuples: int = 300,
+    rows: int = 2_000,
+    seed: int = 21,
+) -> Tuple[List[Dict[str, Any]], List[Predicate], List[Dict[str, Any]]]:
+    """ABL3's skewed relation ``log``: ``(rows, predicates, tuples)``.
+
+    95 % of the rows and of the match tuples have ``status =
+    "active"``; every predicate is ``status = "active"`` plus a range
+    on ``value`` that holds about 10 % of the rows.
+    """
+    rng = random.Random(seed)
+
+    def draw() -> Dict[str, Any]:
+        return {
+            "status": "active" if rng.random() < 0.95 else "closed",
+            "value": rng.randint(1, 10_000),
+        }
+
+    data = [draw() for _ in range(rows)]
+    batch = [draw() for _ in range(tuples)]
+    generator = random.Random(seed + 1)
+    built = []
+    for _ in range(predicates):
+        start = generator.randint(1, 9_000)
+        built.append(
+            Predicate(
+                "log",
+                [
+                    EqualityClause("status", "active"),
+                    IntervalClause("value", Interval.closed(start, start + 999)),
+                ],
+            )
+        )
+    return data, built, batch
+
+
 def run_ablation_selectivity(
     predicates: int = 200,
     tuples: int = 300,
@@ -544,75 +582,60 @@ def run_ablation_selectivity(
     actually matches almost everything (``status = "active"`` when 95%
     of rows are active), flooding the residual test; data-driven
     statistics pick the genuinely selective range clause instead.
-    """
-    import random
 
+    The third row creates the rules before the data: the empty
+    relation's statistics fall back to the constants, so every
+    predicate is filed under ``status``.  Then the rows load and
+    ``retune()`` asks the estimator again.
+    """
     from ..core.selectivity import DefaultEstimator, StatisticsEstimator
     from ..db.database import Database
-    from ..predicates.clauses import EqualityClause, IntervalClause
-    from ..predicates.predicate import Predicate
 
-    rng = random.Random(seed)
-    db = Database()
-    db.create_relation("log", ["status", "value"])
-    for _ in range(rows):
-        db.insert(
-            "log",
-            {
-                "status": "active" if rng.random() < 0.95 else "closed",
-                "value": rng.randint(1, 10_000),
-            },
-        )
+    data, built, batch = ablation_selectivity_workload(predicates, tuples, rows, seed)
 
-    def build_predicates() -> List[Predicate]:
-        generator = random.Random(seed + 1)
-        built = []
-        for _ in range(predicates):
-            start = generator.randint(1, 9_000)
-            built.append(
-                Predicate(
-                    "log",
-                    [
-                        EqualityClause("status", "active"),
-                        IntervalClause(
-                            "value", Interval.closed(start, start + 999)
-                        ),
-                    ],
-                )
-            )
-        return built
+    def loaded_database() -> Database:
+        db = Database()
+        db.create_relation("log", ["status", "value"])
+        for row in data:
+            db.insert("log", row)
+        return db
 
-    batch = [
-        {
-            "status": "active" if rng.random() < 0.95 else "closed",
-            "value": rng.randint(1, 10_000),
-        }
-        for _ in range(tuples)
-    ]
-
-    results: List[Dict[str, Any]] = []
-    for name, estimator in (
-        ("default constants", DefaultEstimator()),
-        ("statistics", StatisticsEstimator(db)),
-    ):
-        index = DEFAULT_REGISTRY.create_matcher("ibs", estimator=estimator)
-        for predicate in build_predicates():
-            index.add(predicate)
+    def measured(name: str, index: Any) -> Dict[str, Any]:
         index.stats.reset()
         start = time.perf_counter()
         for tup in batch:
             index.match("log", tup)
         elapsed = time.perf_counter() - start
         layout = index.describe()["log"]["trees"]
-        results.append(
-            {
-                "estimator": name,
-                "partials_per_tuple": index.stats.partial_matches / tuples,
-                "match_us": elapsed / tuples * 1e6,
-                "status_tree": layout.get("status", 0),
-                "value_tree": layout.get("value", 0),
-            }
-        )
+        return {
+            "estimator": name,
+            "partials_per_tuple": index.stats.partial_matches / tuples,
+            "match_us": elapsed / tuples * 1e6,
+            "status_tree": layout.get("status", 0),
+            "value_tree": layout.get("value", 0),
+        }
+
+    results: List[Dict[str, Any]] = []
+    for name, estimator in (
+        ("default constants", DefaultEstimator()),
+        ("statistics", StatisticsEstimator(loaded_database())),
+    ):
+        index = DEFAULT_REGISTRY.create_matcher("ibs", estimator=estimator)
+        for predicate in built:
+            index.add(predicate)
+        results.append(measured(name, index))
+
+    empty = Database()
+    empty.create_relation("log", ["status", "value"])
+    index = DEFAULT_REGISTRY.create_matcher(
+        "ibs", estimator=StatisticsEstimator(empty)
+    )
+    for predicate in built:
+        index.add(predicate)
+    for row in data:
+        empty.insert("log", row)
+    index.retune()
+    results.append(measured("rules first + retune", index))
     return results
 
 
@@ -633,7 +656,8 @@ def print_ablation_selectivity(
             ]
             for row in rows
         ],
-        note="data-driven estimates avoid indexing the 95%-selectivity equality clause",
+        note="data-driven estimates avoid indexing the 95%-selectivity equality "
+        "clause; retune() re-files rules created before their data",
     )
     return rows
 
@@ -1397,9 +1421,8 @@ def run_maintenance(
       ``MaintenancePolicy`` whose tasks never come due, so its extra
       cost is exactly the per-op clock tick and due-scan on the hot
       paths (the ≤5 % acceptance bar applies to this row);
-      ``scheduler-active`` additionally runs real retune passes
-      (``adaptive=True``), pricing maintenance *work*, not just the
-      plane.
+      ``scheduler-active`` additionally runs the ``retune`` task every
+      two rounds, pricing maintenance *work*, not just the plane.
     * **Checkpoint pauses** — on the disk facade, ``ckpt-stop-world``
       runs a full ``DiskCheckpointer.checkpoint()`` inline every
       *checkpoint_every* rounds; ``ckpt-background`` lets the
@@ -1544,8 +1567,6 @@ def run_maintenance(
     active = DEFAULT_REGISTRY.create_matcher(
         "ibs",
         tree_factory="flat",
-        adaptive=True,
-        min_feedback_tuples=64,
         maintenance=MaintenancePolicy(retune_interval=ops_per_round * 2),
     )
     active.add_many(predicate_list)

@@ -76,10 +76,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         overlay of each shard).  ``tree_factory`` also accepts the name
         of a backend registered in the
         :data:`~repro.match.registry.DEFAULT_REGISTRY` (``"ibs"``,
-        ``"avl"``, …).  The internal indexes are always built
-        with ``adaptive=False`` — feedback counters mutate state on the
-        read path and are unsafe under lock-free readers (see
-        ``docs/concurrency_model.md``).
+        ``"avl"``, …).  :meth:`retune` asks ``estimator`` again.
     snapshot_cache_size:
         Stab-cache capacity for each shard's base/overlay index.
         Freezing demotes the cache to an append-only discipline (plain
@@ -109,12 +106,12 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` driving this
         facade's background work off the unified maintenance clock:
-        ``compact_interval`` compacts shards proactively (folding
-        overlays *before* the synchronous size threshold forces a
-        write-side fold), ``evict_interval`` sweeps disk-tier
-        residency, and a :class:`~repro.disk.checkpoint.DiskCheckpointer`
-        attached to this facade registers its budgeted checkpoint task
-        here.  The policy's ``compaction_threshold`` also becomes the
+        ``retune_interval`` runs :meth:`retune`, ``compact_interval``
+        compacts shards proactively (folding overlays *before* the
+        synchronous size threshold forces a write-side fold),
+        ``evict_interval`` sweeps disk-tier residency, and a
+        :class:`~repro.disk.checkpoint.DiskCheckpointer` attached to
+        this facade registers its budgeted checkpoint task here.  The policy's ``compaction_threshold`` also becomes the
         shards' synchronous backstop threshold unless the
         ``compaction_threshold`` argument overrides it explicitly.  See
         :meth:`maintenance_report`.
@@ -181,8 +178,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     ) -> Optional[MaintenanceScheduler]:
         """Register the facade's background work as scheduler tasks.
 
-        ``compact`` (closing ROADMAP item 4's follow-on: background
-        compaction off one clock) registers here; the disk tier's
+        ``retune`` and ``compact`` register here; the disk tier's
         ``checkpoint`` task is registered by the
         :class:`~repro.disk.checkpoint.DiskCheckpointer` that attaches
         to this facade, and ``evict`` sweeps each shard's disk store.
@@ -196,6 +192,14 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         scheduler = MaintenanceScheduler(
             policy=policy, observer=self._maint_observer
         )
+        if policy.retune_interval is not None:
+            scheduler.register_callback(
+                "retune",
+                lambda budget, relation: self.retune(relation),
+                interval_ops=policy.retune_interval,
+                priority=10,
+                cost_class="bulk",
+            )
         if policy.compact_interval is not None:
             scheduler.register_callback(
                 "compact",
@@ -271,7 +275,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             estimator=self._estimator,
             multi_clause=self._multi_clause,
             stab_cache_size=self._snapshot_cache_size,
-            adaptive=False,
             columnar=self._columnar,
             storage="disk" if sealed else "memory",
             data_dir=self._data_dir if sealed else None,
@@ -364,12 +367,18 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 self._relation_of[ident] = relation
             self._shards[relation] = shard
 
-    def _shard_items(self) -> List[Tuple[str, RelationShard]]:
+    def _shard_items(
+        self, relation: Optional[str] = None
+    ) -> List[Tuple[str, RelationShard]]:
         """Stable snapshot of the shard table, taken under the catalog lock.
 
         Iterating ``self._shards`` bare can race a first-use shard
         creation and raise ``dictionary changed size during iteration``.
+        With *relation*, only its shard, if it has one.
         """
+        if relation is not None:
+            shard = self._shards.get(relation)
+            return [(relation, shard)] if shard is not None else []
         with self._catalog_lock:
             return list(self._shards.items())
 
@@ -545,47 +554,24 @@ class ConcurrentPredicateIndex(PredicateMatcher):
 
     def compact(self, relation: Optional[str] = None) -> Dict[str, int]:
         """Force compaction; returns ``{relation: new_epoch}``."""
-        if relation is not None:
-            shard = self._shards.get(relation)
-            items = [(relation, shard)] if shard is not None else []
-        else:
-            items = self._shard_items()
-        return {rel: shard.compact() for rel, shard in items}
+        return {rel: shard.compact() for rel, shard in self._shard_items(relation)}
 
     def retune(self, relation: Optional[str] = None) -> List[Hashable]:
-        """Rebuild shard bases so entry-clause choices are re-made.
+        """Re-choose entry clauses from the estimator; returns the idents that moved.
 
-        The serial index migrates individual entry clauses in place;
-        under snapshot publication the equivalent safe operation is a
-        per-shard fold (:meth:`RelationShard.retune`) whose fresh base
-        re-runs entry-clause selection against the current estimator
-        for every live predicate, and readers only ever see the old or
-        the new epoch.  This is the one call that re-chooses: a plain
-        :meth:`compact`, the maintenance ``compact`` task and the
-        threshold fold keep every predicate's filed decisions.  Returns
-        the identifiers whose entry attribute changed.
+        Each shard of *relation* (or every shard) asks the estimator
+        again for its live predicates, base and overlay alike
+        (:meth:`RelationShard.retune`).  A shard where nothing moves
+        publishes nothing; otherwise it folds, carrying the filed
+        decision of every predicate that did not move, and readers only
+        ever see the old or the new epoch.  This is the one call that
+        re-chooses: a plain :meth:`compact`, the maintenance ``compact``
+        task and the threshold fold keep every predicate's decisions.
         """
-        migrated: List[Hashable] = []
-        if relation is not None:
-            shard = self._shards.get(relation)
-            items = [(relation, shard)] if shard is not None else []
-        else:
-            items = self._shard_items()
-        for rel, shard in items:
-            before = shard.snapshot
-            old_attrs = {
-                pred.ident: before.base.indexed_attributes(pred.ident)
-                for pred in before.base.predicates_for(rel)
-            }
-            shard.retune()
-            after = shard.snapshot
-            for pred in after.base.predicates_for(rel):
-                old = old_attrs.get(pred.ident)
-                if old is not None and old != after.base.indexed_attributes(
-                    pred.ident
-                ):
-                    migrated.append(pred.ident)
-        return migrated
+        moved: List[Hashable] = []
+        for _relation, shard in self._shard_items(relation):
+            moved.extend(shard.retune())
+        return moved
 
     def verify_and_rebuild(self) -> Dict[str, Any]:
         """Audit every shard's published base; rebuild the unhealthy ones.

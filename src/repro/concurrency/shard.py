@@ -19,9 +19,8 @@ A snapshot is a three-part structure so that writes stay cheap:
 
 ``base``
     A frozen :class:`PredicateIndex` holding the compacted bulk of the
-    relation's predicates.  Built with ``adaptive=False`` (the feedback
-    counters mutate on the read path without synchronisation), then
-    :meth:`~repro.core.predicate_index.PredicateIndex.freeze`-d so any
+    relation's predicates.  It is
+    :meth:`~repro.core.predicate_index.PredicateIndex.freeze`-d, so any
     accidental mutation raises instead of corrupting readers.  Freezing
     also demotes the stab cache to an append-only, GIL-safe discipline,
     and because frozen trees never bump epochs the cache stays warm for
@@ -53,8 +52,9 @@ attribute(s) and compiled residual — are made once, when it first
 enters the shard.  Overlay writes and folds (threshold, :meth:`compact`,
 :meth:`add_many`) file every live predicate with the decisions held by
 the snapshot part that holds it, so a write decides only the predicate
-it adds.  :meth:`RelationShard.retune` and :meth:`RelationShard.rebuild`
-decide every live predicate afresh.
+it adds.  :meth:`RelationShard.retune` asks the estimator again for
+every live predicate and folds only when some entry attribute moved;
+:meth:`RelationShard.rebuild` decides every live predicate afresh.
 """
 
 from __future__ import annotations
@@ -378,20 +378,37 @@ class RelationShard:
             self._publish(successor, "compact", None)
             return successor.epoch
 
-    def retune(self) -> int:
-        """Fold like :meth:`compact`, choosing every entry clause afresh.
+    def retune(self) -> List[Hashable]:
+        """Re-choose entry clauses from the estimator; returns the idents that moved.
 
-        Each live predicate's entry clause is chosen again from the
-        estimator's current answers and its residual recompiled, so a
-        predicate filed under stale estimates can move to another
-        attribute's tree.  Publishes ``"compact"`` (contents are
-        unchanged) and returns the new epoch.
+        Every live predicate, in the base and in the overlay, is decided
+        again from the estimator's current answers
+        (:meth:`~repro.match.catalog.ClauseCatalog.redecide`).  When
+        nothing moves, nothing is built or published.  Otherwise the
+        shard folds like :meth:`compact`, filing each mover with its new
+        decision and every other predicate with the one it has, and
+        publishes ``"compact"`` (contents are unchanged).
         """
         with self._lock:
             snap = self._snapshot
-            successor = self._compacted(snap, rechoose=True)
-            self._publish(successor, "compact", None)
-            return successor.epoch
+            base_live = [
+                pred.ident
+                for pred in snap.base.predicates_for(self.relation)
+                if pred.ident not in snap.removed
+            ]
+            moved = snap.base._catalog.redecide(self.relation, base_live)
+            if snap.overlay is not None:
+                moved.update(
+                    snap.overlay._catalog.redecide(
+                        self.relation, [pred.ident for pred in snap.overlay_preds]
+                    )
+                )
+            if not moved:
+                return []
+            decided = self._carried(snap, snap.removed)
+            decided.update(moved)
+            self._publish(self._compacted(snap, decided=decided), "compact", None)
+            return list(moved)
 
     def rebuild(self) -> int:
         """Rebuild the base from the live predicate set and re-audit it.
@@ -406,7 +423,7 @@ class RelationShard:
         """
         with self._lock:
             snap = self._snapshot
-            successor = self._compacted(snap, rechoose=True)
+            successor = self._compacted(snap, decided={})
             if not successor.base.check_invariants():
                 raise ConcurrencyError(
                     f"rebuilt base for shard {self.relation!r} failed its audit; "
@@ -452,41 +469,53 @@ class RelationShard:
         successor.freeze()
         return successor
 
+    def _carried(
+        self, snap: EpochSnapshot, removed: frozenset
+    ) -> Dict[Hashable, Decision]:
+        """The filed decisions of *snap*'s live predicates (tombstones
+        *removed*), each from the part that holds it: the base for base
+        predicates, the overlay for overlay predicates."""
+        decided = snap.base._catalog.decisions(
+            self.relation,
+            [
+                pred.ident
+                for pred in snap.base.predicates_for(self.relation)
+                if pred.ident not in removed
+            ],
+        )
+        if snap.overlay is not None:
+            decided.update(
+                snap.overlay._catalog.decisions(
+                    self.relation, [pred.ident for pred in snap.overlay_preds]
+                )
+            )
+        return decided
+
     def _compacted(
         self,
         snap: EpochSnapshot,
         added: Tuple[Predicate, ...] = (),
         removed: Optional[frozenset] = None,
         epochs: int = 1,
-        rechoose: bool = False,
+        decided: Optional[Dict[Hashable, Decision]] = None,
     ) -> EpochSnapshot:
         """Fold *snap*'s live predicates plus *added* into a fresh base.
 
-        *removed* replaces the snapshot's tombstones.  Each live
-        predicate is filed with the decisions of the part that holds it
-        — the base for base predicates, the overlay for overlay
-        predicates — so only *added* is decided, unless *rechoose*
-        decides every predicate afresh.  The successor is *epochs*
-        publications past *snap*.
+        *removed* replaces the snapshot's tombstones.  Each predicate is
+        filed with its decision in *decided*, by default the carried
+        ones (:meth:`_carried`), so only *added* is decided; an empty
+        *decided* decides every predicate afresh.  The successor is
+        *epochs* publications past *snap*.
         """
         if removed is None:
             removed = snap.removed
+        if decided is None:
+            decided = self._carried(snap, removed)
         live: List[Predicate] = [
             pred
             for pred in snap.base.predicates_for(self.relation)
             if pred.ident not in removed
         ]
-        decided: Dict[Hashable, Decision] = {}
-        if not rechoose:
-            decided = snap.base._catalog.decisions(
-                self.relation, [pred.ident for pred in live]
-            )
-            if snap.overlay is not None:
-                decided.update(
-                    snap.overlay._catalog.decisions(
-                        self.relation, [pred.ident for pred in snap.overlay_preds]
-                    )
-                )
         live.extend(snap.overlay_preds)
         live.extend(added)
         base = self._index_factory()

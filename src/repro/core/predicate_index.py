@@ -102,28 +102,6 @@ class PredicateIndex:
         (OLTP-style) tuple streams answer repeated stabs from the cache
         instead of descending the tree.  ``0`` (the default) disables
         caching.
-    adaptive:
-        Record observed entry-clause feedback (tuples seen, candidates
-        admitted per predicate) during :meth:`match` / :meth:`match_batch`,
-        enabling :meth:`retune` to migrate a predicate's entry clause
-        to a different attribute tree when the static estimate behind
-        the original choice turns out wrong on live data.  The paper
-        picks the "most selective clause" once, from a-priori
-        estimates; this closes the loop with measured selectivities.
-    min_feedback_tuples:
-        Minimum observed tuples per relation before a migration
-        decision may be made (guards against noise on tiny samples).
-    migration_ratio:
-        Migrate only when the best alternative clause's estimated
-        selectivity is below ``observed * migration_ratio`` — i.e. the
-        alternative must promise a decisive improvement, not a tie.
-    auto_retune_interval:
-        When set (and ``adaptive``), :meth:`retune` runs automatically
-        every N clock ops (see :mod:`repro.maintenance` for the op
-        semantics — matched tuples plus predicate writes); ``None``
-        leaves retuning manual.  Sugar for a
-        :class:`~repro.maintenance.MaintenancePolicy` with
-        ``retune_interval`` set.
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
@@ -133,15 +111,15 @@ class PredicateIndex:
         relation's mutation version, and silently skipped when NumPy
         is not installed or the batch leaves the plane's numeric
         domain; the scalar pipeline remains the semantics of record.
-        Ignored under ``adaptive`` and multi-clause indexing.
+        Ignored under multi-clause indexing.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
-        periodic mechanism (retune, disk-tier eviction) through one
+        periodic mechanism (``retune_interval`` runs :meth:`retune`,
+        ``evict_interval`` the disk tier's eviction) through one
         deterministic :class:`~repro.maintenance.MaintenanceScheduler`.
-        Its ``retune_interval`` takes precedence over the legacy
-        ``auto_retune_interval`` sugar; the scheduler's clock advances
-        once per matched tuple and once per predicate write, and never
-        while the index is frozen.  See :meth:`maintenance_report`.
+        The scheduler's clock advances once per matched tuple and once
+        per predicate write, and never while the index is frozen.  See
+        :meth:`maintenance_report`.
     """
 
     #: Strategy name (matches the PredicateMatcher convention).
@@ -153,10 +131,6 @@ class PredicateIndex:
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
         stab_cache_size: int = 0,
-        adaptive: bool = False,
-        min_feedback_tuples: int = 256,
-        migration_ratio: float = 0.5,
-        auto_retune_interval: Optional[int] = None,
         columnar: bool = False,
         storage: str = "memory",
         data_dir: Optional[str] = None,
@@ -170,16 +144,6 @@ class PredicateIndex:
 
             tree_factory = DEFAULT_REGISTRY.tree_factory(tree_factory)
         self._tree_factory = tree_factory
-        self._adaptive = bool(adaptive)
-        self._migration_ratio = float(migration_ratio)
-        # Imported lazily: repro.core must stay importable before
-        # repro.db finishes initialising (db imports core).
-        from ..db.statistics import EntryClauseFeedback
-
-        #: Observed entry-clause selectivity counters (see
-        #: :class:`~repro.db.statistics.EntryClauseFeedback`); populated
-        #: only when ``adaptive`` is set.
-        self.feedback = EntryClauseFeedback(min_samples=min_feedback_tuples)
         self._catalog = ClauseCatalog(estimator, multi_clause)
         if storage not in ("memory", "disk"):
             raise ValueError(
@@ -205,52 +169,33 @@ class PredicateIndex:
             self._store = TreeStore(tree_factory, stab_cache_size)
         self._observer = StatsObserver(MatchStatistics())
         self._pipeline = MatchPipeline(
-            self._catalog,
-            self._store,
-            self._observer,
-            feedback=self.feedback,
-            adaptive=self._adaptive,
-            columnar=bool(columnar),
+            self._catalog, self._store, self._observer, columnar=bool(columnar)
         )
         self._frozen = False
-        self._maintenance = self._build_maintenance(
-            maintenance, auto_retune_interval
-        )
+        self._maintenance = self._build_maintenance(maintenance)
 
     def _build_maintenance(
-        self,
-        policy: Optional[MaintenancePolicy],
-        retune_interval: Optional[int],
+        self, policy: Optional[MaintenancePolicy]
     ) -> Optional[MaintenanceScheduler]:
         """Register this index's periodic mechanisms as scheduler tasks.
 
-        The legacy ``auto_retune_interval`` constructor sugar maps to
-        the policy's ``retune_interval`` (the policy wins when both are
-        given).  When nothing is periodic and no policy was passed, no
-        scheduler is built and the hot paths skip ticking entirely.
+        Without a policy no scheduler is built and the hot paths skip
+        ticking entirely.
         """
-        if policy is not None and policy.retune_interval is not None:
-            retune_interval = policy.retune_interval
-        wants_retune = self._adaptive and retune_interval is not None
-        wants_evict = (
-            policy is not None
-            and policy.evict_interval is not None
-            and hasattr(self._store, "maybe_evict")
-        )
-        if policy is None and not wants_retune:
+        if policy is None:
             return None
         scheduler = MaintenanceScheduler(
             policy=policy, observer=self._pipeline.observer
         )
-        if wants_retune:
+        if policy.retune_interval is not None:
             scheduler.register_callback(
                 "retune",
                 lambda budget, relation: self.retune(relation),
-                interval_ops=retune_interval,
+                interval_ops=policy.retune_interval,
                 priority=10,
-                cost_class="cheap",
+                cost_class="bulk",
             )
-        if wants_evict:
+        if policy.evict_interval is not None and hasattr(self._store, "maybe_evict"):
             scheduler.register_callback(
                 "evict",
                 lambda budget, relation: self._store.maybe_evict(),
@@ -274,7 +219,7 @@ class PredicateIndex:
 
     @property
     def maintenance_scheduler(self) -> Optional[MaintenanceScheduler]:
-        """The index's scheduler, or ``None`` when nothing is periodic."""
+        """The index's scheduler, or ``None`` without a policy."""
         return self._maintenance
 
     def maintenance_report(self) -> Dict[str, Any]:
@@ -322,17 +267,14 @@ class PredicateIndex:
         :class:`~repro.errors.PredicateError`.  Matching remains
         available — the epoch-snapshot layer (:mod:`repro.concurrency`)
         publishes frozen indexes that lock-free readers stab
-        concurrently.  A frozen index intended for concurrent reads
-        must be built with ``adaptive=False`` (the feedback counters
-        mutate on the read path and are not synchronised), but the stab
-        cache *may* stay on: freezing demotes it from LRU to
-        append-only — hits skip the move-to-end touch, and inserts stop
-        once the cache is full instead of evicting — and swaps the
-        ``OrderedDict`` for a plain ``dict`` (odict inserts also splice
-        a C-level linked list, which concurrent writers can corrupt),
-        so every remaining cache operation is a single GIL-atomic
-        ``dict`` access, and
-        since nothing ever deletes a key from a frozen index's cache, a
+        concurrently.  Its match path writes only the stab cache, which
+        may stay on: freezing demotes it from LRU to append-only — hits
+        skip the move-to-end touch, and inserts stop once the cache is
+        full instead of evicting — and swaps the ``OrderedDict`` for a
+        plain ``dict`` (odict inserts also splice a C-level linked list,
+        which concurrent writers can corrupt), so every remaining cache
+        operation is a single GIL-atomic ``dict`` access, and since
+        nothing ever deletes a key from a frozen index's cache, a
         looked-up key cannot vanish mid-read.  Because frozen trees
         never bump their epochs, those cached stabs stay valid for the
         snapshot's whole lifetime — this is what lets an epoch-snapshot
@@ -565,39 +507,24 @@ class PredicateIndex:
             self._tick(relation, len(tuple_list))
         return results
 
-    # -- adaptive entry-clause migration -----------------------------------
+    # -- re-choosing entry clauses -----------------------------------------
 
     def retune(self, relation: Optional[str] = None) -> List[Hashable]:
-        """One feedback-driven migration pass; returns migrated idents.
+        """Re-choose entry clauses from the estimator; returns the idents that moved.
 
-        For every indexed predicate of *relation* (or of every relation)
-        with enough observed samples, compare the **observed**
-        selectivity of its current entry clause — the fraction of
-        matched tuples that admitted it as a candidate — against the
-        estimated selectivity of its best indexable clause on a
-        *different* attribute.  When the alternative's estimate is below
-        ``observed * migration_ratio``, the entry clause is migrated to
-        the alternative's attribute tree: the static "most selective
-        clause" choice the paper fixes at registration time is revised
-        with live evidence.
-
-        The migration is transactional per predicate: the old entry is
-        re-inserted if the new tree's insert fails, and if *that* also
-        fails the predicate is parked on the non-indexable list (brute
-        force is always sound) before the failure propagates.  After a
-        pass the relation's feedback window is reset so the next
-        decision rests on fresh evidence.  No-op under multi-clause
-        indexing (every indexable clause is already entered) and before
-        ``min_feedback_tuples`` samples.
+        The paper picks each predicate's entry clause once, from the
+        optimizer's estimates; rules created before their data are
+        filed by the System R constants.  This asks the index's own
+        estimator again for every predicate of *relation* (or of every
+        relation) that has a choice to make.  When nothing moves, no
+        tree is touched.  Otherwise the trees of the movers' old and new
+        attributes are bulk-loaded to one side and swapped in, so a
+        failure while building leaves the index as it was.  Under
+        multi-clause indexing every indexable clause is already
+        entered, so nothing ever moves.
         """
         self._check_mutable()
-        return self._catalog.retune(
-            self._store,
-            self.feedback,
-            self._migration_ratio,
-            self._observer,
-            relation,
-        )
+        return self._catalog.retune(self._store, relation)
 
     # -- introspection ---------------------------------------------------------
 
@@ -680,12 +607,16 @@ class PredicateIndex:
     def verify_and_rebuild(self) -> Dict[str, Any]:
         """Detect index corruption and repair it in place.
 
-        Audits every relation; for each one reporting problems, drops
-        its per-attribute trees and rebuilds them from the PREDICATES
-        table — the durable source of truth — preserving identifiers
-        and entry-clause choices, then re-audits (including the
-        differential probe check) to prove the repair took.  Orphaned
-        ``_relation_of`` entries with no backing predicate are pruned.
+        Audits every relation; for each one reporting problems,
+        rebuilds its per-attribute trees and registries from the
+        PREDICATES table — the durable source of truth — preserving
+        identifiers, then re-audits (including the differential probe
+        check) to prove the repair took.  Every entry clause is chosen
+        again by the estimator, since the damaged registries cannot be
+        trusted.  The new trees are built to one side and swapped in,
+        so a failure while building leaves the relation as it was.
+        Orphaned ``_relation_of`` entries with no backing predicate are
+        pruned.
 
         Returns a report ``{"healthy": bool, "problems": [...],
         "rebuilt": [relation, ...]}`` where ``healthy`` reflects the

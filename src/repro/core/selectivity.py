@@ -99,12 +99,9 @@ def rank_index_clauses(
     """Every indexable clause of *predicate*, most selective first.
 
     Returns ``[(score, clause), ...]`` sorted ascending by estimated
-    selectivity, with clause order breaking ties (so the first entry is
-    exactly what :func:`choose_index_clause` picks).  The full ranking
-    is what adaptive entry-clause migration needs: when observed
-    feedback shows the current entry clause admitting too many
-    candidates, the next-best *different-attribute* clause is the
-    migration target.
+    selectivity, with clause order breaking ties, so the first entry is
+    exactly what :func:`choose_index_clause` picks; the rest show how
+    close the runners-up came.
     """
     estimator = estimator or DefaultEstimator()
     scored: List[tuple] = []

@@ -19,7 +19,7 @@ from .persistence import (
 )
 from .relation import Relation
 from .schema import Attribute, Schema
-from .statistics import AttributeStatistics, EntryClauseFeedback, RelationStatistics
+from .statistics import AttributeStatistics, RelationStatistics
 from .types import ANY, BOOLEAN, FLOAT, INTEGER, NUMBER, STRING, Domain, integer_range
 
 __all__ = [
@@ -44,7 +44,6 @@ __all__ = [
     "BatchEvent",
     "RelationStatistics",
     "AttributeStatistics",
-    "EntryClauseFeedback",
     "save_database",
     "load_database",
     "database_to_dict",

@@ -15,14 +15,13 @@ databases (the common case when rules are created before data loads).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Hashable, Iterable, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional
 
 from ..core.intervals import Interval, is_infinite
 from ..predicates.clauses import Clause, EqualityClause, FunctionClause, IntervalClause
 
 __all__ = [
     "AttributeStatistics",
-    "EntryClauseFeedback",
     "RelationStatistics",
     "DEFAULT_SELECTIVITIES",
 ]
@@ -210,87 +209,6 @@ class RelationStatistics:
                 return _default_for(clause.interval)
             return stats.interval_selectivity(clause.interval)
         return 1.0
-
-
-class EntryClauseFeedback:
-    """Observed entry-clause performance, fed back from the matcher.
-
-    The a-priori estimators above answer "how selective *should* this
-    clause be"; this class answers "how selective did the chosen entry
-    clause *turn out* to be".  The matcher calls
-    :meth:`observe_tuples` once per matched tuple (or once per batch
-    with the batch size) and :meth:`observe_candidates` with the
-    identifiers its index probes admitted as candidates.  The observed
-    selectivity of a predicate's entry clause is then
-
-        ``candidate hits for the predicate / tuples seen``
-
-    — exactly the fraction the optimizer tried to minimise when it
-    picked the clause.  :class:`~repro.core.predicate_index.PredicateIndex`
-    compares this against the estimates of the predicate's *other*
-    indexable clauses and migrates the entry clause when the estimate
-    says another attribute tree would admit decisively fewer
-    candidates.
-
-    Counters are windowed: :meth:`reset` zeroes a relation after a
-    retune pass so each migration decision rests on fresh evidence.
-    No observation is meaningful before :attr:`min_samples` tuples.
-    """
-
-    __slots__ = ("min_samples", "_tuples_seen", "_candidate_hits")
-
-    def __init__(self, min_samples: int = 256):
-        self.min_samples = min_samples
-        #: relation -> tuples matched against it this window
-        self._tuples_seen: Dict[str, int] = {}
-        #: predicate ident -> times it was admitted as a candidate
-        self._candidate_hits: Dict[Hashable, int] = {}
-
-    def observe_tuples(self, relation: str, count: int = 1) -> None:
-        """Record *count* tuples matched against *relation*."""
-        self._tuples_seen[relation] = self._tuples_seen.get(relation, 0) + count
-
-    def observe_candidates(
-        self, idents: Iterable[Hashable], count: int = 1
-    ) -> None:
-        """Record each of *idents* surviving an index probe *count* times."""
-        hits = self._candidate_hits
-        for ident in idents:
-            hits[ident] = hits.get(ident, 0) + count
-
-    def tuples_seen(self, relation: str) -> int:
-        return self._tuples_seen.get(relation, 0)
-
-    def candidate_hits(self, ident: Hashable) -> int:
-        return self._candidate_hits.get(ident, 0)
-
-    def observed_selectivity(
-        self, relation: str, ident: Hashable
-    ) -> Optional[float]:
-        """Observed candidate fraction for *ident*, or None if too few samples."""
-        seen = self._tuples_seen.get(relation, 0)
-        if seen < self.min_samples:
-            return None
-        return min(1.0, self._candidate_hits.get(ident, 0) / seen)
-
-    def reset(
-        self, relation: Optional[str] = None, idents: Iterable[Hashable] = ()
-    ) -> None:
-        """Zero one relation's window (and its predicates), or everything."""
-        if relation is None:
-            self._tuples_seen.clear()
-            self._candidate_hits.clear()
-            return
-        self._tuples_seen.pop(relation, None)
-        for ident in idents:
-            self._candidate_hits.pop(ident, None)
-
-    def as_dict(self) -> Dict[str, Dict]:
-        """Snapshot of both counter families (for tests and debugging)."""
-        return {
-            "tuples_seen": dict(self._tuples_seen),
-            "candidate_hits": dict(self._candidate_hits),
-        }
 
 
 def _default_for(interval: Interval) -> float:

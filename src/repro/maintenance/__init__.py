@@ -1,7 +1,7 @@
 """The unified maintenance plane: one clock, one scheduler, all tiers.
 
-The repo grew separate self-maintenance mechanisms — adaptive
-entry-clause retuning, the concurrent facade's compaction clock, and
+The repo grew separate self-maintenance mechanisms — entry-clause
+retuning, the concurrent facade's compaction clock, and
 the disk tier's checkpoint/eviction machinery — each with its own
 bespoke op-counter, trigger condition, and failure handling.  This
 package replaces every bespoke counter with a single deterministic

@@ -28,8 +28,8 @@ class MaintenancePolicy:
     Interval semantics follow the clock's documented op-count: an
     interval of ``N`` means "run once every N matched tuples +
     predicate writes".  All intervals are optional; a facade only
-    registers the tasks whose intervals (or prerequisites, e.g. an
-    adaptive index for retuning) are present.
+    registers the tasks whose intervals (or prerequisites, e.g. the
+    disk tier for eviction) are present.
 
     ``budget_ops`` / ``budget_seconds`` bound a *single task run* —
     the disk checkpointer charges one op per shard, so

@@ -1,7 +1,7 @@
 """Maintenance tasks and the budget they run under.
 
 A task is deliberately small: a name, a cost class (so reports and
-budgets can tell a cheap in-memory retune from an fsync-heavy
+budgets can tell a cheap in-memory pass from an fsync-heavy
 checkpoint), a trigger interval in clock ops (plus an optional
 interval in seconds, only live when the clock has a time source), and
 a ``run(budget, relation)`` body.  Everything stateful — last-run
@@ -22,9 +22,9 @@ __all__ = [
 ]
 
 #: Coarse work classification, surfaced in reports and used to pick
-#: sensible default priorities: ``cheap`` covers in-memory counter
-#: work (retune), ``bulk`` covers structure rebuilds (compaction),
-#: ``io`` covers disk traffic (checkpoint, evict).
+#: sensible default priorities: ``cheap`` covers in-memory
+#: bookkeeping, ``bulk`` covers structure rebuilds (retune,
+#: compaction), ``io`` covers disk traffic (checkpoint, evict).
 COST_CLASSES = ("cheap", "bulk", "io")
 
 

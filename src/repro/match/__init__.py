@@ -5,7 +5,7 @@ decomposes into four cooperating layers, each separately testable:
 
 * :mod:`~repro.match.catalog` — :class:`ClauseCatalog`, the PREDICATES
   table: predicate storage, normalization, entry-clause
-  selection/migration, and the residuals compiled at registration;
+  selection and re-choice, and the residuals compiled at registration;
 * :mod:`~repro.match.store` — :class:`TreeStore`, tree lifecycle
   (epoch continuity, bulk construction, freeze demotion) and cache
   policy;

@@ -9,8 +9,9 @@
   contradictions rejected);
 * **entry-clause selection** — the paper's "most selective clause"
   choice via a pluggable selectivity estimator, or every indexable
-  clause under multi-clause indexing — and feedback-driven entry-clause
-  **migration** (:meth:`ClauseCatalog.retune`);
+  clause under multi-clause indexing — made again from the estimator's
+  current answers by :meth:`ClauseCatalog.redecide`, the one decide
+  step behind ``retune()`` on both facades;
 * the **compiled residuals**: each predicate's residual test compiled
   into a tagged dispatch tuple (see :func:`compile_residual`) by every
   path that enters the predicate, and run by both match paths;
@@ -48,12 +49,10 @@ from ..core.selectivity import (
     DefaultEstimator,
     SelectivityEstimator,
     choose_index_clause,
-    rank_index_clauses,
 )
 from ..errors import PredicateError, UnknownIntervalError
 from ..predicates.clauses import FunctionClause, IntervalClause
 from ..predicates.predicate import Predicate
-from .observer import MatchObserver
 
 __all__ = [
     "RelationState",
@@ -130,18 +129,17 @@ class RelationState:
         )
         #: lowest epoch any *future* tree of this relation may carry.
         #: Raised past a tree's last epoch whenever that tree is dropped
-        #: (remove/rollback/migration/rebuild), and seeded into every
+        #: (remove/rollback/retune/rebuild), and seeded into every
         #: fresh tree, so ``(attribute, tree_epoch)`` pairs are never
         #: reused across tree generations — epoch-keyed caches and
         #: epoch-snapshot readers can rely on monotonicity.
         self.epoch_floor: int = 0
         #: monotone mutation counter, bumped by every catalog operation
         #: that changes what this relation matches (register, remove,
-        #: entry-clause migration, rebuild, rollback).  Derived
-        #: read-path structures — the non-indexable shapes above and the
-        #: columnar plane below — key their caches on it, so a mutation
-        #: invalidates them by version mismatch instead of an explicit
-        #: notification.
+        #: retune, rebuild, rollback).  Derived read-path structures —
+        #: the non-indexable shapes above and the columnar plane below —
+        #: key their caches on it, so a mutation invalidates them by
+        #: version mismatch instead of an explicit notification.
         self.version: int = 0
         #: ``(version, plane_or_None)`` — the relation's cached columnar
         #: batch plane (see :mod:`repro.match.columnar`), or ``None``
@@ -172,9 +170,9 @@ def _file_entry(
     a residual already compiled for exactly this *under*, carried from
     an earlier filing; without one it is compiled here.  Every path
     that enters a predicate ends here — registration, bulk
-    registration, disk cold start, rebuild, entry-clause migration and
-    the snapshot layer's overlay writes — so ``state.residuals`` always
-    holds exactly the live predicates and no match path ever compiles.
+    registration, disk cold start, rebuild, retune and the snapshot
+    layer's overlay writes — so ``state.residuals`` always holds
+    exactly the live predicates and no match path ever compiles.
     """
     if under:
         state.indexed_under[ident] = under
@@ -518,117 +516,60 @@ class ClauseCatalog:
         if not state.predicates:
             del self.relations[relation]
 
-    # -- adaptive entry-clause migration --------------------------------
+    # -- re-choosing entry clauses -------------------------------------
 
-    def retune(
-        self,
-        store: Any,
-        feedback: Any,
-        migration_ratio: float,
-        observer: MatchObserver,
-        relation: Optional[str] = None,
-    ) -> List[Hashable]:
-        """One feedback-driven migration pass; returns migrated idents.
+    def redecide(
+        self, relation: str, idents: Optional[Iterable[Hashable]] = None
+    ) -> Dict[Hashable, Decision]:
+        """Ask the estimator again; the new decisions of the predicates that move.
 
-        For every indexed predicate of *relation* (or of every
-        relation) with enough observed samples, compare the
-        **observed** selectivity of its current entry clause against
-        the estimated selectivity of its best indexable clause on a
-        *different* attribute; when the alternative's estimate is below
-        ``observed * migration_ratio`` the entry clause is migrated.
-        After a pass the relation's feedback window is reset so the
-        next decision rests on fresh evidence.  No-op under
-        multi-clause indexing.
+        Every predicate of *relation* (or only *idents*) with more than
+        one clause is decided afresh by :meth:`entry_clauses_of`; a
+        one-clause predicate has nothing to choose between.  Returns
+        ``ident -> (under, residual)`` for each predicate whose entry
+        attribute(s) differ from the ones it is filed with, its residual
+        compiled for the new attributes.  Nothing is filed here: the
+        scalar index swaps the movers in with :meth:`retune`, and the
+        snapshot shard folds them in beside its carried decisions.
         """
-        if self.multi_clause:
-            return []
-        migrated: List[Hashable] = []
+        state = self.relations.get(relation)
+        if state is None:
+            return {}
+        predicates = state.predicates
+        filed = state.indexed_under
+        moved: Dict[Hashable, Decision] = {}
+        for ident in predicates if idents is None else idents:
+            predicate = predicates[ident]
+            if len(predicate.clauses) < 2:
+                continue
+            under = tuple(c.attribute for c in self.entry_clauses_of(predicate))
+            if under != filed.get(ident, ()):
+                moved[ident] = (under, compile_residual(predicate, under))
+        return moved
+
+    def retune(self, store: Any, relation: Optional[str] = None) -> List[Hashable]:
+        """Re-choose entry clauses from the estimator; returns the idents that moved.
+
+        :meth:`redecide` runs for *relation* (or every relation).  Where
+        nothing moves no tree is touched; otherwise only the trees of
+        the movers' old and new attributes are rebuilt, to one side,
+        and swapped in by :meth:`refile`.
+        """
+        moved_all: List[Hashable] = []
         targets = [relation] if relation is not None else list(self.relations)
         for rel in targets:
-            state = self.relations.get(rel)
-            if state is None:
+            moved = self.redecide(rel)
+            if not moved:
                 continue
-            if feedback.tuples_seen(rel) < feedback.min_samples:
-                continue
-            for ident in list(state.indexed_under):
-                observed = feedback.observed_selectivity(rel, ident)
-                if observed is None:
-                    continue
-                current = state.indexed_under.get(ident)
-                if not current:
-                    continue
-                predicate = state.predicates[ident]
-                alternative: Optional[Tuple[float, IntervalClause]] = None
-                for score, clause in rank_index_clauses(predicate, self.estimator):
-                    if clause.attribute != current[0]:
-                        alternative = (score, clause)
-                        break
-                if alternative is None:
-                    continue  # no different-attribute clause to move to
-                score, clause = alternative
-                if score < observed * migration_ratio:
-                    if self.migrate_entry_clause(
-                        store, rel, state, ident, clause, observer
-                    ):
-                        migrated.append(ident)
-            feedback.reset(
-                rel,
-                list(state.indexed_under) + list(state.non_indexable),
-            )
-        return migrated
-
-    def migrate_entry_clause(
-        self,
-        store: Any,
-        relation: str,
-        state: RelationState,
-        ident: Hashable,
-        clause: IntervalClause,
-        observer: MatchObserver,
-    ) -> bool:
-        """Move *ident*'s entry clause into *clause*'s attribute tree.
-
-        Transactional per predicate: the old entry is re-inserted if
-        the new tree's insert fails, and if *that* also fails the
-        predicate is parked on the non-indexable list (brute force is
-        always sound) before the failure propagates.
-        """
-        old_attr = state.indexed_under[ident][0]
-        new_attr = clause.attribute
-        if new_attr == old_attr:
-            return False
-        state.version += 1
-        old_tree = state.trees[old_attr]
-        old_interval = _interval_on(state.predicates[ident], old_attr)
-        new_tree = state.trees.get(new_attr)
-        created = new_tree is None
-        if created:
-            new_tree = store.new_tree(state, new_attr)
-        old_tree.delete(ident)
-        try:
-            new_tree.insert(clause.interval, ident)
-        except BaseException:
-            try:
-                old_tree.insert(old_interval, ident)
-            except BaseException:
-                # Double fault: neither tree accepted the entry.  Brute
-                # force is always sound, so park the predicate on the
-                # non-indexable list rather than lose it.
-                state.indexed_under.pop(ident, None)
-                _file_entry(state, ident, state.predicates[ident], ())
-                if not old_tree:
-                    store.drop_tree(state, old_attr)
-                raise
-            raise
-        if created:
-            state.trees[new_attr] = new_tree
-            state.stab_cache.clear()  # tree map changed shape
-        if not old_tree:
-            store.drop_tree(state, old_attr)
-        # the residual now re-tests the old entry clause and skips the new
-        _file_entry(state, ident, state.predicates[ident], (new_attr,))
-        observer.on_migration(relation, ident, old_attr, new_attr)
-        return True
+            state = self.relations[rel]
+            filing = self.decisions(rel, state.predicates)
+            attributes: Set[str] = set()
+            for ident, decision in moved.items():
+                attributes.update(filing[ident][0], decision[0])
+            filing.update(moved)
+            self.refile(store, state, filing, attributes)
+            moved_all.extend(moved)
+        return moved_all
 
     # -- rebuild --------------------------------------------------------
 
@@ -637,33 +578,65 @@ class ClauseCatalog:
     ) -> None:
         """Rebuild *relation*'s trees and registries from its predicates.
 
-        Entry clauses are grouped by attribute and each fresh tree is
-        built with ``bulk_load`` — O(N) endpoint sorting plus a
-        balanced build, instead of N incremental inserts.  Predicates
-        are already normalized in the registry, so nothing is
-        re-normalized here.
+        The repair path: the registries may be damaged, so every
+        predicate is decided afresh and every tree is rebuilt by
+        :meth:`refile`, which leaves the relation as it was if a build
+        fails.  Predicates are already normalized in the registry, so
+        nothing is re-normalized here.
         """
-        state.version += 1
-        for tree in state.trees.values():
-            store.retire_tree(state, tree)
-        state.trees = {}
-        state.non_indexable = set()
-        state.indexed_under = {}
-        state.residuals = {}
-        state.stab_cache.clear()  # dropped trees: epochs jump past the floor
-        per_attribute: Dict[str, List[Tuple[Any, Hashable]]] = {}
+        filing: Dict[Hashable, Decision] = {}
+        attributes = set(state.trees)
         for ident, predicate in state.predicates.items():
-            self.relation_of[ident] = relation
-            entry_clauses = self.entry_clauses_of(predicate)
-            for clause in entry_clauses:
-                per_attribute.setdefault(clause.attribute, []).append(
-                    (clause.interval, ident)
-                )
-            _file_entry(
-                state, ident, predicate, tuple(c.attribute for c in entry_clauses)
-            )
-        for attribute, pairs in per_attribute.items():
-            state.trees[attribute] = store.build_tree(state, pairs, attribute)
+            under = tuple(c.attribute for c in self.entry_clauses_of(predicate))
+            filing[ident] = (under, compile_residual(predicate, under))
+            attributes.update(under)
+        self.refile(store, state, filing, attributes)
+        self.relation_of.update(dict.fromkeys(state.predicates, relation))
+
+    def refile(
+        self,
+        store: Any,
+        state: RelationState,
+        filing: Mapping[Hashable, Decision],
+        attributes: Iterable[str],
+    ) -> None:
+        """File every predicate of *state* by *filing*; rebuild *attributes*' trees.
+
+        *filing* holds one ``(under, residual)`` per predicate.  The
+        trees of *attributes* are bulk-loaded to one side first, so a
+        failure while building leaves the relation exactly as it was;
+        only then are the registries replaced and the new trees swapped
+        in.  Trees of other attributes are kept as they are.
+        """
+        per_attribute: Dict[str, List[Tuple[Any, Hashable]]] = {
+            attribute: [] for attribute in attributes
+        }
+        for ident, (under, _) in filing.items():
+            for attribute in under:
+                pairs = per_attribute.get(attribute)
+                if pairs is not None:
+                    pairs.append((_interval_on(state.predicates[ident], attribute), ident))
+        for attribute in per_attribute:
+            old = state.trees.get(attribute)
+            if old is not None:
+                # raise the floor first: no new tree reuses an old epoch
+                store.retire_tree(state, old)
+        built = {
+            attribute: store.build_tree(state, pairs, attribute)
+            for attribute, pairs in per_attribute.items()
+            if pairs
+        }
+        # nothing below raises: swap the filing and the trees in
+        trees = {a: t for a, t in state.trees.items() if a not in per_attribute}
+        trees.update(built)
+        state.trees = trees
+        state.indexed_under = {}
+        state.non_indexable = set()
+        state.residuals = {}
+        for ident, (under, residual) in filing.items():
+            _file_entry(state, ident, state.predicates[ident], under, residual)
+        state.stab_cache.clear()  # the tree map changed
+        state.version += 1
 
     # -- introspection --------------------------------------------------
 

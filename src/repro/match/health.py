@@ -183,12 +183,14 @@ def verify_and_rebuild(
 ) -> Dict[str, Any]:
     """Detect index corruption and repair it in place.
 
-    Audits every relation; for each one reporting problems, drops its
-    per-attribute trees and rebuilds them from the PREDICATES table —
-    the durable source of truth — preserving identifiers and
-    entry-clause choices, then re-audits (including the differential
-    probe check) to prove the repair took.  Orphaned routing entries
-    with no backing predicate are pruned.
+    Audits every relation; for each one reporting problems, rebuilds
+    its per-attribute trees and registries from the PREDICATES table —
+    the durable source of truth — preserving identifiers, then
+    re-audits (including the differential probe check) to prove the
+    repair took.  Every entry clause is chosen again by the estimator
+    (:meth:`~repro.match.catalog.ClauseCatalog.rebuild_relation`), and
+    a failure while building leaves the relation as it was.  Orphaned
+    routing entries with no backing predicate are pruned.
 
     Returns a report ``{"healthy": bool, "problems": [...], "rebuilt":
     [relation, ...]}`` where ``healthy`` reflects the state *before*

@@ -35,7 +35,6 @@ and cached paths deliberately reduce:
 * ``stab_cache_hits`` — probes answered from the epoch-keyed stab
   cache;
 * ``batches_matched`` — :meth:`match_batch` invocations;
-* ``clause_migrations`` — adaptive entry-clause migrations performed;
 * ``maintenance_runs`` / ``maintenance_failures`` — scheduled
   maintenance-task executions and how many of them failed (see
   :mod:`repro.maintenance`).
@@ -43,7 +42,7 @@ and cached paths deliberately reduce:
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Optional
+from typing import Dict, Optional
 
 __all__ = [
     "MatchStatistics",
@@ -71,7 +70,6 @@ class MatchStatistics:
         "full_matches",
         "batches_matched",
         "stab_cache_hits",
-        "clause_migrations",
         "maintenance_runs",
         "maintenance_failures",
     )
@@ -99,7 +97,6 @@ class MatchStatistics:
         self.full_matches = 0
         self.batches_matched = 0
         self.stab_cache_hits = 0
-        self.clause_migrations = 0
         self.maintenance_runs = 0
         self.maintenance_failures = 0
 
@@ -151,16 +148,6 @@ class MatchObserver:
     def on_residual(self, relation: str, full: int) -> None:
         """The residual stage confirmed *full* complete matches."""
 
-    def on_migration(
-        self,
-        relation: str,
-        ident: Hashable,
-        old_attribute: Optional[str],
-        new_attribute: Optional[str],
-    ) -> None:
-        """An adaptive pass migrated *ident*'s entry clause between
-        attribute trees."""
-
     def on_maintenance(self, task: str, ok: bool, spent_ops: int) -> None:
         """The maintenance scheduler ran *task*: ``ok`` says whether it
         completed, *spent_ops* is the work it charged to its budget
@@ -198,15 +185,6 @@ class StatsObserver(MatchObserver):
 
     def on_residual(self, relation: str, full: int) -> None:
         self.stats.full_matches += full
-
-    def on_migration(
-        self,
-        relation: str,
-        ident: Hashable,
-        old_attribute: Optional[str],
-        new_attribute: Optional[str],
-    ) -> None:
-        self.stats.clause_migrations += 1
 
     def on_maintenance(self, task: str, ok: bool, spent_ops: int) -> None:
         stats = self.stats

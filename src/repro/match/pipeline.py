@@ -55,38 +55,26 @@ class MatchPipeline:
     observer:
         Stage-boundary sink; swap it to change what is recorded
         without touching the pipeline.
-    feedback:
-        Entry-clause feedback counters
-        (:class:`~repro.db.statistics.EntryClauseFeedback`); consulted
-        only when ``adaptive``.
-    adaptive:
-        Record observed entry-clause selectivities on the match path
-        (never safe on a frozen index read concurrently).
     columnar:
         Try the vectorized columnar plane (:mod:`repro.match.columnar`)
         first on every :meth:`match_batch` call; it steps aside, and the
         scalar stages below remain the semantics of record, whenever
         NumPy is missing or the relation or batch leaves its domain.
-        Ignored under ``adaptive`` (the feedback counters need the
-        scalar path's bookkeeping) and under multi-clause indexing.
+        Ignored under multi-clause indexing.
     """
 
-    __slots__ = ("catalog", "store", "observer", "feedback", "adaptive", "columnar")
+    __slots__ = ("catalog", "store", "observer", "columnar")
 
     def __init__(
         self,
         catalog: ClauseCatalog,
         store: TreeStore,
         observer: MatchObserver,
-        feedback: Any = None,
-        adaptive: bool = False,
         columnar: bool = False,
     ) -> None:
         self.catalog = catalog
         self.store = store
         self.observer = observer
-        self.feedback = feedback
-        self.adaptive = bool(adaptive)
         self.columnar = bool(columnar)
 
     # -- per-tuple path -------------------------------------------------
@@ -149,10 +137,6 @@ class MatchPipeline:
         if self.catalog.multi_clause:
             groups = [_intersect(state.indexed_under, groups)]
             partial = len(groups[0])
-        elif self.adaptive:
-            self.feedback.observe_tuples(relation, 1)
-            for group in groups:
-                self.feedback.observe_candidates(group)
         observer.on_stab(relation, probes, descents, cache_hits)
         observer.on_candidates(relation, partial, len(state.non_indexable))
         row = _residual_matches(tup, groups, state.residuals, _non_indexable_shapes(state))
@@ -190,7 +174,7 @@ class MatchPipeline:
             observer.on_route(relation, len(tuples), True)
             return [[] for _ in tuples]
         multi_clause = self.catalog.multi_clause
-        if self.columnar and not self.adaptive and not multi_clause:
+        if self.columnar and not multi_clause:
             rows = self._columnar_match_batch(relation, state, tuples)
             if rows is not None:
                 return rows
@@ -208,10 +192,6 @@ class MatchPipeline:
         shapes = _non_indexable_shapes(state)
         indexed_under = state.indexed_under
         stab_items = list(stab_tables.items())
-        observe: Any = None
-        if self.adaptive and not multi_clause:
-            observe = self.feedback.observe_candidates
-            self.feedback.observe_tuples(relation, batched)
         partial = full = 0
         results: List[List[Predicate]] = []
         for position, tup in enumerate(tuples):
@@ -234,8 +214,6 @@ class MatchPipeline:
                 groups = [_intersect(indexed_under, groups)]
             for group in groups:
                 partial += len(group)
-                if observe is not None:
-                    observe(group)
             row = _residual_matches(tup, groups, residuals, shapes)
             full += len(row)
             results.append(row)

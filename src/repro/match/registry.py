@@ -241,10 +241,6 @@ _IBS_OPTIONS = (
     "estimator",
     "multi_clause",
     "stab_cache_size",
-    "adaptive",
-    "min_feedback_tuples",
-    "migration_ratio",
-    "auto_retune_interval",
     "columnar",
     "storage",
     "data_dir",

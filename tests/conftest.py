@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 from repro import Interval
+from repro.core.selectivity import DefaultEstimator
 
 # A single moderate profile: enough examples to matter, fast enough to
 # keep the suite snappy.
@@ -75,3 +76,24 @@ query_points = st.one_of(
     st.integers(min_value=-5, max_value=45),
     st.sampled_from([v + 0.5 for v in range(-2, 43)]),
 )
+
+
+# -- estimators --------------------------------------------------------
+
+
+class SteeredEstimator(DefaultEstimator):
+    """System R constants, except that *preferred* looks most selective.
+
+    Counts its calls.  Setting ``preferred`` after registration plays
+    statistics that shifted, which ``retune()`` then acts on.
+    """
+
+    def __init__(self, preferred=None):
+        self.preferred = preferred
+        self.calls = 0
+
+    def estimate(self, relation, clause):
+        self.calls += 1
+        if clause.attribute == self.preferred:
+            return 0.01
+        return super().estimate(relation, clause)

@@ -17,7 +17,6 @@ import pytest
 
 from repro.concurrency import ConcurrentPredicateIndex
 from repro.core.intervals import Interval
-from repro.core.selectivity import DefaultEstimator
 from repro.errors import InjectedFault, TreeError
 from repro.maintenance import MaintenancePolicy
 from repro.match import catalog as catalog_module
@@ -25,24 +24,7 @@ from repro.match.catalog import ClauseCatalog
 from repro.predicates.clauses import IntervalClause
 from repro.predicates.predicate import Predicate
 from repro.testing.faults import FaultInjector, injected
-
-
-class SteeredEstimator(DefaultEstimator):
-    """System R constants, except that *preferred* looks most selective.
-
-    Counts its calls; flipping ``preferred`` plays statistics that
-    shifted after registration.
-    """
-
-    def __init__(self, preferred="x"):
-        self.preferred = preferred
-        self.calls = 0
-
-    def estimate(self, relation, clause):
-        self.calls += 1
-        if clause.attribute == self.preferred:
-            return 0.01
-        return super().estimate(relation, clause)
+from tests.conftest import SteeredEstimator
 
 
 def pred(ident, **ranges):
@@ -92,7 +74,7 @@ def storage(request):
 
 
 def build(tmp_path, storage, multi_clause=False, **options):
-    estimator = SteeredEstimator()
+    estimator = SteeredEstimator("x")
     idx = ConcurrentPredicateIndex(
         estimator=estimator,
         multi_clause=multi_clause,
@@ -134,12 +116,13 @@ def test_writes_and_folds_decide_only_new_predicates(tmp_path, config, tally):
     shard = idx.shard("r")
     live = {}
 
-    def step(action, new):
-        """Run *action*; exactly *new* predicates may be decided."""
+    def step(action, new, compiles=None):
+        """Run *action*; exactly *new* predicates may be decided, and
+        *compiles* residuals (by default *new*) compiled."""
         tally["decisions"] = tally["compiles"] = estimator.calls = 0
         action()
         assert tally["decisions"] == new
-        assert tally["compiles"] == new
+        assert tally["compiles"] == (new if compiles is None else compiles)
         # the estimator ranks both clauses of a decided predicate; it is
         # never asked under multi-clause indexing
         assert estimator.calls == (0 if multi_clause else 2 * new)
@@ -185,8 +168,19 @@ def test_writes_and_folds_decide_only_new_predicates(tmp_path, config, tally):
     step(lambda: idx.add_many(more), new=3)  # folds the overlay too
     assert shard.compactions == 5
 
-    # the one call that re-chooses decides every live predicate again
-    step(lambda: idx.retune(), new=len(live))
+    # the one call that re-chooses decides every live predicate again;
+    # when nothing moves it compiles nothing and does not fold
+    epoch = idx.snapshot("r").epoch
+    step(lambda: idx.retune(), new=len(live), compiles=0)
+    assert shard.compactions == 5
+    assert idx.snapshot("r").epoch == epoch
+
+    # once the estimates shift, only the movers are compiled, and one
+    # fold files them beside everyone else's carried decisions
+    estimator.preferred = "y"
+    moved = 0 if multi_clause else len(live)
+    step(lambda: idx.retune(), new=len(live), compiles=moved)
+    assert shard.compactions == (5 if multi_clause else 6)
 
 
 def test_maintenance_compact_task_carries_decisions(tmp_path, config, tally):

@@ -4,7 +4,7 @@ An index has no per-attribute choice of backend: the tree factory
 passed to its constructor builds every per-attribute interval index it
 ever holds — on registration and bulk load, when a relation's last
 predicate on an attribute leaves and a later one recreates the tree,
-when adaptive feedback migrates an entry clause to another attribute,
+when ``retune()`` moves an entry clause to another attribute,
 and, on the concurrent facade, in every overlay and compacted base.
 Each test drives one index through those paths on one registered
 backend, then checks that every live tree is that backend's type and
@@ -22,6 +22,7 @@ from repro.disk.tree import DiskIBSTree
 from repro.match.registry import DEFAULT_REGISTRY
 from repro.predicates import PredicateBuilder
 from repro.workloads.scenarios import scenario_names, synthesize
+from tests.conftest import SteeredEstimator
 
 
 def _dynamic(name):
@@ -104,17 +105,15 @@ def test_index_builds_every_tree_from_its_factory(backend):
 
 @pytest.mark.parametrize("backend", DYNAMIC)
 def test_entry_clause_migration_builds_from_the_factory(backend):
-    index = PredicateIndex(tree_factory=backend, adaptive=True, min_feedback_tuples=8)
+    estimator = SteeredEstimator()
+    index = PredicateIndex(tree_factory=backend, estimator=estimator)
     live = {}
     for offset in range(6):
-        # "a = 5" is the estimated entry clause; "b" the migration target
+        # "a = 5" is the estimated entry clause; "b" the move target
         pred = PredicateBuilder("r").eq("a", 5).between("b", offset, offset + 100).build()
         live[index.add(pred)] = pred
     assert set(tree_types(index)) == {("r", "a")}
-    # every tuple passes the entry clause and fails the range: the
-    # observed selectivity of "a" is 1.0, so feedback moves to "b"
-    for i in range(10):
-        index.match("r", {"a": 5, "b": 500 + i})
+    estimator.preferred = "b"  # statistics shift after registration
     assert sorted(index.retune("r")) == sorted(live)
     assert tree_types(index) == {("r", "b"): backend_type(backend)}
     probes = [{"a": a, "b": b} for a in (4, 5, 6) for b in range(-2, 110, 4)]

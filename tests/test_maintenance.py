@@ -51,6 +51,7 @@ from repro.rules import RuleEngine
 from repro.testing.concurrency import InterleavingScheduler
 from repro.testing.faults import FAULT_SITES, FaultInjector, injected
 from repro.workloads.scenarios import scenario_names, synthesize
+from tests.conftest import SteeredEstimator
 
 MAINT_SEEDS = [int(s) for s in os.environ.get("MAINT_SEEDS", "0,1,2").split(",")]
 
@@ -324,24 +325,9 @@ class TestUnifiedOpSemantics:
 
     def test_no_bespoke_counters_remain(self):
         # the pre-refactor per-feature counters are gone: one clock only
-        index = PredicateIndex(adaptive=True, auto_retune_interval=16)
+        index = PredicateIndex(maintenance=MaintenancePolicy(retune_interval=16))
         assert not hasattr(index, "_tuples_since_retune")
-
-    def test_legacy_sugar_maps_to_policy_intervals(self):
-        index = PredicateIndex(
-            adaptive=True, min_feedback_tuples=8, auto_retune_interval=20
-        )
-        report = index.maintenance_report()
-        assert report["enabled"]
-        assert report["tasks"]["retune"]["interval_ops"] == 20
-
-    def test_policy_wins_over_legacy_sugar(self):
-        index = PredicateIndex(
-            adaptive=True,
-            auto_retune_interval=20,
-            maintenance=MaintenancePolicy(retune_interval=64),
-        )
-        assert index.maintenance_report()["tasks"]["retune"]["interval_ops"] == 64
+        assert index.maintenance_report()["tasks"]["retune"]["interval_ops"] == 16
 
     def test_plain_index_has_no_scheduler(self):
         index = PredicateIndex()
@@ -351,11 +337,7 @@ class TestUnifiedOpSemantics:
 
     def test_scalar_stats_count_maintenance_runs(self):
         rng = random.Random(3)
-        index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=4,
-            maintenance=MaintenancePolicy(retune_interval=8),
-        )
+        index = PredicateIndex(maintenance=MaintenancePolicy(retune_interval=8))
         for i in range(4):
             index.add(make_pred(rng, "emp", i))
         for _ in range(20):
@@ -427,6 +409,12 @@ CONFIGS = ["scalar", "balanced", "columnar", "concurrent", "disk"]
 
 
 def build_index(config, maintained, tmp_path, tag):
+    """``(index, checkpointer or None, estimator)`` for one configuration.
+
+    Every index gets its own steered estimator, preferring ``x`` until
+    :func:`drive_and_collect` shifts it.
+    """
+    estimator = SteeredEstimator("x")
     policy = (
         MaintenancePolicy(
             retune_interval=48,
@@ -439,48 +427,69 @@ def build_index(config, maintained, tmp_path, tag):
     )
     checkpointer = None
     if config == "scalar":
-        index = PredicateIndex(
-            adaptive=True, min_feedback_tuples=16, maintenance=policy
-        )
+        index = PredicateIndex(estimator=estimator, maintenance=policy)
     elif config == "balanced":
         index = PredicateIndex(
-            tree_factory="rb",
-            adaptive=True,
-            min_feedback_tuples=16,
-            maintenance=policy,
+            tree_factory="rb", estimator=estimator, maintenance=policy
         )
     elif config == "columnar":
-        index = PredicateIndex(columnar=True, maintenance=policy)
+        index = PredicateIndex(
+            columnar=True, estimator=estimator, maintenance=policy
+        )
     elif config == "concurrent":
-        index = ConcurrentPredicateIndex(maintenance=policy)
+        index = ConcurrentPredicateIndex(estimator=estimator, maintenance=policy)
     elif config == "disk":
         index = ConcurrentPredicateIndex(
             storage="disk",
             data_dir=str(tmp_path / f"{tag}-disk"),
             compaction_threshold=16,
+            estimator=estimator,
             maintenance=policy,
         )
         if maintained:
             checkpointer = DiskCheckpointer(index)
     else:  # pragma: no cover - parametrize guards this
         raise AssertionError(config)
-    return index, checkpointer
+    return index, checkpointer, estimator
 
 
-def drive_and_collect(index, scenario, rng):
-    """Apply one scenario and return every answer the index gave."""
+def drive_and_collect(index, scenario, rng, estimator):
+    """Apply one scenario and return every answer the index gave.
+
+    Besides the scenario's own predicates, eight two-clause predicates
+    on the scenario's first attribute and ``x`` are filed under ``x``;
+    then *estimator* shifts to the first attribute, so every retune that
+    runs during the reads moves them.
+    """
     relation = scenario.spec.relation
+    first = scenario.spec.attributes[0]
     outputs = []
     for predicate in scenario.predicates():
         index.add(predicate)
+    for i in range(8):
+        low, edge = rng.randint(1, 8_000), rng.uniform(-120, 60)
+        index.add(
+            Predicate(
+                relation,
+                [
+                    IntervalClause(first, Interval.closed(low, low + 2_000)),
+                    IntervalClause("x", Interval.closed(edge, edge + 60)),
+                ],
+                ident=-1 - i,  # scenario idents are non-negative
+            )
+        )
     for op, payload in scenario.churn():
         if op == "add":
             index.add(payload)
         else:
             index.remove(payload)
+    estimator.preferred = first
     for batch in scenario.batches():
         outputs.append(sorted_rows(index.match_batch(relation, batch)))
-    sweep = [{"x": rng.uniform(-120, 120)} for _ in range(60)]
+    sweep = [
+        {"x": rng.uniform(-120, 120), first: rng.randint(1, 10_000)}
+        for _ in range(60)
+    ]
     outputs.append(match_table(index, relation, sweep))
     outputs.append([sorted(index.match_idents(relation, t)) for t in sweep[:10]])
     return outputs
@@ -491,17 +500,17 @@ def drive_and_collect(index, scenario, rng):
 CONFIG_TASKS = {
     "scalar": {"retune"},
     "balanced": {"retune"},
-    "columnar": set(),
-    "concurrent": {"compact"},
-    "disk": {"compact", "evict", "checkpoint"},
+    "columnar": {"retune"},
+    "concurrent": {"retune", "compact"},
+    "disk": {"retune", "compact", "evict", "checkpoint"},
 }
 
 
 class TestTickVsTwinDifferential:
     @pytest.mark.parametrize("config", CONFIGS)
     def test_each_configuration_registers_its_own_tasks(self, tmp_path, config):
-        ticked, checkpointer = build_index(config, True, tmp_path, "t")
-        twin, _ = build_index(config, False, tmp_path, "n")
+        ticked, checkpointer, _ = build_index(config, True, tmp_path, "t")
+        twin, _, _ = build_index(config, False, tmp_path, "n")
         report = ticked.maintenance_report()
         assert report["enabled"]
         assert set(report["tasks"]) == CONFIG_TASKS[config]
@@ -516,12 +525,14 @@ class TestTickVsTwinDifferential:
     ):
         for family in scenario_names():
             scenario = synthesize(family, seed=seed, scale=0.2)
-            ticked, checkpointer = build_index(
+            ticked, checkpointer, steer = build_index(
                 config, True, tmp_path, f"{family}-{seed}-t"
             )
-            twin, _ = build_index(config, False, tmp_path, f"{family}-{seed}-n")
-            got = drive_and_collect(ticked, scenario, random.Random(seed))
-            want = drive_and_collect(twin, scenario, random.Random(seed))
+            twin, _, twin_steer = build_index(
+                config, False, tmp_path, f"{family}-{seed}-n"
+            )
+            got = drive_and_collect(ticked, scenario, random.Random(seed), steer)
+            want = drive_and_collect(twin, scenario, random.Random(seed), twin_steer)
             assert got == want, (config, family, seed)
             if config != "disk":
                 report = ticked.maintenance_report()
@@ -542,12 +553,14 @@ class TestTickVsTwinDifferential:
             "maint.checkpoint_preempted": "disk",
         }[site]
         scenario = synthesize("churn-heavy", seed=seed, scale=0.2)
-        ticked, checkpointer = build_index(config, True, tmp_path, f"{site}-{seed}-t")
-        twin, _ = build_index(config, False, tmp_path, f"{site}-{seed}-n")
+        ticked, checkpointer, steer = build_index(
+            config, True, tmp_path, f"{site}-{seed}-t"
+        )
+        twin, _, twin_steer = build_index(config, False, tmp_path, f"{site}-{seed}-n")
         with injected(FaultInjector(seed=seed)) as injector:
             injector.arm(site, at_hit=1)
-            got = drive_and_collect(ticked, scenario, random.Random(seed))
-        want = drive_and_collect(twin, scenario, random.Random(seed))
+            got = drive_and_collect(ticked, scenario, random.Random(seed), steer)
+        want = drive_and_collect(twin, scenario, random.Random(seed), twin_steer)
         assert got == want, (site, seed)
         if injector.fired and site == "maint.task_raises":
             report = ticked.maintenance_report()
@@ -565,13 +578,25 @@ class TestMaintCrashDrills:
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_task_raises_is_contained_and_dead_lettered(self, seed):
         rng = random.Random(seed)
+        estimator = SteeredEstimator("x")
         index = PredicateIndex(
-            adaptive=True,
-            min_feedback_tuples=4,
+            estimator=estimator,
             maintenance=MaintenancePolicy(retune_interval=8, quarantine_failures=99),
         )
         for i in range(6):
             index.add(make_pred(rng, "emp", i))
+        for i in range(3):
+            index.add(
+                Predicate(
+                    "emp",
+                    [
+                        IntervalClause("x", Interval.closed(-50, 50)),
+                        IntervalClause("y", Interval.closed(i, i + 10)),
+                    ],
+                    ident=f"emp-pair-{i}",
+                )
+            )
+        estimator.preferred = "y"  # the next retune that runs moves the pairs
         with injected(FaultInjector(seed=seed)) as injector:
             injector.arm("maint.task_raises", at_hit=1)
             for _ in range(20):
@@ -584,6 +609,8 @@ class TestMaintCrashDrills:
             index.match("emp", {"x": rng.uniform(-100, 100)})
         after = index.maintenance_report()
         assert after["tasks"]["retune"]["runs"] > report["tasks"]["retune"]["runs"]
+        for i in range(3):
+            assert index.indexed_attributes(f"emp-pair-{i}") == ("y",)
 
     @pytest.mark.parametrize("seed", MAINT_SEEDS)
     def test_checkpoint_preempted_recovers_to_twin(self, tmp_path, seed):

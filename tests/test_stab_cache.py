@@ -5,7 +5,7 @@ The cache memoizes ``tree.stab(value)`` results keyed by
 epoch component: every tree mutation bumps the epoch, so stale entries
 become unreachable without any invalidation scan.  These tests pin that
 contract — a cached answer must never survive an insert, delete,
-migration, or rebuild that could change it.
+retune, or rebuild that could change it.
 """
 
 import random
@@ -21,6 +21,7 @@ from repro import (
     PredicateIndex,
 )
 from repro.predicates import PredicateBuilder
+from tests.conftest import SteeredEstimator
 
 BACKENDS = [IBSTree, FlatIBSTree]
 
@@ -91,18 +92,15 @@ def test_rebuild_invalidates_cache(factory):
 
 
 def test_migration_invalidates_cache():
-    idx = PredicateIndex(
-        stab_cache_size=32,
-        adaptive=True,
-        min_feedback_tuples=8,
-    )
+    estimator = SteeredEstimator()
+    idx = PredicateIndex(stab_cache_size=32, estimator=estimator)
     ident = idx.add(
         PredicateBuilder("r").eq("a", 5).between("b", 0, 100).build()
     )
-    # warm the cache on the "a" tree, with feedback showing the entry
-    # clause admitting every tuple
+    # warm the cache on the "a" tree, then let the estimates shift
     for _ in range(10):
         assert idx.match("r", {"a": 5, "b": 500}) == []
+    estimator.preferred = "b"
     assert idx.retune("r") == [ident]
     rel = idx._relations["r"]
     assert rel.indexed_under[ident] == ("b",)
@@ -158,17 +156,15 @@ def test_retune_bumps_tree_epochs():
     """Migration must retire the old generation: any tree the retune
     touches ends on a strictly higher epoch, so cached stabs keyed by
     ``(attribute, tree_epoch, value)`` can never resurface."""
-    idx = PredicateIndex(
-        stab_cache_size=32,
-        adaptive=True,
-        min_feedback_tuples=8,
-    )
+    estimator = SteeredEstimator()
+    idx = PredicateIndex(stab_cache_size=32, estimator=estimator)
     ident = idx.add(
         PredicateBuilder("r").eq("a", 5).between("b", 0, 100).build()
     )
     for _ in range(10):
         idx.match("r", {"a": 5, "b": 500})
     before = idx.tree_epochs("r")
+    estimator.preferred = "b"
     assert idx.retune("r") == [ident]
     after = idx.tree_epochs("r")
     # the source tree is gone (or re-created on a later epoch), and the
@@ -265,7 +261,6 @@ def test_stats_reset_clears_cache_counter():
     assert idx.stats.stab_cache_hits == 1
     idx.stats.reset()
     assert idx.stats.stab_cache_hits == 0
-    assert idx.stats.clause_migrations == 0
 
 
 def test_freeze_swaps_cache_to_plain_dict():
