@@ -282,8 +282,8 @@ class PredicateIndex:
         a mutable index's entire cache.  Residuals are compiled when a
         predicate is registered, so the read path of a frozen index
         compiles nothing; the only lazily built read-path structures are
-        the per-version non-indexable shape lists and columnar plane,
-        each published by one attribute assignment.
+        the per-version non-indexable groups and columnar plane, each
+        published by one attribute assignment.
         """
         self._frozen = True
         self._store.cache_lru = False

@@ -111,9 +111,10 @@ class RelationState:
         #: written by every registration path and only read by matching,
         #: so it always holds exactly the live predicates
         self.residuals: Dict[Hashable, Tuple[Any, ...]] = {}
-        #: ``(version, shapes)`` — the non-indexable predicates' residual
-        #: entries grouped by shape for the match pipeline, cached on
-        #: ``version`` like ``columnar_plane`` below; ``None`` until built
+        #: ``(version, shapes)`` — the non-indexable list as the match
+        #: pipeline tests it, one compiled check per distinct clause
+        #: tuple with its member predicates, cached on ``version`` like
+        #: ``columnar_plane`` below; ``None`` until built
         self.non_indexable_shapes: Optional[Tuple[int, Tuple[List[Any], ...]]] = None
         #: LRU stab cache: ``(attribute, tree_epoch, value) ->
         #: frozenset(idents)``.  Because the tree's epoch is part of

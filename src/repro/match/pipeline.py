@@ -373,37 +373,56 @@ def _intersect(
 
 
 def _non_indexable_shapes(state: RelationState) -> Tuple[List[Any], ...]:
-    """The relation's non-indexable residual entries, grouped by shape.
+    """The relation's non-indexable list, as one test per distinct condition.
 
-    Every tuple tests every non-indexable predicate, so their entries
-    are resolved once per relation version into per-shape lists
-    ``(closed, single, multi, trivial, opaque)`` that the residual stage
-    runs without dict lookups or shape dispatch; ``()`` when there are
-    none, so the stage skips them in one test.  Cached on
-    ``state.version`` like the columnar plane: one attribute assignment,
-    so lock-free readers of a frozen index race benignly.
+    Every tuple tests every non-indexable predicate, and many of them
+    test the same conjunction.  Predicates whose normalized clause
+    tuples are equal — same attributes, function objects and
+    negations, in the same order — share the first member's compiled
+    check, as a Rete network shares one test among the productions
+    that contain it; keying on the *ordered* tuple keeps each member's
+    short-circuit and exception behaviour.  A predicate is listed only
+    when it has no interval clause, so the result is ``(single, multi,
+    trivial, opaque)``: ``(attribute, check, members)`` and ``(pairs,
+    members)`` groups, the TRIVIAL predicates (nothing to test), and
+    the predicates ``Predicate.matches`` tests one by one.  ``()``
+    when the list is empty, so the stage skips it in one test.  Built
+    once per relation version and cached on ``state.version`` like the
+    columnar plane: one attribute assignment, so lock-free readers of a
+    frozen index race benignly.
     """
     cached = state.non_indexable_shapes
     if cached is not None and cached[0] == state.version:
         return cached[1]
-    shapes: Tuple[List[Any], ...] = ([], [], [], [], [])
-    closed, single, multi, trivial, opaque = shapes
+    groups: Dict[Hashable, Tuple[Any, ...]] = {}
+    trivial: List[Predicate] = []
+    opaque: List[Predicate] = []
     residuals = state.residuals
     for ident in state.non_indexable:
         entry = residuals[ident]
-        kind = entry[0]
-        if kind == CLOSED:
-            closed.append(entry[1:])
-        elif kind == SINGLE:
-            single.append(entry[1:])
-        elif kind == MULTI:
-            multi.append(entry[1:])
-        elif kind == TRIVIAL:
-            trivial.append(entry[1])
-        else:
-            opaque.append(entry[1])
-    if not state.non_indexable:
-        shapes = ()
+        kind, predicate = entry[0], entry[1]
+        if kind == TRIVIAL:
+            trivial.append(predicate)
+            continue
+        if kind not in (SINGLE, MULTI):
+            opaque.append(predicate)
+            continue
+        key: Hashable = predicate.clauses
+        try:
+            group = groups.get(key)
+        except TypeError:  # an unhashable clause: a group of one
+            key, group = object(), None
+        if group is None:
+            group = groups[key] = (kind, entry[2:], [])
+        group[2].append(predicate)
+    shapes: Tuple[List[Any], ...] = ()
+    if state.non_indexable:
+        shapes = (
+            [(*test, members) for kind, test, members in groups.values() if kind == SINGLE],
+            [(*test, members) for kind, test, members in groups.values() if kind == MULTI],
+            trivial,
+            opaque,
+        )
     state.non_indexable_shapes = (state.version, shapes)
     return shapes
 
@@ -419,8 +438,9 @@ def _residual_matches(
     Each ident in *groups* is tested by its compiled residual entry
     (see :func:`~repro.match.catalog.compile_residual`), which skips
     the clauses its index probe proved; the non-indexable predicates
-    follow from their per-shape lists (:func:`_non_indexable_shapes`).
-    Only OPAQUE entries fall back to ``Predicate.matches``.
+    follow, one check per distinct condition, each passing check
+    emitting all of its members (:func:`_non_indexable_shapes`).  Only
+    OPAQUE entries fall back to ``Predicate.matches``.
     """
     tup_get = tup.get
     row: List[Predicate] = []
@@ -455,25 +475,18 @@ def _residual_matches(
                 append(entry[1])
     if not shapes:
         return row
-    closed, single, multi, trivial, opaque = shapes
-    for predicate, attribute, low, high in closed:
-        v = tup_get(attribute)
-        try:
-            ok = v is not None and not (v < low or v > high)
-        except TypeError:
-            ok = False
-        if ok:
-            append(predicate)
-    for predicate, attribute, check in single:
+    single, multi, trivial, opaque = shapes
+    extend = row.extend
+    for attribute, check, members in single:
         if check(tup_get(attribute)):
-            append(predicate)
-    for predicate, pairs in multi:
+            extend(members)
+    for pairs, members in multi:
         for attribute, check in pairs:
             if not check(tup_get(attribute)):
                 break
         else:
-            append(predicate)
-    row.extend(trivial)
+            extend(members)
+    extend(trivial)
     for predicate in opaque:
         if predicate.matches(tup):
             append(predicate)

@@ -420,7 +420,7 @@ class RuleEngine:
             return
         matched = self.matcher.match(event.relation, image)
         if self._instantiate(event.relation, (event,), (matched,)) and self.mode == "immediate":
-            self._drain()
+            self._drain_mutation()
 
     def _on_batch(self, batch: BatchEvent) -> None:
         """Consume a bulk mutation: one matching pass, one agenda drain.
@@ -440,7 +440,7 @@ class RuleEngine:
         images = [event.tuple for event in events]
         matched_lists = self.matcher.match_batch(batch.relation, images)
         if self._instantiate(batch.relation, events, matched_lists) and self.mode == "immediate":
-            self._drain()
+            self._drain_mutation()
 
     def _instantiate(
         self,
@@ -485,6 +485,23 @@ class RuleEngine:
             ):
                 posted = True
         return posted
+
+    def _drain_mutation(self) -> None:
+        """Immediate mode: fire what a mutation posted; a veto drops the rest.
+
+        When an action vetoes the mutation (:class:`AbortMutation`
+        escapes the drain), the database rolls the mutation back, so
+        the instantiations this drain left pending — the mutation's own
+        and its cascade's — are for changes that never happened and
+        must not fire later.  A nested mutation's drain returns at once
+        (the outer drain fires its instantiations), so only the
+        outermost drain can get here.
+        """
+        try:
+            self._drain()
+        except AbortMutation:
+            self.agenda.clear()
+            raise
 
     def _drain(self) -> int:
         """Fire until the agenda is empty; returns the number fired.

@@ -77,56 +77,44 @@ def build_matcher(strategy: str, tmp_path):
     return strategy
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_differential_matchers(seed, tmp_path):
-    rng = random.Random(seed)
-    conditions = []
-    while len(conditions) < 8:
-        text = random_condition(rng)
-        # skip conditions that can never match (engine rejects them)
-        compiled = compile_condition("r", text, FNS)
-        if not compiled.group.is_empty:
-            conditions.append(text)
-    script = random_script(rng, 60)
-
-    transcripts: Dict[str, List] = {}
-    for strategy in STRATEGIES:
-        db = Database()
-        db.create_relation("r", ["a", "b", "dept"])
-        collect = CollectAction()
-        engine = RuleEngine(
-            db, matcher=build_matcher(strategy, tmp_path), functions=FNS
+def engine_transcript(strategy, conditions, script, fns, step_seed, tmp_path):
+    """Replay *script* through the rule engine on *strategy*; the firings."""
+    db = Database()
+    db.create_relation("r", ["a", "b", "dept"])
+    collect = CollectAction()
+    engine = RuleEngine(
+        db, matcher=build_matcher(strategy, tmp_path), functions=fns
+    )
+    for index, text in enumerate(conditions):
+        engine.create_rule(
+            f"rule{index}", on="r", condition=text, action=collect,
+            on_events=("insert", "update"),
         )
-        for index, text in enumerate(conditions):
-            engine.create_rule(
-                f"rule{index}", on="r", condition=text, action=collect,
-                on_events=("insert", "update"),
-            )
-        live: List[int] = []
-        step_rng = random.Random(seed + 999)
-        for op, tup in script:
-            if op == "insert":
-                live.append(db.insert("r", dict(tup)))
-            elif op == "update" and live:
-                db.update("r", step_rng.choice(live), dict(tup))
-            elif op == "delete" and live:
-                tid = live.pop(step_rng.randrange(len(live)))
-                db.delete("r", tid)
-        engine.close()
-        transcripts[strategy] = [
-            (name, tuple(sorted(tup.items()))) for name, tup in collect.records
-        ]
+    live: List[int] = []
+    step_rng = random.Random(step_seed)
+    for op, tup in script:
+        if op == "insert":
+            live.append(db.insert("r", dict(tup)))
+        elif op == "update" and live:
+            db.update("r", step_rng.choice(live), dict(tup))
+        elif op == "delete" and live:
+            tid = live.pop(step_rng.randrange(len(live)))
+            db.delete("r", tid)
+    engine.close()
+    return [(name, tuple(sorted(tup.items()))) for name, tup in collect.records]
 
-    # oracle: replay with direct evaluation
+
+def oracle_transcript(conditions, script, fns, step_seed):
+    """The firings *script* should cause, by direct evaluation."""
     compiled = [
-        (f"rule{index}", compile_condition("r", text, FNS))
+        (f"rule{index}", compile_condition("r", text, fns))
         for index, text in enumerate(conditions)
     ]
     oracle: List = []
     store: Dict[int, Dict] = {}
-    live = []
+    live: List[int] = []
     next_tid = 1
-    step_rng = random.Random(seed + 999)
+    step_rng = random.Random(step_seed)
     for op, tup in script:
         if op == "insert":
             tid = next_tid
@@ -147,9 +135,64 @@ def test_differential_matchers(seed, tmp_path):
         for name, condition in compiled:
             if condition.matches(image):
                 oracle.append((name, tuple(sorted(image.items()))))
+    return oracle
 
-    expected = sorted(oracle)
-    for strategy, transcript in transcripts.items():
+
+@pytest.mark.parametrize("seed", range(6))
+def test_differential_matchers(seed, tmp_path):
+    rng = random.Random(seed)
+    conditions = []
+    while len(conditions) < 8:
+        text = random_condition(rng)
+        # skip conditions that can never match (engine rejects them)
+        compiled = compile_condition("r", text, FNS)
+        if not compiled.group.is_empty:
+            conditions.append(text)
+    script = random_script(rng, 60)
+
+    expected = sorted(oracle_transcript(conditions, script, FNS, seed + 999))
+    for strategy in STRATEGIES:
+        transcript = engine_transcript(
+            strategy, conditions, script, FNS, seed + 999, tmp_path
+        )
+        assert sorted(transcript) == expected, (
+            f"strategy {strategy!r} diverged on seed {seed}"
+        )
+
+
+#: Two functions over two attributes: the non-indexable list's shapes.
+LIST_FNS = {"isodd": lambda x: x % 2 == 1, "big": lambda x: x > 15}
+
+
+def function_condition(rng: random.Random) -> List[str]:
+    """A function-only conjunction, in both clause orders when it has two
+    or more clauses, each clause negated at random."""
+    atoms = [
+        f"{'not ' if rng.random() < 0.3 else ''}"
+        f"{rng.choice(sorted(LIST_FNS))}({rng.choice(['a', 'b'])})"
+        for _ in range(rng.randint(1, 3))
+    ]
+    orders = [atoms, atoms[::-1]] if len(atoms) > 1 else [atoms]
+    return [" and ".join(order) for order in orders]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_function_only_conditions_share_tests(seed, tmp_path):
+    """Many rules on the non-indexable list, drawn from few distinct
+    clauses so that clause tuples repeat: every matcher fires exactly
+    what direct evaluation fires."""
+    rng = random.Random(f"function-only:{seed}")
+    conditions: List[str] = []
+    while len(conditions) < 16:
+        conditions.extend(function_condition(rng))
+    script = random_script(rng, 60)
+
+    expected = sorted(oracle_transcript(conditions, script, LIST_FNS, seed))
+    assert expected, "the script fired no rule: the comparison would be vacuous"
+    for strategy in STRATEGIES:
+        transcript = engine_transcript(
+            strategy, conditions, script, LIST_FNS, seed, tmp_path
+        )
         assert sorted(transcript) == expected, (
             f"strategy {strategy!r} diverged on seed {seed}"
         )

@@ -83,6 +83,41 @@ def test_batch_reports_same_logical_counts(workload, options):
     assert serial_logical == batch_logical
 
 
+@pytest.fixture(scope="module")
+def shared_workload():
+    # most predicates on the non-indexable list, each an ordered pair of
+    # 5 function clauses: their clause tuples repeat, so the residual
+    # stage tests each distinct tuple once per tuple
+    scenario = ScenarioWorkload(
+        ScenarioConfig(predicates_per_relation=80, indexable_fraction=0.3, seed=11)
+    )
+    return scenario, scenario.predicates()["r0"]
+
+
+@pytest.mark.parametrize("options", [
+    {},
+    {"tree_factory": "flat", "columnar": True},
+], ids=["default", "columnar"])
+def test_shared_clause_tuples_report_same_logical_counts(shared_workload, options):
+    scenario, predicates = shared_workload
+    listed = [p for p in predicates if not p.is_indexable]
+    assert len({p.clauses for p in listed}) < len(listed) / 2
+    tuples = scenario.tuples(N_TUPLES)
+
+    serial = loaded_index(shared_workload, **options)
+    serial_results, serial_logical = results_and_stats(serial, tuples, "per-tuple")
+
+    batched = loaded_index(shared_workload, **options)
+    batch_results, batch_logical = results_and_stats(batched, tuples, "batch")
+
+    expected = [{p.ident for p in predicates if p.matches(tup)} for tup in tuples]
+    assert [set(p.ident for p in r) for r in serial_results] == expected
+    assert [set(p.ident for p in r) for r in batch_results] == expected
+    assert serial_logical == batch_logical
+    # one logical test per listed predicate, however many share a check
+    assert serial_logical["non_indexable_tested"] == len(listed) * N_TUPLES
+
+
 def test_idents_path_reports_same_logical_counts(workload):
     tuples = workload[0].tuples(N_TUPLES)
 

@@ -316,3 +316,73 @@ class TestRuleEngineIntegration:
         # the rolled-back employees left the join's memory with the rollback
         db.insert("dept", {"dname": "Shoe", "budget": 1})
         assert pairs == []
+
+
+class TestVetoLeavesNothingPending:
+    """A vetoed mutation never happened, so nothing it posted may fire."""
+
+    def build(self, db):
+        engine = RuleEngine(db)
+
+        def veto(ctx):
+            raise AbortMutation("rejected")
+
+        fired = []
+        engine.create_rule(
+            "veto", on="emp", condition="salary > 1000", action=veto, priority=10
+        )
+        engine.create_rule(
+            "log", on="emp", condition="salary > 0",
+            action=lambda ctx: fired.append(ctx.event.tid),
+        )
+        return engine, fired
+
+    def test_vetoed_bulk_insert_leaves_no_pending_firings(self, db):
+        engine, fired = self.build(db)
+        with pytest.raises(AbortMutation):
+            db.bulk_insert(
+                "emp", [{"name": f"e{i}", "salary": 2000 + i} for i in range(10)]
+            )
+        assert db.count("emp") == 0
+        assert len(engine.agenda) == 0
+        # the next mutation fires for its own tuple only, not for the
+        # ten rolled-back ones (tids 1-10)
+        tid = db.insert("emp", {"name": "A", "salary": 5})
+        assert fired == [tid]
+
+    def test_vetoed_insert_leaves_no_pending_firing(self, db):
+        engine, fired = self.build(db)
+        with pytest.raises(AbortMutation):
+            db.insert("emp", {"name": "rich", "salary": 5000})
+        assert db.count("emp") == 0
+        assert len(engine.agenda) == 0
+        tid = db.insert("emp", {"name": "A", "salary": 5})
+        assert fired == [tid]
+
+    def test_deferred_run_keeps_other_mutations_instantiations(self, db):
+        engine = RuleEngine(db, mode="deferred")
+        vetoes = []
+
+        def veto(ctx):
+            vetoes.append(ctx.event.tid)
+            raise AbortMutation("rejected")
+
+        fired = []
+        engine.create_rule(
+            "veto", on="emp", condition="salary > 1000", action=veto, priority=10
+        )
+        engine.create_rule(
+            "log", on="emp", condition="salary > 0",
+            action=lambda ctx: fired.append(ctx.event.tid),
+        )
+        low = db.insert("emp", {"name": "A", "salary": 100})
+        high = db.insert("emp", {"name": "B", "salary": 5000})
+        with pytest.raises(AbortMutation):
+            engine.run()
+        # both inserts committed before run(): the veto undoes only its
+        # own firing, and the other instantiations stay for the next run
+        assert vetoes == [high]
+        assert db.count("emp") == 2
+        assert len(engine.agenda) == 2
+        assert engine.run() == 2
+        assert sorted(fired) == [low, high]
