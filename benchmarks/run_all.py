@@ -3,7 +3,7 @@
 
 Equivalent to ``python -m repro.bench.runner``.  Individual figures::
 
-    python benchmarks/run_all.py fig7 fig8 fig9 cost space abl1 abl2 e2e batch rebuild coldstart stabcache concurrency maint
+    python benchmarks/run_all.py fig7 fig8 fig9 cost space abl1 abl2 e2e batch rebuild coldstart concurrency maint
 
 ``--smoke`` runs every selected experiment (default: all) at a reduced
 scale — a fast sanity pass for CI, not a measurement.
@@ -28,7 +28,6 @@ from repro.bench.runner import (
     print_maintenance,
     print_rebuild,
     print_space,
-    print_stab_cache,
     run_ablation_balancing,
     run_ablation_indexes,
     run_ablation_multiclause,
@@ -43,7 +42,6 @@ from repro.bench.runner import (
     run_maintenance,
     run_rebuild,
     run_space,
-    run_stab_cache,
 )
 
 RUNNERS = {
@@ -60,7 +58,6 @@ RUNNERS = {
     "batch": print_batch,
     "rebuild": print_rebuild,
     "coldstart": print_coldstart,
-    "stabcache": print_stab_cache,
     "concurrency": print_concurrency,
     "maint": print_maintenance,
 }
@@ -85,10 +82,6 @@ SMOKE = {
     "rebuild": (run_rebuild, {"intervals": 300, "repeats": 1}, print_rebuild),
     "coldstart": (run_coldstart, {"predicates": 300, "probes": 20, "repeats": 1},
                   print_coldstart),
-    "stabcache": (run_stab_cache,
-                  {"predicates": 200, "tuples": 500, "distinct_values": 32,
-                   "cache_size": 256, "repeats": 1},
-                  print_stab_cache),
     "concurrency": (run_concurrency,
                     {"predicates": 300, "distinct_values": 100,
                      "batch_size": 50, "rounds": 4, "repeats": 1},

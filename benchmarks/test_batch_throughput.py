@@ -18,15 +18,20 @@ available (``test_columnar_speedup``; the committed ``BENCH_batch.json``
 row documents the full measured margin).
 
 Running this module rewrites ``BENCH_batch.json`` at the repo root with
-the measured rows.
+the measured rows.  ``test_grouped_stabs_pay_on_a_budgeted_disk_base``
+writes no file; select it alone with ``-k`` and the module fixture that
+rewrites ``BENCH_batch.json`` does not run.
 """
 
 import json
 import platform
+import random
+import time
 from pathlib import Path
 
 import pytest
 
+from repro import Interval, IntervalClause, Predicate, PredicateIndex
 from repro.bench.runner import run_batch
 from repro.match.columnar import HAVE_NUMPY
 
@@ -99,3 +104,65 @@ def test_columnar_speedup(batch_rows):
         batch_rows[("columnar", "batch")]["tuples_per_s"]
         >= 8.0 * batch_rows[("flat", "batch")]["tuples_per_s"]
     )
+
+
+def _disk_base(data_dir, predicates):
+    """A sealed, frozen disk base under ``disk-maintained``'s 64 KiB budget."""
+    index = PredicateIndex(storage="disk", data_dir=str(data_dir), memory_budget=64 * 1024)
+    index.add_many(predicates)
+    index.seal(release=True)
+    index.freeze()
+    return index
+
+
+def test_grouped_stabs_pay_on_a_budgeted_disk_base(tmp_path):
+    """``match_batch``'s grouped stabs must beat a loop of ``match`` 1.5x.
+
+    The shape is the system benchmark's ``disk-maintained``: 2,000
+    two-clause predicates over 5 of 15 attributes (selectivity 0.03 on
+    1..10,000), matched in 32-tuple batches of fresh values against a
+    sealed, frozen disk base.  Every read of a disk tree runs the
+    store's eviction check, so one ``stab_many`` per tree (5 reads per
+    batch) beats one ``stab`` per tuple and tree (160).  Two identical
+    bases keep one path's stab cache from serving the other; the
+    timings alternate and the best of three counts.
+    """
+    rng = random.Random(29)
+    attributes = [f"a{k}" for k in range(15)]
+    width = 300
+    predicates = []
+    for i in range(2_000):
+        clauses = []
+        for attribute in rng.sample(attributes[:5], 2):
+            low = rng.randint(1, 10_000)
+            clauses.append(IntervalClause(attribute, Interval.closed(low, low + width - 1)))
+        predicates.append(Predicate("r0", clauses, ident=i))
+    batches = [
+        [{a: rng.randint(1, 10_000) for a in attributes} for _ in range(32)]
+        for _ in range(40)
+    ]
+    grouped = _disk_base(tmp_path / "grouped", predicates)
+    looped = _disk_base(tmp_path / "looped", predicates)
+
+    def idents(rows):
+        return [sorted(p.ident for p in row) for row in rows]
+
+    for batch in batches[:4]:  # warm both, and check the answers agree
+        expected = [
+            sorted(p.ident for p in predicates if p.matches(tup)) for tup in batch
+        ]
+        assert idents(grouped.match_batch("r0", batch)) == expected
+        assert idents([looped.match("r0", tup) for tup in batch]) == expected
+    best = {"grouped": float("inf"), "looped": float("inf")}
+    for _ in range(3):
+        start = time.perf_counter()
+        for batch in batches:
+            grouped.match_batch("r0", batch)
+        best["grouped"] = min(best["grouped"], time.perf_counter() - start)
+        start = time.perf_counter()
+        for batch in batches:
+            for tup in batch:
+                looped.match("r0", tup)
+        best["looped"] = min(best["looped"], time.perf_counter() - start)
+    speedup = best["looped"] / best["grouped"]
+    assert speedup >= 1.5, f"grouped stabs {speedup:.2f}x a loop of match: {best}"

@@ -2,11 +2,9 @@
 
 ``ConcurrentPredicateIndex`` publishes immutable epoch snapshots:
 writes build a small overlay and never touch the frozen base, so the
-base's stab cache — demoted to an append-only, GIL-safe discipline by
-``freeze()`` — stays warm across writes.  The mutable ``PredicateIndex``
-invalidates its whole cache on every write (each mutation bumps a tree
-epoch, which is the cache key), so a mixed read/write workload re-stabs
-every batch.
+base's stab cache — an append-only, GIL-safe ``dict`` that ``freeze()``
+turns on — stays warm across writes.  The mutable ``PredicateIndex``
+caches no stabs, so a mixed read/write workload re-stabs every batch.
 
 Acceptance criterion:
 
@@ -58,8 +56,8 @@ def concurrency_rows():
                                 "batch, remove it; batch values repeat "
                                 "across rounds",
                 },
-                "baseline": "mutable PredicateIndex (FlatIBSTree, stab cache "
-                            "on) driven single-threaded",
+                "baseline": "mutable PredicateIndex (FlatIBSTree, which "
+                            "caches no stabs) driven single-threaded",
                 "note": "both rows run on one thread: speedup measures "
                         "snapshot write isolation (cache retention), not "
                         "parallelism",

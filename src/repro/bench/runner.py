@@ -56,7 +56,6 @@ __all__ = [
     "run_batch",
     "run_rebuild",
     "run_coldstart",
-    "run_stab_cache",
     "run_concurrency",
     "run_maintenance",
     "main",
@@ -1151,105 +1150,6 @@ def print_coldstart(
 
 
 # ----------------------------------------------------------------------
-# STAB CACHE — epoch-versioned caching on a duplicate-heavy stream
-# ----------------------------------------------------------------------
-
-
-def _zipf_values(distinct: int, count: int, seed: int) -> List[int]:
-    """A Zipf(1)-weighted stream over *distinct* values of a huge domain."""
-    rng = random.Random(seed)
-    universe = [rng.randint(1, 1_000_000) for _ in range(distinct)]
-    weights = [1.0 / rank for rank in range(1, distinct + 1)]
-    return rng.choices(universe, weights=weights, k=count)
-
-
-def run_stab_cache(
-    predicates: int = 10_000,
-    tuples: int = 10_000,
-    distinct_values: int = 256,
-    cache_size: int = 4_096,
-    repeats: int = 3,
-    seed: int = 33,
-) -> List[Dict[str, Any]]:
-    """Match throughput with and without the epoch-versioned stab cache.
-
-    The workload is the cache's design case: a duplicate-heavy stream
-    (Zipf-weighted draws from a small set of distinct values) against
-    many narrow single-clause predicates over one attribute, so the
-    IBS-tree stab dominates each match and repeated values pay it
-    again.  Both configurations are verified to give identical answers
-    on a sample before timing; ``speedup`` is relative to the
-    cache-off row.
-    """
-    rng = random.Random(seed)
-    predicate_list = [
-        Predicate(
-            "r",
-            [IntervalClause("x", Interval.closed(low, low + rng.randint(0, 50)))],
-            ident=i,
-        )
-        for i, low in enumerate(
-            rng.randint(1, 1_000_000) for _ in range(predicates)
-        )
-    ]
-    stream = [{"x": value} for value in _zipf_values(distinct_values, tuples, seed)]
-    indexes: Dict[str, PredicateIndex] = {
-        "off": DEFAULT_REGISTRY.create_matcher("ibs"),
-        "on": DEFAULT_REGISTRY.create_matcher("ibs", stab_cache_size=cache_size),
-    }
-    for index in indexes.values():
-        index.add_many(predicate_list)
-    sample = stream[:50]
-    reference = [{p.ident for p in indexes["off"].match("r", tup)} for tup in sample]
-    answers = [{p.ident for p in indexes["on"].match("r", tup)} for tup in sample]
-    if answers != reference:
-        raise AssertionError("cached matching disagrees with uncached matching")
-    rows: List[Dict[str, Any]] = []
-    baseline: Optional[float] = None
-    for label, index in indexes.items():
-        def work(idx: PredicateIndex = index) -> None:
-            for tup in stream:
-                idx.match("r", tup)
-
-        work()  # warm-up fills the cache: steady-state behaviour
-        elapsed = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            work()
-            elapsed = min(elapsed, time.perf_counter() - start)
-        throughput = tuples / elapsed
-        if baseline is None:
-            baseline = throughput
-        rows.append(
-            {
-                "cache": label,
-                "us_per_tuple": elapsed / tuples * 1e6,
-                "tuples_per_s": throughput,
-                "cache_hits": index.stats.stab_cache_hits,
-                "speedup": throughput / baseline,
-            }
-        )
-    return rows
-
-
-def print_stab_cache(
-    rows: Optional[List[Dict[str, Any]]] = None
-) -> List[Dict[str, Any]]:
-    rows = rows if rows is not None else run_stab_cache()
-    print_experiment(
-        "STAB CACHE: duplicate-heavy Zipf stream, cache off vs on",
-        ["cache", "us_per_tuple", "tuples_per_s", "cache_hits", "speedup"],
-        [
-            [row["cache"], row["us_per_tuple"], row["tuples_per_s"],
-             row["cache_hits"], row["speedup"]]
-            for row in rows
-        ],
-        note="speedup is relative to the cache-off configuration",
-    )
-    return rows
-
-
-# ----------------------------------------------------------------------
 # CONCURRENCY — epoch-snapshot facade vs mutable index, mixed read/write
 # ----------------------------------------------------------------------
 
@@ -1259,7 +1159,6 @@ def run_concurrency(
     distinct_values: int = 2_000,
     batch_size: int = 500,
     rounds: int = 20,
-    cache_size: int = 8_192,
     repeats: int = 3,
     seed: int = 47,
 ) -> List[Dict[str, Any]]:
@@ -1275,13 +1174,12 @@ def run_concurrency(
     Both configurations are answer-checked against the mutable index
     before timing:
 
-    * ``serial`` / ``none`` — one mutable :class:`PredicateIndex` with
-      the stab cache on.  Every write bumps a tree epoch, so the
-      cross-round value repetition never pays off: each batch re-stabs
-      all its values.
+    * ``serial`` / ``none`` — one mutable :class:`PredicateIndex`.  A
+      mutable index caches no stabs, so the cross-round value
+      repetition never pays off: each batch re-stabs all its values.
     * ``snapshot`` / ``inline`` — :class:`ConcurrentPredicateIndex`.
-      Writes build a small overlay; the frozen base's trees never bump
-      their epochs, so its stab cache stays warm across writes and
+      Writes build a small overlay; the frozen base never changes, so
+      the stab cache freezing turned on stays warm across writes and
       steady-state batches skip the tree entirely.
 
     Both rows run on one thread, so the snapshot row's speedup over
@@ -1335,17 +1233,13 @@ def run_concurrency(
             index.match_batch("r", batch)
             index.remove(write_preds[i].ident)
 
-    serial = DEFAULT_REGISTRY.create_matcher(
-        "ibs", tree_factory="flat", stab_cache_size=cache_size
-    )
+    serial = DEFAULT_REGISTRY.create_matcher("ibs", tree_factory="flat")
     serial.add_many(predicate_list)
     sample = batches[0][:20]
     reference = [{p.ident for p in serial.match("r", tup)} for tup in sample]
 
     def build_facade() -> Any:
-        facade = DEFAULT_REGISTRY.create_matcher(
-            "ibs-concurrent", tree_factory="flat", snapshot_cache_size=cache_size
-        )
+        facade = DEFAULT_REGISTRY.create_matcher("ibs-concurrent", tree_factory="flat")
         facade.add_many(predicate_list)
         answers = [{p.ident for p in row} for row in facade.match_batch("r", sample)]
         if answers != reference:
@@ -1645,7 +1539,6 @@ def main() -> None:
     print_batch()
     print_rebuild()
     print_coldstart()
-    print_stab_cache()
     print_concurrency()
     print_maintenance()
 

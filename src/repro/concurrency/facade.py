@@ -27,9 +27,10 @@ multiply CPU throughput.  The measured advantage of this layer on a
 mixed read/write workload (see the CONCURRENCY benchmark) comes from
 *snapshot isolation*: writes land in a small overlay instead of
 mutating the big per-attribute trees, so the frozen base's decode and
-stab caches stay warm where the serial index invalidates them on
-every mutation.  Fanning a batch over worker threads or processes was
-measured slower than this inline path (EXPERIMENTS.md PROC).
+stab caches stay warm, where the serial index caches no stabs and
+drops its decode caches on every mutation.  Fanning a batch over
+worker threads or processes was measured slower than this inline path
+(EXPERIMENTS.md PROC).
 """
 
 from __future__ import annotations
@@ -77,18 +78,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         of a backend registered in the
         :data:`~repro.match.registry.DEFAULT_REGISTRY` (``"ibs"``,
         ``"avl"``, …).  :meth:`retune` asks ``estimator`` again.
-    snapshot_cache_size:
-        Stab-cache capacity for each shard's base/overlay index.
-        Freezing demotes the cache to an append-only discipline (plain
-        GIL-atomic dict reads/writes, no LRU reordering, no eviction),
-        so it is safe under lock-free readers — and because a frozen
-        tree's epoch never moves, cached stabs stay valid for the whole
-        life of the snapshot.  This is the snapshot design's main
-        single-CPU win over a mutable index, whose every write bumps a
-        tree epoch and strands the entire cache.  ``0`` disables it.
     compaction_threshold:
         Overlay/tombstone size at which a shard folds its overlay into
-        a fresh bulk-loaded base.
+        a fresh bulk-loaded base.  This argument is its one setter.
     columnar:
         Forwarded to every internal index: batch reads try the
         vectorized columnar plane (:mod:`repro.match.columnar`) first.
@@ -111,10 +103,14 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         synchronous size threshold forces a write-side fold),
         ``evict_interval`` sweeps disk-tier residency, and a
         :class:`~repro.disk.checkpoint.DiskCheckpointer` attached to
-        this facade registers its budgeted checkpoint task here.  The policy's ``compaction_threshold`` also becomes the
-        shards' synchronous backstop threshold unless the
-        ``compaction_threshold`` argument overrides it explicitly.  See
+        this facade registers its budgeted checkpoint task here.  See
         :meth:`maintenance_report`.
+
+    Every shard base and overlay is frozen, and freezing turns on its
+    stab cache (:meth:`PredicateIndex.freeze`): a frozen tree never
+    changes, so cached stabs stay valid for the snapshot's whole life.
+    Writes land in the overlay and never strand the base's cache, which
+    is the snapshot design's main single-CPU win over a mutable index.
     """
 
     name = "ibs-concurrent"
@@ -125,7 +121,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
         compaction_threshold: int = DEFAULT_COMPACTION_THRESHOLD,
-        snapshot_cache_size: int = 4_096,
         columnar: bool = False,
         storage: str = "memory",
         data_dir: Optional[str] = None,
@@ -150,15 +145,7 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         self._tree_factory = tree_factory
         self._estimator = estimator
         self._multi_clause = bool(multi_clause)
-        self._snapshot_cache_size = max(0, int(snapshot_cache_size))
         self._columnar = bool(columnar)
-        if (
-            maintenance is not None
-            and compaction_threshold == DEFAULT_COMPACTION_THRESHOLD
-        ):
-            # the policy owns the synchronous backstop threshold unless
-            # the caller pinned one explicitly
-            compaction_threshold = maintenance.compaction_threshold
         self._compaction_threshold = int(compaction_threshold)
         #: catalog lock: shard-table and routing-map writes only.
         self._catalog_lock = threading.Lock()
@@ -184,8 +171,8 @@ class ConcurrentPredicateIndex(PredicateMatcher):
         to this facade, and ``evict`` sweeps each shard's disk store.
         The shards' synchronous size-threshold fold stays as the
         structural backstop — a write burst can always outrun any
-        periodic schedule — but its threshold is sourced from the same
-        policy, so there is one place to tune both.
+        periodic schedule — at the constructor's
+        ``compaction_threshold``.
         """
         if policy is None:
             return None
@@ -274,7 +261,6 @@ class ConcurrentPredicateIndex(PredicateMatcher):
             tree_factory=self._tree_factory,
             estimator=self._estimator,
             multi_clause=self._multi_clause,
-            stab_cache_size=self._snapshot_cache_size,
             columnar=self._columnar,
             storage="disk" if sealed else "memory",
             data_dir=self._data_dir if sealed else None,

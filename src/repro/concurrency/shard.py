@@ -22,10 +22,10 @@ A snapshot is a three-part structure so that writes stay cheap:
     relation's predicates.  It is
     :meth:`~repro.core.predicate_index.PredicateIndex.freeze`-d, so any
     accidental mutation raises instead of corrupting readers.  Freezing
-    also demotes the stab cache to an append-only, GIL-safe discipline,
-    and because frozen trees never bump epochs the cache stays warm for
-    the snapshot's whole life — writes land in the overlay and never
-    strand the base's cached stabs.
+    also turns on the append-only, GIL-safe stab cache, and because
+    frozen trees never change the cache stays warm for the snapshot's
+    whole life — writes land in the overlay and never strand the base's
+    cached stabs.
 ``overlay``
     A *small* frozen PredicateIndex over the predicates added since the
     base was compacted.  Each write derives a successor overlay from
@@ -93,7 +93,13 @@ DEFAULT_COMPACTION_THRESHOLD = 64
 
 #: Overlay size at or below which :meth:`EpochSnapshot.match_batch`
 #: tests the overlay predicates directly per tuple rather than running
-#: the overlay index's full batched pipeline.
+#: the overlay index's full batched pipeline.  The scan skips compiled
+#: residuals and shared non-indexable checks, so a function clause in
+#: the overlay can run once per predicate instead of once per distinct
+#: condition.  Sending every overlay through its own ``match_batch``
+#: fixes that, but made BENCH_concurrency's snapshot row 1.7x slower
+#: (its overlays hold one predicate) and ``disk-maintained``'s
+#: ``step_p50_us`` up to 3.6% worse (EXPERIMENTS.md STABS).
 OVERLAY_SCAN_LIMIT = 8
 
 #: Publication hook signature: ``(relation, epoch, kind, payload)``

@@ -94,14 +94,6 @@ class PredicateIndex:
         *all* of its indexed clauses match (set intersection): fewer
         residual tests at the price of more tree probes and markers.
         The ABL4 benchmark quantifies the trade-off the paper chose.
-    stab_cache_size:
-        Capacity of the per-relation LRU stab cache, keyed on
-        ``(attribute, tree_epoch, value)``.  Every tree mutation bumps
-        the tree's epoch, so entries never need invalidating — a stale
-        key simply stops being looked up and ages out.  Duplicate-heavy
-        (OLTP-style) tuple streams answer repeated stabs from the cache
-        instead of descending the tree.  ``0`` (the default) disables
-        caching.
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
@@ -130,7 +122,6 @@ class PredicateIndex:
         tree_factory: Union[str, TreeFactory] = IBSTree,
         estimator: Optional[SelectivityEstimator] = None,
         multi_clause: bool = False,
-        stab_cache_size: int = 0,
         columnar: bool = False,
         storage: str = "memory",
         data_dir: Optional[str] = None,
@@ -160,16 +151,14 @@ class PredicateIndex:
 
             if data_dir is None:
                 self._data_dir = _tempfile.mkdtemp(prefix="repro-disk-")
-            self._store: TreeStore = DiskTreeStore(
-                self._data_dir, stab_cache_size, memory_budget
-            )
+            self._store: TreeStore = DiskTreeStore(self._data_dir, memory_budget)
         else:
             if memory_budget is not None:
                 raise ValueError("memory_budget requires storage='disk'")
-            self._store = TreeStore(tree_factory, stab_cache_size)
+            self._store = TreeStore(tree_factory)
         self._observer = StatsObserver(MatchStatistics())
         self._pipeline = MatchPipeline(
-            self._catalog, self._store, self._observer, columnar=bool(columnar)
+            self._catalog, self._observer, columnar=bool(columnar)
         )
         self._frozen = False
         self._maintenance = self._build_maintenance(maintenance)
@@ -267,26 +256,22 @@ class PredicateIndex:
         :class:`~repro.errors.PredicateError`.  Matching remains
         available — the epoch-snapshot layer (:mod:`repro.concurrency`)
         publishes frozen indexes that lock-free readers stab
-        concurrently.  Its match path writes only the stab cache, which
-        may stay on: freezing demotes it from LRU to append-only — hits
-        skip the move-to-end touch, and inserts stop once the cache is
-        full instead of evicting — and swaps the ``OrderedDict`` for a
-        plain ``dict`` (odict inserts also splice a C-level linked list,
-        which concurrent writers can corrupt), so every remaining cache
-        operation is a single GIL-atomic ``dict`` access, and since
-        nothing ever deletes a key from a frozen index's cache, a
-        looked-up key cannot vanish mid-read.  Because frozen trees
-        never bump their epochs, those cached stabs stay valid for the
-        snapshot's whole lifetime — this is what lets an epoch-snapshot
-        base keep serving cache hits across writes that would invalidate
-        a mutable index's entire cache.  Residuals are compiled when a
-        predicate is registered, so the read path of a frozen index
-        compiles nothing; the only lazily built read-path structures are
-        the per-version non-indexable groups and columnar plane, each
+        concurrently.  Freezing turns on the stab cache: a frozen tree
+        never changes, so each relation remembers up to
+        :data:`~repro.match.store.STAB_CACHE_SIZE` stab answers keyed on
+        ``(attribute, value)`` for the index's whole life, in a plain
+        ``dict`` used append-only so that every cache operation is a
+        single GIL-atomic step
+        (:meth:`~repro.match.store.TreeStore.freeze_state`).  This
+        is what lets an epoch-snapshot base keep serving cache hits
+        across writes, which land in the overlay.  A mutable index
+        caches nothing.  Residuals are compiled when a predicate is
+        registered, so the read path of a frozen index compiles
+        nothing; the only lazily built read-path structures are the
+        per-version non-indexable groups and columnar plane, each
         published by one attribute assignment.
         """
         self._frozen = True
-        self._store.cache_lru = False
         for state in self._catalog.relations.values():
             self._store.freeze_state(state)
 

@@ -84,8 +84,6 @@ class DiskTreeStore(TreeStore):
     ----------
     data_dir:
         Directory holding segment files, checkpoints, and the journal.
-    stab_cache_size:
-        As :class:`TreeStore`.
     memory_budget:
         Soft cap, in bytes, on decoded Python-object residency across
         all live trees (``None`` = unlimited).  Enforced by evicting
@@ -94,13 +92,8 @@ class DiskTreeStore(TreeStore):
 
     __slots__ = ("data_dir", "memory_budget", "_lru", "_evict_lock")
 
-    def __init__(
-        self,
-        data_dir: str,
-        stab_cache_size: int = 0,
-        memory_budget: Optional[int] = None,
-    ) -> None:
-        super().__init__(DiskIBSTree, stab_cache_size)
+    def __init__(self, data_dir: str, memory_budget: Optional[int] = None) -> None:
+        super().__init__(DiskIBSTree)
         self.data_dir = os.fspath(data_dir)
         os.makedirs(self.data_dir, exist_ok=True)
         self.memory_budget = memory_budget

@@ -4,8 +4,10 @@ One frozen dataclass travels from ``Database(maintenance=...)``
 through the registry into both facades, the same way ``RetryPolicy``
 travels into the rule engine.  ``None`` intervals mean "don't register
 that task"; a policy with every interval ``None`` still carries the
-shared knobs (compaction threshold, budgets, backoff, quarantine) for
-tasks the facades register themselves.
+shared knobs (budgets, backoff, quarantine) for tasks the facades
+register themselves.  The concurrent facade's synchronous fold
+threshold is not one of them: its constructor's
+``compaction_threshold`` is that threshold's one setter.
 """
 
 from __future__ import annotations
@@ -14,11 +16,6 @@ from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, Optional
 
 __all__ = ["MaintenancePolicy"]
-
-#: The facade's synchronous compaction backstop (mirrors
-#: ``repro.concurrency.shard.DEFAULT_COMPACTION_THRESHOLD`` without
-#: importing the concurrency layer from this leaf package).
-_DEFAULT_COMPACTION_THRESHOLD = 64
 
 
 @dataclass(frozen=True)
@@ -47,7 +44,6 @@ class MaintenancePolicy:
     compact_interval: Optional[int] = None
     checkpoint_interval: Optional[int] = None
     evict_interval: Optional[int] = None
-    compaction_threshold: int = _DEFAULT_COMPACTION_THRESHOLD
     budget_ops: Optional[int] = None
     budget_seconds: Optional[float] = None
     backoff_multiplier: float = 2.0
@@ -70,11 +66,6 @@ class MaintenancePolicy:
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValueError(f"{name} must be positive (got {value})")
-        if self.compaction_threshold <= 0:
-            raise ValueError(
-                "compaction_threshold must be positive "
-                f"(got {self.compaction_threshold})"
-            )
         if self.budget_seconds is not None and self.budget_seconds <= 0:
             raise ValueError(
                 f"budget_seconds must be positive (got {self.budget_seconds})"

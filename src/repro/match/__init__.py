@@ -7,8 +7,8 @@ decomposes into four cooperating layers, each separately testable:
   table: predicate storage, normalization, entry-clause
   selection and re-choice, and the residuals compiled at registration;
 * :mod:`~repro.match.store` — :class:`TreeStore`, tree lifecycle
-  (epoch continuity, bulk construction, freeze demotion) and cache
-  policy;
+  (epoch continuity, bulk construction) and freezing, which turns on
+  the stab cache;
 * :mod:`~repro.match.pipeline` — :class:`MatchPipeline`, the one
   staged route → stab → candidate → residual → emit implementation
   shared by every read path (per-tuple, batched, and the concurrency

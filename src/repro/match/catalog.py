@@ -29,7 +29,6 @@ methods receive as an explicit collaborator, and stabbing belongs to
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
     Any,
     Callable,
@@ -38,7 +37,6 @@ from typing import (
     Iterable,
     List,
     Mapping,
-    MutableMapping,
     Optional,
     Set,
     Tuple,
@@ -116,24 +114,17 @@ class RelationState:
         #: tuple with its member predicates, cached on ``version`` like
         #: ``columnar_plane`` below; ``None`` until built
         self.non_indexable_shapes: Optional[Tuple[int, Tuple[List[Any], ...]]] = None
-        #: LRU stab cache: ``(attribute, tree_epoch, value) ->
-        #: frozenset(idents)``.  Because the tree's epoch is part of
-        #: the key, a mutation invalidates every prior entry *by key
-        #: mismatch* — no scan — and stale entries age out of the LRU.
-        #: Cleared only when the tree map itself changes shape (a tree
-        #: created or dropped), since a fresh tree restarts its epochs.
-        #: ``freeze()`` replaces it with a plain ``dict`` (insertion
-        #: order preserved, no LRU methods needed) so frozen-mode
-        #: lock-free readers only ever do GIL-atomic dict ops.
-        self.stab_cache: "MutableMapping[Tuple[str, int, Any], frozenset]" = (
-            OrderedDict()
-        )
+        #: stab cache, ``(attribute, value) -> frozenset(idents)``:
+        #: ``None`` on a mutable index, which caches nothing; freezing
+        #: turns it on as an append-only ``dict`` (see
+        #: :meth:`~repro.match.store.TreeStore.freeze_state`)
+        self.stab_cache: Optional[Dict[Tuple[str, Any], frozenset]] = None
         #: lowest epoch any *future* tree of this relation may carry.
         #: Raised past a tree's last epoch whenever that tree is dropped
         #: (remove/rollback/retune/rebuild), and seeded into every
         #: fresh tree, so ``(attribute, tree_epoch)`` pairs are never
-        #: reused across tree generations — epoch-keyed caches and
-        #: epoch-snapshot readers can rely on monotonicity.
+        #: reused across tree generations — epoch-snapshot readers and
+        #: the disk tier's segment currency can rely on monotonicity.
         self.epoch_floor: int = 0
         #: monotone mutation counter, bumped by every catalog operation
         #: that changes what this relation matches (register, remove,
@@ -351,7 +342,6 @@ class ClauseCatalog:
                     state.trees[attribute] = store.build_tree(
                         state, pairs, attribute
                     )
-                    state.stab_cache.clear()  # tree map changed shape
                 state.version += 1
         except BaseException:
             for relation, ident in added:
@@ -402,7 +392,6 @@ class ClauseCatalog:
                 tree = state.trees[clause.attribute] = store.new_tree(
                     state, clause.attribute
                 )
-                state.stab_cache.clear()  # tree map changed shape
             tree.insert(clause.interval, ident)
         _file_entry(
             state, ident, normalized, tuple(c.attribute for c in entry_clauses)
@@ -636,7 +625,6 @@ class ClauseCatalog:
         state.residuals = {}
         for ident, (under, residual) in filing.items():
             _file_entry(state, ident, state.predicates[ident], under, residual)
-        state.stab_cache.clear()  # the tree map changed
         state.version += 1
 
     # -- introspection --------------------------------------------------

@@ -32,7 +32,7 @@ and cached paths deliberately reduce:
 * ``trees_searched`` — actual tree descents (a batch answers many
   probes with one grouped descent; a stab-cache hit answers one with
   none);
-* ``stab_cache_hits`` — probes answered from the epoch-keyed stab
+* ``stab_cache_hits`` — probes answered from a frozen index's stab
   cache;
 * ``batches_matched`` — :meth:`match_batch` invocations;
 * ``maintenance_runs`` / ``maintenance_failures`` — scheduled

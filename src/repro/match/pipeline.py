@@ -31,7 +31,7 @@ from ..core.intervals import MINUS_INF, PLUS_INF
 from ..predicates.predicate import Predicate
 from .catalog import CLOSED, MULTI, SINGLE, TRIVIAL, ClauseCatalog, RelationState
 from .observer import MatchObserver
-from .store import TreeStore
+from .store import STAB_CACHE_SIZE
 
 __all__ = [
     "MatchPipeline",
@@ -49,9 +49,6 @@ class MatchPipeline:
     catalog:
         The :class:`~repro.match.catalog.ClauseCatalog` holding the
         per-relation state (trees, predicates, compiled residuals).
-    store:
-        The :class:`~repro.match.store.TreeStore` whose cache policy
-        (``stab_cache_size``, ``cache_lru``) governs the stab stage.
     observer:
         Stage-boundary sink; swap it to change what is recorded
         without touching the pipeline.
@@ -63,17 +60,15 @@ class MatchPipeline:
         Ignored under multi-clause indexing.
     """
 
-    __slots__ = ("catalog", "store", "observer", "columnar")
+    __slots__ = ("catalog", "observer", "columnar")
 
     def __init__(
         self,
         catalog: ClauseCatalog,
-        store: TreeStore,
         observer: MatchObserver,
         columnar: bool = False,
     ) -> None:
         self.catalog = catalog
-        self.store = store
         self.observer = observer
         self.columnar = bool(columnar)
 
@@ -85,7 +80,8 @@ class MatchPipeline:
         Stabs each attribute tree with the tuple's value, then hands
         the candidates to the residual stage :meth:`match_batch` runs
         too.  A ``None``, missing or infinity-sentinel value is not
-        probed: no interval contains it.
+        probed: no interval contains it.  A frozen index answers a
+        repeated ``(attribute, value)`` from its stab cache.
         """
         observer = self.observer
         observer.on_route(relation, 1, False)
@@ -96,32 +92,26 @@ class MatchPipeline:
         # single-clause scheme they are disjoint, so none is unioned
         groups: List[Set[Hashable]] = []
         probes = descents = cache_hits = partial = 0
-        cache_size = self.store.stab_cache_size
-        cache: Any = state.stab_cache
-        lru = self.store.cache_lru
+        cache = state.stab_cache  # None unless frozen
         for attribute, tree in state.trees.items():
             value = tup.get(attribute)
             if value is None or value is MINUS_INF or value is PLUS_INF:
                 continue  # no interval contains it: no tree entry applies
             probes += 1
-            key: Optional[Tuple[str, Any, Any]] = None
-            if cache_size:
-                epoch = getattr(tree, "epoch", None)
-                if epoch is not None:
-                    try:
-                        key = (attribute, epoch, value)
-                        cached = cache.get(key)
-                    except TypeError:
-                        key = None  # unhashable value: uncacheable
-                    else:
-                        if cached is not None:
-                            if lru:
-                                cache.move_to_end(key)
-                            cache_hits += 1
-                            if cached:
-                                partial += len(cached)
-                                groups.append(cached)
-                            continue
+            key: Optional[Tuple[str, Any]] = None
+            if cache is not None:
+                key = (attribute, value)
+                try:
+                    cached = cache.get(key)
+                except TypeError:
+                    key = None  # unhashable value: uncacheable
+                else:
+                    if cached is not None:
+                        cache_hits += 1
+                        if cached:
+                            partial += len(cached)
+                            groups.append(cached)
+                        continue
             descents += 1
             try:
                 stabbed = tree.stab(value)
@@ -129,8 +119,8 @@ class MatchPipeline:
                 # incomparable with this attribute's bounds (mixed-domain
                 # data): no interval clause on it can match the value
                 continue
-            if key is not None:
-                stabbed = self._remember(cache, key, stabbed)
+            if cache is not None and key is not None:
+                stabbed = _remember(cache, key, stabbed)
             if stabbed:
                 partial += len(stabbed)
                 groups.append(stabbed)
@@ -268,6 +258,14 @@ class MatchPipeline:
         indexed attribute, which the caller matches per tuple and which
         contribute nothing to the tables or counts.  ``None``, missing
         and sentinel values are not probed, as on the per-tuple path.
+
+        Grouping pays most on the disk tier.  Every read of a disk tree
+        touches its store's eviction LRU and, under a
+        ``memory_budget``, runs ``maybe_evict()``; one ``stab_many`` per
+        tree is one such read, where a loop over :meth:`match` makes
+        one per tuple and attribute (5 reads against 160 for a 32-tuple
+        batch over 5 trees).  On in-memory trees the gain is small and
+        can invert on duplicate-heavy batches (EXPERIMENTS.md STABS).
         """
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
@@ -292,9 +290,7 @@ class MatchPipeline:
                 probes += len(staged)
                 for attribute, value in staged:
                     by_attribute[attribute].add(value)
-        cache_size = self.store.stab_cache_size
-        cache: Any = state.stab_cache
-        lru = self.store.cache_lru
+        cache = state.stab_cache  # None unless frozen
         descents = cache_hits = 0
         for attribute in attributes:
             values = by_attribute[attribute]
@@ -306,8 +302,7 @@ class MatchPipeline:
             except TypeError:
                 ordered = list(values)  # mixed domains: order is just locality
             tree = trees[attribute]
-            epoch = getattr(tree, "epoch", None) if cache_size else None
-            if epoch is None:
+            if cache is None:
                 descents += 1  # one grouped descent per tree per batch
                 stab_tables[attribute] = tree.stab_many(ordered)
                 continue
@@ -316,13 +311,10 @@ class MatchPipeline:
             table: Dict[Any, Optional[Set[Hashable]]] = {}
             misses: List[Any] = []
             for value in ordered:
-                key = (attribute, epoch, value)
-                cached = cache.get(key)
+                cached = cache.get((attribute, value))
                 if cached is None:
                     misses.append(value)
                 else:
-                    if lru:
-                        cache.move_to_end(key)
                     cache_hits += 1
                     table[value] = cached
             if misses:
@@ -330,22 +322,21 @@ class MatchPipeline:
                 for value, stabbed in tree.stab_many(misses).items():
                     table[value] = stabbed
                     if stabbed is not None:
-                        self._remember(cache, (attribute, epoch, value), stabbed)
+                        _remember(cache, (attribute, value), stabbed)
             stab_tables[attribute] = table
         return stab_tables, probes, descents, cache_hits, fallback
 
-    def _remember(
-        self, cache: Any, key: Tuple[str, int, Any], stabbed: Iterable[Hashable]
-    ) -> "frozenset[Hashable]":
-        """Cache a stab result: LRU when mutable, append-only when frozen."""
-        frozen = frozenset(stabbed)
-        if self.store.cache_lru:
-            cache[key] = frozen
-            if len(cache) > self.store.stab_cache_size:
-                cache.popitem(last=False)
-        elif len(cache) < self.store.stab_cache_size:
-            cache[key] = frozen
-        return frozen
+
+def _remember(
+    cache: Dict[Tuple[str, Any], "frozenset[Hashable]"],
+    key: Tuple[str, Any],
+    stabbed: Iterable[Hashable],
+) -> "frozenset[Hashable]":
+    """Add a stab answer to a frozen relation's cache until it is full."""
+    frozen = frozenset(stabbed)
+    if len(cache) < STAB_CACHE_SIZE:
+        cache[key] = frozen
+    return frozen
 
 
 # ----------------------------------------------------------------------

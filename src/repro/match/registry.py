@@ -240,7 +240,6 @@ _IBS_OPTIONS = (
     "tree_factory",
     "estimator",
     "multi_clause",
-    "stab_cache_size",
     "columnar",
     "storage",
     "data_dir",
@@ -254,7 +253,6 @@ _CONCURRENT_OPTIONS = (
     "estimator",
     "multi_clause",
     "compaction_threshold",
-    "snapshot_cache_size",
     "columnar",
     "storage",
     "data_dir",

@@ -12,9 +12,10 @@ shares:
   tree_epoch)`` pairs are never reused across tree generations;
 * **bulk construction**: a backend's ``bulk_load`` is used when
   available, incremental inserts otherwise (foreign backends);
-* **freeze demotion**: freezing swaps the LRU stab cache for a plain
-  append-only ``dict`` and freezes every tree, which is what makes the
-  frozen index safe for lock-free concurrent readers.
+* **the stab cache**: only a frozen index caches stabs.  Freezing
+  freezes every tree and gives the relation an append-only ``dict``
+  of at most :data:`STAB_CACHE_SIZE` answers, which lock-free
+  concurrent readers share.
 """
 
 from __future__ import annotations
@@ -23,14 +24,18 @@ from typing import Any, Callable, Dict, Hashable, Iterable, Optional, Tuple
 
 from .catalog import RelationState
 
-__all__ = ["TreeStore", "TreeFactory"]
+__all__ = ["TreeStore", "TreeFactory", "STAB_CACHE_SIZE"]
 
 #: Constructor for a per-attribute interval index backend.
 TreeFactory = Callable[[], Any]
 
+#: Stab answers each relation of a frozen index caches; past it the
+#: cache stops adding (see :meth:`TreeStore.freeze_state`).
+STAB_CACHE_SIZE = 4_096
+
 
 class TreeStore:
-    """Owns interval-index construction, retirement, and cache policy.
+    """Owns interval-index construction, retirement, and freezing.
 
     Parameters
     ----------
@@ -39,24 +44,12 @@ class TreeStore:
         with the ``IntervalIndex`` interface: ``insert/delete/stab``
         at minimum; ``stab_into/stab_many/bulk_load/freeze/epoch`` are
         used when present).
-    stab_cache_size:
-        Capacity of each relation's LRU stab cache; ``0`` disables
-        caching entirely.
     """
 
-    __slots__ = ("tree_factory", "stab_cache_size", "cache_lru")
+    __slots__ = ("tree_factory",)
 
-    def __init__(self, tree_factory: TreeFactory, stab_cache_size: int = 0) -> None:
+    def __init__(self, tree_factory: TreeFactory) -> None:
         self.tree_factory = tree_factory
-        self.stab_cache_size = int(stab_cache_size)
-        #: LRU maintenance on the stab caches (move-to-end on hit,
-        #: evict on overflow).  :meth:`freeze_state` turns it off: a
-        #: frozen index is read by many threads at once, and the only
-        #: GIL-safe cache discipline is append-only — plain ``dict``
-        #: get/set with no reordering and no eviction (a concurrent
-        #: ``move_to_end`` / ``popitem`` pair can raise ``KeyError``
-        #: mid-read).
-        self.cache_lru = True
 
     # -- tree lifecycle -------------------------------------------------
 
@@ -67,9 +60,9 @@ class TreeStore:
 
         Fresh backends start at epoch 0; without the floor a tree
         dropped at epoch 40 and recreated one mutation later would
-        reissue epochs 1, 2, 3 … and an ``(attribute, tree_epoch)``
-        cache key (or an epoch-snapshot reader) could silently confuse
-        the two generations.
+        reissue epochs 1, 2, 3 … and an epoch-snapshot reader, or the
+        disk tier's segment currency, could silently confuse the two
+        generations.
 
         Every tree comes from the store's one factory.  *attribute* is
         only a name: the disk store uses it for the segment file.
@@ -94,18 +87,10 @@ class TreeStore:
             state.epoch_floor = max(state.epoch_floor, epoch + 1)
 
     def drop_tree(self, state: RelationState, attribute: str) -> None:
-        """Retire and remove *attribute*'s tree; invalidate the cache.
-
-        The stab cache is cleared because the tree map changed shape:
-        a future tree for the same attribute restarts its epochs (from
-        the raised floor), and cached keys for *other* attributes
-        remain correct but the cheap uniform policy is to clear.
-        """
+        """Retire and remove *attribute*'s tree."""
         tree = state.trees.pop(attribute, None)
-        if tree is None:
-            return
-        self.retire_tree(state, tree)
-        state.stab_cache.clear()
+        if tree is not None:
+            self.retire_tree(state, tree)
 
     def build_tree(
         self,
@@ -132,16 +117,20 @@ class TreeStore:
     # -- snapshot support -----------------------------------------------
 
     def freeze_state(self, state: RelationState) -> None:
-        """Freeze one relation's trees and demote its cache.
+        """Freeze one relation's trees and turn on its stab cache.
 
-        The LRU odict becomes a plain dict: frozen-mode readers do bare
-        get/set with no lock, and only plain-dict ops are single
-        GIL-atomic operations — ``OrderedDict.__setitem__`` also
-        appends to a C-level linked list (with Python-level key hashing
-        possibly interleaving), so concurrent inserts could corrupt it.
-        Backends without a ``freeze`` method are skipped.
+        A frozen tree never changes, so a stab answer keyed on
+        ``(attribute, value)`` stays valid for the index's whole life:
+        nothing is ever invalidated or evicted.  The cache is a plain
+        ``dict`` used append-only, because frozen-mode readers do bare
+        get/set with no lock and only plain-dict operations are single
+        GIL-atomic steps; since no key is ever deleted, a looked-up key
+        cannot vanish mid-read.  It stops adding at
+        :data:`STAB_CACHE_SIZE` answers.  Backends without a ``freeze``
+        method are skipped.
         """
-        state.stab_cache = dict(state.stab_cache)
+        if state.stab_cache is None:
+            state.stab_cache = {}
         for tree in state.trees.values():
             freezer = getattr(tree, "freeze", None)
             if freezer is not None:

@@ -51,6 +51,26 @@ class Agenda:
         level[0].append(rule)
         level[1].append(context)
 
+    def mark(self) -> Dict[int, int]:
+        """The length of every level, for :meth:`truncate`."""
+        return {priority: len(rules) for priority, (rules, _) in self._levels.items()}
+
+    def truncate(self, mark: Dict[int, int]) -> None:
+        """Drop every instantiation posted since *mark* was taken.
+
+        A post appends to its level, so the posts since the mark sit
+        past the marked lengths as long as nothing was popped since —
+        which holds while one action runs: the drain that pops waits
+        for it.
+        """
+        for priority, (rules, contexts) in self._levels.items():
+            keep = mark.get(priority, 0)
+            if len(rules) > keep:
+                del rules[keep:]
+                del contexts[keep:]
+                if not rules:
+                    self._priorities.remove(priority)
+
     def __len__(self) -> int:
         return sum(len(rules) for rules, _ in self._levels.values())
 

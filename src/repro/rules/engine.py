@@ -152,6 +152,10 @@ class RuleEngine:
         self._rule_of_ident: Dict[Hashable, Rule] = {}
         self._idents_of_rule: Dict[str, List[Hashable]] = {}
         self._draining = False
+        #: the agenda as it was before the running action's first
+        #: mutation posted (see :meth:`_fire_isolated`); ``None`` until
+        #: that action mutates
+        self._attempt_mark: Optional[Dict[int, int]] = None
         #: optional tracer called with (rule, context) as each rule fires
         self.on_fire: Optional[Callable[[Any, RuleContext], Any]] = None
         from .join_layer import JoinLayer
@@ -456,6 +460,10 @@ class RuleEngine:
         transition rule, accepts the old image (:meth:`Rule.reacts_to`);
         then the join layer posts the tuple's new pairs.
         """
+        if self._draining and self._attempt_mark is None:
+            # a running action's first mutation: remember the agenda as
+            # it was, so a failed attempt can drop what it posts
+            self._attempt_mark = self.agenda.mark()
         rule_of_ident = self._rule_of_ident
         post = self.agenda.post
         db = self.db
@@ -533,11 +541,20 @@ class RuleEngine:
         return self.agenda.total_fired
 
     def _fire_isolated(self, rule: Any, context: RuleContext) -> None:
-        """Run one action: transactional, retried, quarantined on failure."""
+        """Run one action: transactional, retried, quarantined on failure.
+
+        A failed attempt's transaction rolls its mutations back, and the
+        instantiations those mutations posted are dropped with them: a
+        retry starts from the agenda as it was, and a quarantined or
+        propagated failure leaves nothing pending.  The agenda is marked
+        lazily, by the attempt's first mutation (:meth:`_instantiate`),
+        so an action that mutates nothing pays nothing for this.
+        """
         policy = self.retry_policy
         attempt = 0
         while True:
             attempt += 1
+            self._attempt_mark = None
             try:
                 with self.db.transaction():
                     if faults._ACTIVE is not None:  # an injector is installed
@@ -546,8 +563,10 @@ class RuleEngine:
             except (AbortMutation, RuleCycleError, RuleError):
                 # control flow (vetoes, firing limit) and rule-system
                 # misconfiguration are not action failures: propagate
+                self._drop_attempt_posts()
                 raise
             except Exception as exc:
+                self._drop_attempt_posts()
                 if self.on_error == "propagate":
                     raise
                 if attempt < policy.max_attempts:
@@ -561,6 +580,12 @@ class RuleEngine:
                 if self._failure_streaks:
                     self._failure_streaks.pop(rule.name, None)
                 return
+
+    def _drop_attempt_posts(self) -> None:
+        """Drop what a failed attempt's rolled-back mutations posted."""
+        if self._attempt_mark is not None:
+            self.agenda.truncate(self._attempt_mark)
+            self._attempt_mark = None
 
     def _quarantine(
         self, rule: Any, context: RuleContext, error: BaseException, attempts: int

@@ -326,23 +326,24 @@ class TestDiskPredicateIndex:
         assert match_table(disk, "emp", tuples) == match_table(mem, "emp", tuples)
 
     def test_frozen_epoch_stab_cache_coherent_across_seal(self, tmp_path):
-        """A sealed-and-frozen index's stab cache keys on tree epochs;
-        sealing must not produce answers that diverge from the cache."""
+        """Sealing keeps each tree's epoch, and the stab cache that
+        freezing turns on must agree with the sealed, mmap'd trees."""
         rng = random.Random(11)
-        disk = PredicateIndex(
-            storage="disk", data_dir=str(tmp_path), stab_cache_size=64
-        )
+        disk = PredicateIndex(storage="disk", data_dir=str(tmp_path))
         preds = [make_pred(rng, "emp", i) for i in range(60)]
         for p in preds:
             disk.add(p)
         tuples = [{"x": rng.uniform(-120, 120)} for _ in range(80)]
-        before = match_table(disk, "emp", tuples)  # warms the cache
+        before = match_table(disk, "emp", tuples)
+        epochs = disk.tree_epochs("emp")
         disk.seal(release=True)  # same epoch, now served from mmap
+        assert disk.tree_epochs("emp") == epochs
         assert match_table(disk, "emp", tuples) == before
         disk.freeze()
         # frozen: repeated probes (cache hits) still agree
         assert match_table(disk, "emp", tuples) == before
         assert match_table(disk, "emp", tuples) == before
+        assert disk.stats.stab_cache_hits > 0
 
     def test_memory_budget_rejected_for_memory_storage(self):
         with pytest.raises(ValueError):

@@ -715,16 +715,14 @@ class TestFacadeMaintenance:
         assert "evict" in disk.maintenance_scheduler.tasks()
 
     def test_policy_threshold_feeds_shard_compaction(self):
-        index = ConcurrentPredicateIndex(
-            maintenance=MaintenancePolicy(compaction_threshold=7)
-        )
-        assert index._compaction_threshold == 7
-        # an explicit constructor threshold still wins over the policy
-        explicit = ConcurrentPredicateIndex(
-            compaction_threshold=99,
-            maintenance=MaintenancePolicy(compaction_threshold=7),
-        )
-        assert explicit._compaction_threshold == 99
+        # the constructor argument is the threshold's one setter; a
+        # policy does not override it, not even at the default value
+        for threshold in (99, 64):
+            index = ConcurrentPredicateIndex(
+                compaction_threshold=threshold,
+                maintenance=MaintenancePolicy(compact_interval=20),
+            )
+            assert index._compaction_threshold == threshold
 
     def test_facade_without_policy_has_no_scheduler(self):
         index = ConcurrentPredicateIndex()

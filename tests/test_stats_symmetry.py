@@ -34,11 +34,13 @@ def workload():
     return scenario, scenario.predicates()["r0"]
 
 
-def loaded_index(workload, **options):
+def loaded_index(workload, frozen=False, **options):
     _, predicates = workload
     index = PredicateIndex(**options)
     for predicate in predicates:
         index.add(predicate)
+    if frozen:
+        index.freeze()  # turns the stab cache on
     return index
 
 
@@ -55,7 +57,7 @@ def results_and_stats(index, tuples, mode):
 @pytest.mark.parametrize("options", [
     {},
     {"tree_factory": "flat"},
-    {"stab_cache_size": 64},
+    {"frozen": True},
     {"multi_clause": True},
     # the columnar plane must report the same logical counts as the
     # scalar paths; without NumPy the option is inert and this row

@@ -3,7 +3,7 @@ savepoints, compensating events, and mid-cascade rollback."""
 
 import pytest
 
-from repro import AbortMutation, CollectAction, Database, RuleEngine
+from repro import AbortMutation, CollectAction, Database, RetryPolicy, RuleEngine
 from repro.db import Transaction
 from repro.errors import TransactionError, TupleError
 
@@ -386,3 +386,63 @@ class TestVetoLeavesNothingPending:
         assert len(engine.agenda) == 2
         assert engine.run() == 2
         assert sorted(fired) == [low, high]
+
+
+class TestFailedActionLeavesNothingPending:
+    """A failed action's mutations roll back, and so does what they posted."""
+
+    def build(self, db, failures, **options):
+        """``flaky`` on emp logs to ``log``, then raises *failures* times."""
+        engine = RuleEngine(db, **options)
+        attempts = []
+
+        def flaky(ctx):
+            attempts.append(ctx.db.insert("log", {"message": "seen"}))
+            if len(attempts) <= failures:
+                raise RuntimeError("flaky")
+
+        watched = []
+        engine.create_rule("flaky", on="emp", condition="salary > 0", action=flaky)
+        engine.create_rule(
+            "watch", on="log", condition="message = 'seen'",
+            action=lambda ctx: watched.append(ctx.event.tid),
+        )
+        return engine, attempts, watched
+
+    def test_quarantined_action_leaves_no_pending_firing(self, db):
+        engine, _, watched = self.build(db, failures=1)
+        db.insert("emp", {"name": "A", "salary": 5})
+        assert len(engine.failures()) == 1
+        assert db.count("log") == 0
+        # the rolled-back log row (tid 1) must not fire "watch"
+        assert watched == []
+        assert len(engine.agenda) == 0
+
+    def test_successful_retry_keeps_only_its_own_posts(self, db):
+        engine, attempts, watched = self.build(
+            db, failures=1, retry_policy=RetryPolicy(max_attempts=2)
+        )
+        db.insert("emp", {"name": "A", "salary": 5})
+        assert engine.failures() == []
+        # the failed attempt's row was rolled back; only the retry's fired
+        assert db.count("log") == 1
+        assert watched == [attempts[1]]
+
+    def test_instantiations_pending_before_the_attempt_stay(self, db):
+        engine, attempts, watched = self.build(db, failures=1)
+        # two "flaky" firings share a level; the first to fire fails
+        db.bulk_insert(
+            "emp", [{"name": "A", "salary": 5}, {"name": "B", "salary": 6}]
+        )
+        assert len(engine.failures()) == 1
+        # the other one still fired, and only its row was watched
+        assert db.count("log") == 1
+        assert watched == [attempts[1]]
+
+    def test_deferred_quarantine_leaves_no_pending_firing(self, db):
+        engine, _, watched = self.build(db, failures=1, mode="deferred")
+        db.insert("emp", {"name": "A", "salary": 5})
+        assert engine.run() == 1
+        assert len(engine.failures()) == 1
+        assert watched == []
+        assert len(engine.agenda) == 0
