@@ -8,9 +8,10 @@ Two estimators are provided:
 
 * :class:`DefaultEstimator` — System R style constants by clause shape;
   needs no data and is fully deterministic;
-* :class:`StatisticsEstimator` — consults a database's incrementally
-  maintained :class:`~repro.db.statistics.RelationStatistics`, falling
-  back to the defaults when a relation or attribute has no data yet.
+* :class:`StatisticsEstimator` — consults a database's
+  :class:`~repro.db.statistics.RelationStatistics`, falling back to the
+  defaults when a relation or attribute has no data yet.  A relation
+  tracks an attribute from the first estimate that reads it.
 
 Both return a number in ``[0, 1]``: the estimated fraction of tuples
 matched by the clause.  Lower is more selective.
@@ -74,7 +75,14 @@ class DefaultEstimator(SelectivityEstimator):
 
 
 class StatisticsEstimator(SelectivityEstimator):
-    """Data-driven estimates from a database's relation statistics."""
+    """Data-driven estimates from a database's relation statistics.
+
+    An estimate on an empty relation reads nothing and returns the
+    fallback's, so rules created before their data leave every
+    attribute untracked until a later estimate (a ``retune()``, or a
+    rule created once rows exist) asks with rows present.  The first
+    such estimate of an attribute fills its statistics with one scan.
+    """
 
     def __init__(self, db: "Database", fallback: Optional[SelectivityEstimator] = None):
         self._db = db

@@ -127,9 +127,7 @@ class Transaction:
                 event: Event = DeleteEvent(name, tid, dict(old))
             elif kind == "update":
                 _, relation, name, tid, old, new = op
-                relation._tuples[tid] = old
-                if relation.track_statistics:
-                    relation.statistics.observe_update(new, old)
+                relation.revert_update(tid, old)
                 event = UpdateEvent(name, tid, dict(new), dict(old))
             else:  # "delete"
                 _, relation, name, tid, old = op
@@ -218,10 +216,13 @@ class Database:
         threads cannot interleave half-applied mutations or their event
         deliveries.  Reentrancy keeps rule-action cascades working: a
         subscriber reacting to an event may mutate again on the same
-        thread.  Reads are not locked — pair this with a matcher that
-        reads published snapshots (``"ibs-concurrent"``) for a fully
-        thread-safe rule system.  Off by default: the single-threaded
-        paper configuration pays no locking overhead.
+        thread.  Each relation also gets its own lock over its tuples
+        and their statistics, so a selectivity estimate never reads a
+        record a writer is changing.  Other reads are not locked — pair
+        this with a matcher that reads published snapshots
+        (``"ibs-concurrent"``) for a fully thread-safe rule system.  Off
+        by default: the single-threaded paper configuration pays no
+        locking overhead.
     matcher:
         Default predicate-matcher strategy for rule engines created
         over this database: a name registered in the
@@ -279,7 +280,6 @@ class Database:
         self,
         name: str,
         attributes: Iterable[AttributeSpec],
-        track_statistics: bool = True,
     ) -> Relation:
         """Create and register a relation; returns it.
 
@@ -289,7 +289,7 @@ class Database:
         """
         if name in self._relations:
             raise SchemaError(f"relation {name!r} already exists")
-        relation = Relation(Schema(name, attributes), track_statistics)
+        relation = Relation(Schema(name, attributes), self.threadsafe)
         self._relations[name] = relation
         return relation
 
@@ -430,9 +430,7 @@ class Database:
         try:
             self._notify(UpdateEvent(relation_name, tid, dict(old), dict(new)))
         except AbortMutation:
-            relation._tuples[tid] = old  # direct rollback, stats re-adjusted
-            if relation.track_statistics:
-                relation.statistics.observe_update(new, old)
+            relation.revert_update(tid, old)
             self._notify_compensating(
                 UpdateEvent(relation_name, tid, dict(new), dict(old))
             )

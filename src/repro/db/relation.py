@@ -2,13 +2,16 @@
 
 Tuples are plain dicts keyed by attribute name, stored under
 monotonically increasing tuple identifiers (tids).  The relation keeps
-its :class:`~repro.db.statistics.RelationStatistics` up to date on
-every mutation, and offers simple scan/lookup helpers used by the
-examples, the physical-locking baseline, and the join layer.
+the attributes its :class:`~repro.db.statistics.RelationStatistics`
+tracks up to date on every mutation, and offers simple scan/lookup
+helpers used by the examples, the physical-locking baseline, and the
+join layer.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import nullcontext
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..errors import TupleError
@@ -24,16 +27,24 @@ class Relation:
     Not usually constructed directly — use
     :meth:`repro.db.Database.create_relation`, which also wires up event
     delivery to the rule engine.
+
+    With *threadsafe* (set from ``Database(threadsafe=True)``) one lock
+    covers the stored tuples and their statistics: each mutation holds
+    it across the store and the statistics update, and each statistics
+    read across its fill or estimate.  Nothing else runs under it.
+    Otherwise the lock is a no-op ``nullcontext()``.
     """
 
-    __slots__ = ("schema", "_tuples", "_tid_counter", "statistics", "track_statistics")
+    __slots__ = ("schema", "_tuples", "_tid_counter", "_lock", "statistics")
 
-    def __init__(self, schema: Schema, track_statistics: bool = True):
+    def __init__(self, schema: Schema, threadsafe: bool = False):
         self.schema = schema
         self._tuples: Dict[int, Dict[str, Any]] = {}
         self._tid_counter = 1
-        self.statistics = RelationStatistics()
-        self.track_statistics = track_statistics
+        self._lock: Any = threading.Lock() if threadsafe else nullcontext()
+        self.statistics = RelationStatistics(
+            self._tuples, schema.attribute_names, self._lock
+        )
 
     @property
     def name(self) -> str:
@@ -66,10 +77,10 @@ class Relation:
     def insert(self, values: Mapping[str, Any]) -> Tuple[int, Dict[str, Any]]:
         """Validate and store a tuple; returns ``(tid, stored_tuple)``."""
         tup = self.schema.validate_tuple(values)
-        tid = self._tid_counter
-        self._tid_counter = tid + 1
-        self._tuples[tid] = tup
-        if self.track_statistics:
+        with self._lock:
+            tid = self._tid_counter
+            self._tid_counter = tid + 1
+            self._tuples[tid] = tup
             self.statistics.observe_insert(tup)
         return tid, tup
 
@@ -81,16 +92,26 @@ class Relation:
         validated = self.schema.validate_update(changes)
         new = dict(old)
         new.update(validated)
-        self._tuples[tid] = new
-        if self.track_statistics:
+        with self._lock:
+            self._tuples[tid] = new
             self.statistics.observe_update(old, new)
         return old, new
+
+    def revert_update(self, tid: int, old: Dict[str, Any]) -> None:
+        """Put back *old*, the image an :meth:`update` of *tid* replaced.
+
+        The rollback of an update; the statistics follow.
+        """
+        with self._lock:
+            new = self._tuples[tid]
+            self._tuples[tid] = old
+            self.statistics.observe_update(new, old)
 
     def delete(self, tid: int) -> Dict[str, Any]:
         """Remove and return the tuple at *tid*."""
         old = self._require(tid)
-        del self._tuples[tid]
-        if self.track_statistics:
+        with self._lock:
+            del self._tuples[tid]
             self.statistics.observe_delete(old)
         return old
 
@@ -99,8 +120,9 @@ class Relation:
         if tid in self._tuples:
             raise TupleError(f"tid {tid} already present in {self.name!r}")
         self.advance_tid_counter(tid + 1)
-        self._tuples[tid] = dict(tup)
-        if self.track_statistics:
+        tup = dict(tup)
+        with self._lock:
+            self._tuples[tid] = tup
             self.statistics.observe_insert(tup)
 
     def _require(self, tid: int) -> Dict[str, Any]:

@@ -8,7 +8,8 @@ paper's assumption of 15 attributes per relation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from collections.abc import Mapping
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..errors import SchemaError, TupleError, UnknownAttributeError
 from .types import ANY, Domain
@@ -49,7 +50,7 @@ class Schema:
         Schema("emp", ["name", ("age", INTEGER), ("salary", NUMBER), "dept"])
     """
 
-    __slots__ = ("name", "attributes", "_by_name")
+    __slots__ = ("name", "attributes", "_by_name", "_checked")
 
     def __init__(self, name: str, attributes: Iterable[AttributeSpec]):
         if not name or not isinstance(name, str):
@@ -67,6 +68,8 @@ class Schema:
         self.name = name
         self.attributes = tuple(attrs)
         self._by_name = by_name
+        #: the attributes whose domain can reject a value
+        self._checked = tuple(attr for attr in attrs if _constrains(attr.domain))
 
     @staticmethod
     def _coerce(spec: AttributeSpec) -> Attribute:
@@ -106,24 +109,26 @@ class Schema:
         """Check *values* against the schema and return a complete dict.
 
         Unknown attributes are rejected; missing attributes become None
-        (NULL).  Domain checks run on every non-NULL value.
+        (NULL).  Domain checks run on every non-NULL value of an attribute
+        whose domain can reject one.
         """
         if not isinstance(values, Mapping):
             raise TupleError(f"tuple must be a mapping, got {type(values).__name__}")
-        for key in values:
-            if key not in self._by_name:
-                raise TupleError(
-                    f"relation {self.name!r} has no attribute {key!r} "
-                    f"(known: {', '.join(self.attribute_names)})"
-                )
-        normalized: Dict[str, Any] = {}
-        for attr in self.attributes:
-            value = values.get(attr.name)
+        by_name = self._by_name
+        if not values.keys() <= by_name.keys():
+            for key in values:
+                if key not in by_name:
+                    raise TupleError(
+                        f"relation {self.name!r} has no attribute {key!r} "
+                        f"(known: {', '.join(self.attribute_names)})"
+                    )
+        get = values.get
+        normalized = {name: get(name) for name in by_name}
+        for attr in self._checked:
             try:
-                attr.domain.validate(value)
+                attr.domain.validate(normalized[attr.name])
             except SchemaError as exc:
                 raise TupleError(f"attribute {attr.name!r}: {exc}") from None
-            normalized[attr.name] = value
         return normalized
 
     def validate_update(self, changes: Mapping[str, Any]) -> Dict[str, Any]:
@@ -143,3 +148,18 @@ class Schema:
     def __repr__(self) -> str:
         cols = ", ".join(f"{a.name}:{a.domain.name}" for a in self.attributes)
         return f"Schema({self.name!r}: {cols})"
+
+
+def _constrains(domain: Domain) -> bool:
+    """Whether ``domain.validate`` can reject a value.
+
+    A plain :class:`Domain` with no check and no bound accepts
+    everything (``ANY``); a subclass that overrides ``validate`` is
+    assumed to check something.
+    """
+    return (
+        domain.check is not None
+        or domain.low is not None
+        or domain.high is not None
+        or type(domain).validate is not Domain.validate
+    )

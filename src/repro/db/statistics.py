@@ -1,11 +1,24 @@
-"""Incrementally maintained relation statistics for selectivity estimation.
+"""Relation statistics for selectivity estimation, tracked on demand.
 
 The paper places, for each conjunctive predicate, its *most selective*
 indexable clause into the IBS-tree, with "selectivity estimates ...
 obtained from the query optimizer".  This module plays that optimizer
-role: it tracks per-attribute value distributions (count, min/max,
-distinct values, an equi-width histogram) as tuples are inserted and
-deleted, and estimates the fraction of tuples matched by a clause.
+role: it estimates the fraction of tuples matched by a clause from
+per-attribute value distributions.
+
+A relation's :class:`RelationStatistics` keeps a record only for the
+attributes something reads.  The first read of an attribute
+(:meth:`RelationStatistics.attribute`, or
+:meth:`RelationStatistics.clause_selectivity`, which the
+:class:`~repro.core.selectivity.StatisticsEstimator` calls) fills its
+record with one scan of the relation's tuples; from then on every
+insert, update, delete, restore and rollback maintains it.  An
+attribute nothing has read costs a store nothing.
+
+An :class:`AttributeStatistics` record holds a row count, a NULL count,
+the minimum and maximum, and exact per-value counts up to 1,024
+distinct values.  Past that it keeps only the minimum and maximum and
+estimates a range by uniform interpolation between them.
 
 When no data has been observed the estimator falls back to the classic
 System R magic numbers [S*79], so clause ranking works even on empty
@@ -15,7 +28,7 @@ databases (the common case when rules are created before data loads).
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional, Tuple
 
 from ..core.intervals import Interval, is_infinite
 from ..predicates.clauses import Clause, EqualityClause, FunctionClause, IntervalClause
@@ -158,56 +171,98 @@ class AttributeStatistics:
 
 
 class RelationStatistics:
-    """Per-attribute statistics for one relation, plus a row count."""
+    """The statistics of one relation, one record per attribute read so far.
 
-    __slots__ = ("row_count", "_attributes")
+    *rows* is the relation's live tid -> tuple map, so :attr:`row_count`
+    is always its length, and *attributes* are the schema's attribute
+    names: a name outside them is never tracked.  *lock* is the
+    relation's lock (a no-op ``nullcontext()`` unless the database is
+    threadsafe).  A read holds it across a fill or an estimate, and the
+    relation holds it across each store and the ``observe_*`` call that
+    follows, so neither sees the other half done.  A tracked attribute
+    stays tracked until its relation is dropped.
+    """
 
-    def __init__(self) -> None:
-        self.row_count = 0
+    __slots__ = ("_rows", "_names", "_lock", "_attributes")
+
+    def __init__(
+        self,
+        rows: Mapping[int, Mapping[str, Any]],
+        attributes: Iterable[str],
+        lock: Any,
+    ) -> None:
+        self._rows = rows
+        self._names = frozenset(attributes)
+        self._lock = lock
         self._attributes: Dict[str, AttributeStatistics] = {}
 
+    @property
+    def row_count(self) -> int:
+        """Number of tuples in the relation."""
+        return len(self._rows)
+
+    @property
+    def tracked(self) -> Tuple[str, ...]:
+        """Names of the tracked attributes, in the order of first read."""
+        with self._lock:
+            return tuple(self._attributes)
+
     def attribute(self, name: str) -> AttributeStatistics:
-        """Statistics for *name*, creating an empty record on first use."""
+        """The record of *name*, tracked from this call on.
+
+        The first read of a schema attribute fills its record with one
+        scan of the relation's tuples.  A name outside the schema gets a
+        fresh empty record and stays untracked.
+        """
+        with self._lock:
+            return self._record(name)
+
+    def _record(self, name: str) -> AttributeStatistics:
+        """:meth:`attribute` for a caller that holds the lock."""
         stats = self._attributes.get(name)
         if stats is None:
-            stats = self._attributes[name] = AttributeStatistics()
+            stats = AttributeStatistics()
+            if name in self._names:
+                for tup in self._rows.values():
+                    stats.observe_insert(tup.get(name))
+                self._attributes[name] = stats
         return stats
 
+    # -- maintenance (the relation calls these under its lock) --------------
+
     def observe_insert(self, tup: Mapping[str, Any]) -> None:
-        self.row_count += 1
-        for name, value in tup.items():
-            self.attribute(name).observe_insert(value)
+        for name, stats in self._attributes.items():
+            stats.observe_insert(tup.get(name))
 
     def observe_delete(self, tup: Mapping[str, Any]) -> None:
-        self.row_count = max(0, self.row_count - 1)
-        for name, value in tup.items():
-            self.attribute(name).observe_delete(value)
+        for name, stats in self._attributes.items():
+            stats.observe_delete(tup.get(name))
 
     def observe_update(
         self, old: Mapping[str, Any], new: Mapping[str, Any]
     ) -> None:
-        for name in new:
-            if old.get(name) != new.get(name):
-                stats = self.attribute(name)
-                stats.observe_delete(old.get(name))
-                stats.observe_insert(new.get(name))
+        for name, stats in self._attributes.items():
+            before, after = old.get(name), new.get(name)
+            if before != after:
+                stats.observe_delete(before)
+                stats.observe_insert(after)
 
     # -- clause selectivity -------------------------------------------------
 
     def clause_selectivity(self, clause: Clause) -> float:
-        """Estimated fraction of tuples matched by *clause* (in [0, 1])."""
+        """Estimated fraction of tuples matched by *clause* (in [0, 1]).
+
+        Reads, and so tracks, the clause's attribute; a function clause
+        is opaque and reads nothing.
+        """
         if isinstance(clause, FunctionClause):
             return DEFAULT_SELECTIVITIES["function"]
         if isinstance(clause, EqualityClause):
-            stats = self._attributes.get(clause.attribute)
-            if stats is None or stats.non_null_count == 0:
-                return DEFAULT_SELECTIVITIES["equality"]
-            return stats.equality_selectivity(clause.value)
+            with self._lock:
+                return self._record(clause.attribute).equality_selectivity(clause.value)
         if isinstance(clause, IntervalClause):
-            stats = self._attributes.get(clause.attribute)
-            if stats is None or stats.non_null_count == 0:
-                return _default_for(clause.interval)
-            return stats.interval_selectivity(clause.interval)
+            with self._lock:
+                return self._record(clause.attribute).interval_selectivity(clause.interval)
         return 1.0
 
 

@@ -90,6 +90,29 @@ class TestSchema:
         with pytest.raises(TupleError):
             schema.validate_tuple([1, 2])
 
+    def test_validate_tuple_checks_only_what_can_fail(self):
+        class Even(Domain):
+            __slots__ = ()
+
+            def validate(self, value):
+                if value is not None and value % 2:
+                    raise SchemaError(f"value {value!r} is odd")
+
+        schema = Schema(
+            "r", ["w", ("x", INTEGER), ("y", Domain("small", None, 0, 9)), ("z", Even("even"))]
+        )
+        # complete, in schema order, whatever the caller's order
+        assert list(schema.validate_tuple({"z": 2, "w": object()})) == ["w", "x", "y", "z"]
+        # the first unknown key in the caller's order is named
+        with pytest.raises(TupleError, match=r"no attribute 'b' \(known: w, x, y, z\)"):
+            schema.validate_tuple({"x": 1, "b": 2, "a": 3})
+        with pytest.raises(TupleError, match="attribute 'x': value 'nope' is not in domain integer"):
+            schema.validate_tuple({"x": "nope", "y": 99})
+        with pytest.raises(TupleError, match="attribute 'y': value 10 above domain small maximum 9"):
+            schema.validate_tuple({"y": 10})
+        with pytest.raises(TupleError, match="attribute 'z': value 3 is odd"):
+            schema.validate_tuple({"z": 3})
+
     def test_validate_update(self):
         schema = Schema("r", [("x", INTEGER)])
         assert schema.validate_update({"x": 2}) == {"x": 2}
@@ -255,8 +278,33 @@ class TestStatisticsMaintenance:
         db.delete("r", tid)
         assert rel.statistics.row_count == 0
 
-    def test_tracking_disabled(self):
+    def test_nothing_read_nothing_tracked(self):
         db = Database()
-        rel = db.create_relation("r", ["x"], track_statistics=False)
-        db.insert("r", {"x": 5})
-        assert rel.statistics.row_count == 0
+        rel = db.create_relation("r", ["x", "y"])
+        tid = db.insert("r", {"x": 5, "y": 1})
+        db.update("r", tid, {"x": 6})
+        db.insert("r", {"x": 7, "y": 2})
+        assert rel.statistics.row_count == 2
+        assert rel.statistics.tracked == ()
+
+    def test_first_read_fills_from_a_scan(self):
+        db = Database()
+        rel = db.create_relation("r", ["x", "y"])
+        for v in [5, 1, None, 9, 1]:
+            db.insert("r", {"x": v, "y": 0})
+        attr = rel.statistics.attribute("x")
+        assert rel.statistics.tracked == ("x",)
+        assert (attr.count, attr.null_count) == (5, 1)
+        assert attr.value_counts == {5: 1, 1: 2, 9: 1}
+        assert (attr.min_value, attr.max_value) == (1, 9)
+        # maintained from here on
+        db.insert("r", {"x": 0, "y": 0})
+        assert attr.count == 6 and attr.min_value == 0
+        assert rel.statistics.tracked == ("x",)
+
+    def test_names_outside_the_schema_are_never_tracked(self):
+        db = Database()
+        rel = db.create_relation("r", ["x"])
+        db.insert("r", {"x": 1})
+        assert rel.statistics.attribute("nope").count == 0
+        assert rel.statistics.tracked == ()

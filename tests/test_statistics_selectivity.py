@@ -8,7 +8,7 @@ from repro.core.selectivity import (
     StatisticsEstimator,
     choose_index_clause,
 )
-from repro.db.statistics import AttributeStatistics, RelationStatistics
+from repro.db.statistics import AttributeStatistics
 from repro.predicates import Predicate
 
 
@@ -86,9 +86,11 @@ class TestAttributeStatistics:
 
 class TestRelationStatistics:
     def test_clause_selectivities(self):
-        stats = RelationStatistics()
+        db = Database()
+        rel = db.create_relation("r", ["x", "dept"])
         for v in range(100):
-            stats.observe_insert({"x": v, "dept": "Shoe" if v < 20 else "Toy"})
+            db.insert("r", {"x": v, "dept": "Shoe" if v < 20 else "Toy"})
+        stats = rel.statistics
         assert stats.clause_selectivity(EqualityClause("dept", "Shoe")) == pytest.approx(0.2)
         assert stats.clause_selectivity(
             IntervalClause("x", Interval.closed(0, 24))
@@ -96,9 +98,12 @@ class TestRelationStatistics:
         assert stats.clause_selectivity(FunctionClause("x", is_odd)) == 1.0
 
     def test_update_path(self):
-        stats = RelationStatistics()
-        stats.observe_insert({"x": 1})
-        stats.observe_update({"x": 1}, {"x": 2})
+        db = Database()
+        rel = db.create_relation("r", ["x"])
+        tid = db.insert("r", {"x": 1})
+        stats = rel.statistics
+        stats.attribute("x")  # tracked before the update
+        db.update("r", tid, {"x": 2})
         assert stats.clause_selectivity(EqualityClause("x", 2)) == 1.0
         assert stats.clause_selectivity(EqualityClause("x", 1)) == 0.0
 
