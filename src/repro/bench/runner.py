@@ -26,7 +26,7 @@ import math
 import os
 import random
 import time
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.intervals import Interval
 from ..core.predicate_index import PredicateIndex
@@ -1295,6 +1295,12 @@ def print_concurrency(
 # ----------------------------------------------------------------------
 
 
+#: ``run_maintenance``'s configurations, in row order.
+MAINT_MODES = (
+    "scheduler-off", "scheduler-idle", "scheduler-active", "ckpt-stop-world", "ckpt-background"
+)
+
+
 def run_maintenance(
     predicates: int = 5_000,
     distinct_values: int = 1_000,
@@ -1327,21 +1333,61 @@ def run_maintenance(
       actually feel — and the background row's should sit well below
       the stop-the-world row's at full scale.
 
-    Every configuration is answer-checked against ``scheduler-off`` on
-    a sample before timing; ``overhead_pct`` is throughput loss vs the
-    ``scheduler-off`` row (negative = faster, noise).
+    Each configuration is built and timed in a fresh process, once per
+    repeat, with the order rotated by one per repeat, so a row's figure
+    does not depend on the rows timed before it; a row reports its
+    fastest repeat.  (The processes are spawned, so a script calling
+    this needs an ``if __name__ == "__main__"`` guard.)  Every configuration is answer-checked against
+    ``scheduler-off`` on a sample before timing; ``overhead_pct`` is
+    throughput loss vs the ``scheduler-off`` row (negative = faster,
+    noise).
     """
-    import shutil
-    import tempfile
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-    from ..disk.checkpoint import DiskCheckpointer
-    from ..maintenance import MaintenancePolicy
+    scenario = dict(predicates=predicates, distinct_values=distinct_values, seed=seed,
+                    batch_size=batch_size, rounds=rounds, checkpoint_every=checkpoint_every)
+    predicate_list, batches, _ = _maintenance_workload(scenario)
+    baseline_index = DEFAULT_REGISTRY.create_matcher("ibs", tree_factory="flat")
+    baseline_index.add_many(predicate_list)
+    reference = {
+        relation: [{p.ident for p in baseline_index.match(relation, t)} for t in batches[0][:20]]
+        for relation in _MAINT_RELATIONS
+    }
+    best: Dict[str, Tuple[float, float]] = {}
+    for repeat in range(repeats):
+        shift = repeat % len(MAINT_MODES)
+        for mode in MAINT_MODES[shift:] + MAINT_MODES[:shift]:
+            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+                timed = pool.submit(_time_maintenance_mode, mode, scenario, reference).result()
+            best[mode] = min(best.get(mode, timed), timed)
+    total = sum(len(batch) for batch in batches)
+    return [
+        {
+            "mode": mode,
+            "us_per_tuple": best[mode][0] / total * 1e6,
+            "tuples_per_s": total / best[mode][0],
+            "overhead_pct": (1.0 - best["scheduler-off"][0] / best[mode][0]) * 100.0,
+            "max_pause_ms": best[mode][1] * 1e3,
+        }
+        for mode in MAINT_MODES
+    ]
 
-    rng = random.Random(seed)
-    relations = ("emp", "dept")
+
+_MAINT_RELATIONS = ("emp", "dept")
+
+
+def _maintenance_workload(
+    scenario: Dict[str, Any]
+) -> Tuple[List[Predicate], List[List[Dict[str, int]]], List[Predicate]]:
+    """``run_maintenance``'s predicates, batches and per-round writes,
+    the same in every process for the same *scenario*."""
+    rng = random.Random(scenario["seed"])
     attributes = ("x", "y")
+    relations = _MAINT_RELATIONS
+    batch_size, distinct_values = scenario["batch_size"], scenario["distinct_values"]
     predicate_list = []
-    for i in range(predicates):
+    for i in range(scenario["predicates"]):
         attribute = attributes[i % len(attributes)]
         relation = relations[i % len(relations)]
         low = rng.randint(1, 1_000_000)
@@ -1357,7 +1403,7 @@ def run_maintenance(
         for attribute in attributes
     }
     batches = []
-    for _ in range(rounds):
+    for _ in range(scenario["rounds"]):
         columns = {
             attribute: rng.sample(pool, min(batch_size, len(pool)))
             for attribute, pool in pools.items()
@@ -1375,11 +1421,30 @@ def run_maintenance(
             ident=f"bench-m{i}",
         )
         for i, low in enumerate(
-            rng.randint(1, 1_000_000) for _ in range(rounds)
+            rng.randint(1, 1_000_000) for _ in range(scenario["rounds"])
         )
     ]
-    total = sum(len(batch) for batch in batches)
-    ops_per_round = batch_size + 2
+    return predicate_list, batches, write_preds
+
+
+def _time_maintenance_mode(
+    mode: str,
+    scenario: Dict[str, Any],
+    reference: Dict[str, List[Set[Hashable]]],
+) -> Tuple[float, float]:
+    """Build one ``run_maintenance`` configuration, check its answers,
+    warm it up and time one run: ``(seconds, worst round seconds)``."""
+    import gc
+    import shutil
+    import tempfile
+
+    from ..disk.checkpoint import DiskCheckpointer
+    from ..maintenance import MaintenancePolicy
+
+    predicate_list, batches, write_preds = _maintenance_workload(scenario)
+    relations = _MAINT_RELATIONS
+    checkpoint_every = scenario["checkpoint_every"]
+    ops_per_round = scenario["batch_size"] + 2
     never = 10 ** 12  # an interval no bench-scale clock ever reaches
 
     def mixed_rounds(index: Any, checkpointer: Any = None) -> float:
@@ -1396,108 +1461,47 @@ def run_maintenance(
             worst = max(worst, time.perf_counter() - start)
         return worst
 
-    baseline_index = DEFAULT_REGISTRY.create_matcher("ibs", tree_factory="flat")
-    baseline_index.add_many(predicate_list)
-    sample = batches[0][:20]
-    reference = {
-        relation: [
-            {p.ident for p in baseline_index.match(relation, tup)}
-            for tup in sample
-        ]
-        for relation in relations
+    policies = {
+        "scheduler-idle": MaintenancePolicy(retune_interval=never),
+        "scheduler-active": MaintenancePolicy(retune_interval=ops_per_round * 2),
+        "ckpt-background": MaintenancePolicy(
+            checkpoint_interval=ops_per_round * checkpoint_every, budget_ops=1
+        ),
     }
-
-    def check(index: Any, label: str) -> None:
+    work_dir = tempfile.mkdtemp(prefix="bench-maint-")
+    checkpointer = None
+    try:
+        if mode.startswith("ckpt-"):
+            index = DEFAULT_REGISTRY.create_matcher(
+                "ibs-concurrent",
+                storage="disk",
+                data_dir=os.path.join(work_dir, mode),
+                maintenance=policies.get(mode),
+            )
+        else:
+            index = DEFAULT_REGISTRY.create_matcher(
+                "ibs", tree_factory="flat", maintenance=policies.get(mode)
+            )
+        index.add_many(predicate_list)
+        if mode.startswith("ckpt-"):
+            checkpointer = DiskCheckpointer(index)
         for relation in relations:
-            answers = [
-                {p.ident for p in row}
-                for row in index.match_batch(relation, sample)
-            ]
-            if answers != reference[relation]:
+            rows = index.match_batch(relation, batches[0][:20])
+            if [{p.ident for p in row} for row in rows] != reference[relation]:
                 raise AssertionError(
-                    f"maintenance bench: {label} disagrees with the "
+                    f"maintenance bench: {mode} disagrees with the "
                     f"scheduler-free index on {relation}"
                 )
-
-    rows: List[Dict[str, Any]] = []
-    baseline: Optional[float] = None
-
-    def time_config(
-        mode: str, index: Any, checkpointer: Any = None
-    ) -> Dict[str, Any]:
-        nonlocal baseline
-        check(index, mode)
-        mixed_rounds(index, checkpointer)  # warm-up
-        elapsed, worst = math.inf, 0.0
-        for _ in range(repeats):
-            start = time.perf_counter()
-            pause = mixed_rounds(index, checkpointer)
-            took = time.perf_counter() - start
-            if took < elapsed:
-                elapsed, worst = took, pause
-        throughput = total / elapsed
-        if baseline is None:
-            baseline = throughput
-        row = {
-            "mode": mode,
-            "us_per_tuple": elapsed / total * 1e6,
-            "tuples_per_s": throughput,
-            "overhead_pct": (1.0 - throughput / baseline) * 100.0,
-            "max_pause_ms": worst * 1e3,
-        }
-        rows.append(row)
-        return row
-
-    time_config("scheduler-off", baseline_index)
-
-    idle = DEFAULT_REGISTRY.create_matcher(
-        "ibs",
-        tree_factory="flat",
-        maintenance=MaintenancePolicy(retune_interval=never),
-    )
-    idle.add_many(predicate_list)
-    time_config("scheduler-idle", idle)
-
-    active = DEFAULT_REGISTRY.create_matcher(
-        "ibs",
-        tree_factory="flat",
-        maintenance=MaintenancePolicy(retune_interval=ops_per_round * 2),
-    )
-    active.add_many(predicate_list)
-    time_config("scheduler-active", active)
-
-    work_dir = tempfile.mkdtemp(prefix="bench-maint-")
-    try:
-        stop_world = DEFAULT_REGISTRY.create_matcher(
-            "ibs-concurrent",
-            storage="disk",
-            data_dir=os.path.join(work_dir, "stop-world"),
-        )
-        stop_world.add_many(predicate_list)
-        ck_stop = DiskCheckpointer(stop_world)
-        try:
-            time_config("ckpt-stop-world", stop_world, ck_stop)
-        finally:
-            ck_stop.close()
-
-        background = DEFAULT_REGISTRY.create_matcher(
-            "ibs-concurrent",
-            storage="disk",
-            data_dir=os.path.join(work_dir, "background"),
-            maintenance=MaintenancePolicy(
-                checkpoint_interval=ops_per_round * checkpoint_every,
-                budget_ops=1,
-            ),
-        )
-        background.add_many(predicate_list)
-        ck_back = DiskCheckpointer(background)
-        try:
-            time_config("ckpt-background", background)
-        finally:
-            ck_back.close()
+        inline = checkpointer if mode == "ckpt-stop-world" else None
+        mixed_rounds(index, inline)  # warm-up
+        gc.collect()  # every process starts its timed run from one collector state
+        start = time.perf_counter()
+        pause = mixed_rounds(index, inline)
+        return time.perf_counter() - start, pause
     finally:
+        if checkpointer is not None:
+            checkpointer.close()
         shutil.rmtree(work_dir, ignore_errors=True)
-    return rows
 
 
 def print_maintenance(

@@ -598,49 +598,6 @@ class FlatIBSTree:
             gap_masks.pop()
         return values, eq_masks, gap_masks, list(self._ident_of)
 
-    def export_arrays(self) -> Dict[str, Any]:
-        """The full array plane plus the interval table, in one pass.
-
-        Everything a flat serializer (the disk tier's segment writer)
-        needs to reproduce this tree's observable behaviour: the stab
-        plane of :meth:`export_stab_plane`, the bit-aligned interval
-        table, the interval count, and the epoch.  ``interval_of`` is
-        index-aligned with ``ident_of`` — freed bits hold ``None`` in
-        both.  Pure read, like the plane export.
-        """
-        values, eq_masks, gap_masks, ident_of = self.export_stab_plane()
-        return {
-            "values": values,
-            "eq_masks": eq_masks,
-            "gap_masks": gap_masks,
-            "ident_of": ident_of,
-            "interval_of": list(self._interval_of),
-            "count": len(self._bit_of),
-            "epoch": self.epoch,
-        }
-
-    @classmethod
-    def from_arrays(cls, arrays: Dict[str, Any]) -> "FlatIBSTree":
-        """Rebuild a tree from an :meth:`export_arrays` export.
-
-        The import path of the array plane: identifiers and intervals
-        are bulk-loaded (balanced build, fresh bit assignment — bit
-        *numbering* is an internal detail, only the ident/interval
-        pairing is semantic) and the exported epoch is restored, so an
-        imported tree is indistinguishable from the exporter through
-        the ``IntervalIndex`` interface, stab-cache keys included.
-        """
-        tree = cls()
-        ident_of = arrays["ident_of"]
-        interval_of = arrays["interval_of"]
-        tree.bulk_load(
-            (interval, ident)
-            for ident, interval in zip(ident_of, interval_of)
-            if ident is not None and interval is not None
-        )
-        tree.epoch = arrays["epoch"]
-        return tree
-
     def overlapping(self, query: Interval) -> Set[Hashable]:
         """Identifiers of all intervals overlapping the *query* interval."""
         mask = 0

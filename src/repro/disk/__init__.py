@@ -1,8 +1,8 @@
 """The disk-backed predicate tier: segments, checkpoints, recovery.
 
 Larger-than-memory predicate sets for the matching system.  Frozen
-:class:`~repro.core.flat_ibs_tree.FlatIBSTree` bases are serialised to
-checksummed, mmap-able **segment files** (:mod:`repro.disk.segment`),
+interval-tree bases are written, as the stab plane of their intervals,
+to checksummed, mmap-able **segment files** (:mod:`repro.disk.segment`),
 served lazily per ``(relation, attribute)`` by
 :class:`~repro.disk.tree.DiskIBSTree` behind the ordinary tree-store
 seam (:mod:`repro.disk.store`), and made durable by **incremental

@@ -23,7 +23,10 @@ LRU of live trees, and when decoded-object residency exceeds
 :meth:`~repro.disk.tree.DiskIBSTree.release_cache` — dropping their
 decoded rows and staging copies while their mmap'd pages stay with the
 OS page cache.  Dirty staging trees are never evicted (their contents
-exist nowhere else).
+exist nowhere else).  Residency is a running count per tree, so the
+check on every read costs one addition per live tree, and under a
+budget the readers' row caches are the only stab cache
+(:meth:`DiskTreeStore.freeze_state`): all that is decoded is counted.
 """
 
 from __future__ import annotations
@@ -87,7 +90,8 @@ class DiskTreeStore(TreeStore):
     memory_budget:
         Soft cap, in bytes, on decoded Python-object residency across
         all live trees (``None`` = unlimited).  Enforced by evicting
-        the coldest sealed trees after each touched read.
+        the coldest sealed trees after each touched read.  A budgeted
+        store keeps no relation stab cache (:meth:`freeze_state`).
     """
 
     __slots__ = ("data_dir", "memory_budget", "_lru", "_evict_lock")
@@ -117,6 +121,13 @@ class DiskTreeStore(TreeStore):
         self.seed_epoch(state, tree)
         self._track(tree)
         return tree
+
+    def freeze_state(self, state: RelationState) -> None:
+        """Freeze the relation's trees and, without a budget, cache its
+        stabs (under one they would copy rows that no eviction drops)."""
+        super().freeze_state(state)
+        if self.memory_budget is not None:
+            state.stab_cache = None
 
     def adopt_tree(self, state: RelationState, tree: DiskIBSTree) -> DiskIBSTree:
         """Track a recovered (cold-attached) tree in the eviction LRU."""

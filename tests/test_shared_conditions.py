@@ -211,6 +211,25 @@ def test_shared_function_is_called_once_per_tuple(name, path):
     assert CALLS["odd"] == len(tuples)
 
 
+@pytest.mark.parametrize("name", ["ibs-concurrent", "disk-concurrent"])
+@pytest.mark.parametrize("path", ["match", "match_batch"])
+def test_overlay_scan_calls_a_shared_function_once(tmp_path, name, path):
+    # five base and three overlay predicates, all odd(a): one call in
+    # the base and one in the overlay, on the batch path's overlay scan
+    # as on the per-tuple path
+    options = {"data_dir": str(tmp_path)} if name == "disk-concurrent" else {}
+    idx = DEFAULT_REGISTRY.create_matcher(name, **options)
+    idx.add_many([pred(ident, fn("a", odd)) for ident in range(5)])
+    idx.compact()
+    for ident in range(5, 8):
+        idx.add(pred(ident, fn("a", odd)))
+    assert [p.ident for p in idx.snapshot("r").overlay_preds] == [5, 6, 7]
+    tup = {"a": 3}
+    row = idx.match_batch("r", [tup])[0] if path == "match_batch" else idx.match("r", tup)
+    assert [p.ident for p in row] == list(range(8))
+    assert CALLS["odd"] == 2
+
+
 def test_group_count_on_the_paper_scenario():
     """Ordered pairs of 5 function clauses: at most 20 groups for 100
     predicates, so the list costs at most 20 checks per tuple."""
