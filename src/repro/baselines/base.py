@@ -12,15 +12,17 @@ Two protocols are defined:
 * :class:`IntervalIndex` — the contract of a one-dimensional stabbing
   index: insert/delete intervals under identifiers, and return all
   identifiers whose interval contains a query value.  Implemented by
-  the IBS-tree and by the alternative interval structures compared in
+  the IBS-trees and by the alternative interval structures compared in
   the ABL1 ablation (interval list, 1-d R-tree, priority search tree,
-  segment/interval trees).
+  segment/interval trees); it lives in :mod:`repro.core.stabbing`,
+  beside the trees, and is re-exported here.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Mapping, Optional, Set
+from typing import Any, Hashable, Iterable, List, Mapping, Set
 
+from ..core.stabbing import IntervalIndex
 from ..predicates.predicate import Predicate
 
 __all__ = ["PredicateMatcher", "IntervalIndex"]
@@ -57,72 +59,6 @@ class PredicateMatcher:
         batched fast path (the IBS index) override it.
         """
         return [self.match(relation, tup) for tup in tuples]
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class IntervalIndex:
-    """Abstract base for one-dimensional interval (stabbing) indexes."""
-
-    #: Short machine name used in ablation tables.
-    name: str = "abstract"
-
-    #: Whether intervals can be added after construction.
-    supports_dynamic_insert: bool = True
-
-    #: Whether intervals can be removed.
-    supports_dynamic_delete: bool = True
-
-    #: Whether open/half-open endpoint semantics are honoured exactly.
-    supports_open_bounds: bool = True
-
-    #: Whether -inf/+inf endpoints are honoured exactly.
-    supports_unbounded: bool = True
-
-    def insert(self, interval, ident: Hashable = None) -> Hashable:
-        raise NotImplementedError
-
-    def delete(self, ident: Hashable) -> None:
-        raise NotImplementedError
-
-    def stab(self, x: Any) -> Set[Hashable]:
-        """Identifiers of all intervals containing *x*."""
-        raise NotImplementedError
-
-    def stab_into(self, x: Any, out: Set[Hashable]) -> Set[Hashable]:
-        """Union the identifiers of intervals containing *x* into *out*.
-
-        All-or-nothing: a ``TypeError`` from the probe leaves *out*
-        untouched.  Default delegates to :meth:`stab`; tree-shaped
-        indexes override it to skip the temporary result set.
-        """
-        out.update(self.stab(x))
-        return out
-
-    def stab_many(self, values: Iterable[Any]) -> Dict[Any, Optional[Set[Hashable]]]:
-        """Stab several values; ``{value: idents}`` per distinct value.
-
-        Values for which :meth:`stab` raises ``TypeError`` (incomparable
-        with the indexed endpoints) map to ``None``, and so does
-        ``None`` itself, unconditionally — SQL NULL stabs nothing, even
-        on an empty index (the NULL rule shared with the IBS-tree
-        implementations and the match pipeline's pre-probe skip).
-        Default loops :meth:`stab`; the IBS-trees override it with a
-        shared-prefix grouped descent.
-        """
-        out: Dict[Any, Optional[Set[Hashable]]] = {}
-        for v in values:
-            if v in out:
-                continue
-            if v is None:
-                out[v] = None  # NULL rule: NULL stabs nothing
-                continue
-            try:
-                out[v] = self.stab(v)
-            except TypeError:
-                out[v] = None
-        return out
 
     def __len__(self) -> int:
         raise NotImplementedError

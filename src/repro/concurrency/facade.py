@@ -92,9 +92,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
     storage / data_dir / memory_budget:
         ``storage="disk"`` selects the disk tier
         (:mod:`repro.disk`): every compacted shard base is sealed to
-        segment files under ``data_dir`` and its decoded residency is
-        capped by ``memory_budget``.  Overlays stay in RAM on both
-        tiers, so a write between compactions touches no file.
+        segment files under ``data_dir`` (a private temporary
+        directory, removed with the facade, when none is given) and
+        its decoded residency is capped by ``memory_budget``.  Overlays
+        stay in RAM on both tiers, so a write between compactions
+        touches no file.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` driving this
         facade's background work off the unified maintenance clock:
@@ -136,9 +138,9 @@ class ConcurrentPredicateIndex(PredicateMatcher):
                 f"unknown storage {storage!r}: expected 'memory' or 'disk'"
             )
         if storage == "disk" and data_dir is None:
-            import tempfile
+            from ..disk.tree import private_directory
 
-            data_dir = tempfile.mkdtemp(prefix="repro-disk-")
+            data_dir = private_directory(self)
         self._storage = storage
         self._data_dir = data_dir
         self._memory_budget = memory_budget
@@ -303,7 +305,11 @@ class ConcurrentPredicateIndex(PredicateMatcher):
 
     @property
     def data_dir(self) -> Optional[str]:
-        """The disk tier's data directory (``None`` on the memory tier)."""
+        """The disk tier's data directory (``None`` on the memory tier).
+
+        Without a caller's ``data_dir`` it is a private temporary
+        directory, removed when this index is garbage collected.
+        """
         return self._data_dir
 
     def resident_bytes(self) -> int:

@@ -8,6 +8,8 @@ This subpackage contains the paper's primary contribution:
   tree (Section 4.2), a dynamic index answering stabbing queries;
 * :class:`~repro.core.avl_ibs_tree.AVLIBSTree` — the balanced variant
   using the rotation marker rewrites of Section 4.3;
+* :mod:`~repro.core.stabbing` — the interval-index contract every tree
+  shares, and the one sweep that builds a stab plane;
 * :class:`~repro.core.predicate_index.PredicateIndex` — the two-level
   predicate matching scheme of Figure 1.
 """

@@ -26,12 +26,13 @@ keep the paper's bounds — but constant-factor, which is exactly where
 a per-tuple hot path spends its time.
 
 The class is interface-compatible with :class:`IBSTree` (``insert`` /
-``delete`` / ``stab`` / ``stab_into`` / ``stab_many`` /
-``overlapping`` / ``validate`` / statistics), so it drops into
-``PredicateIndex(tree_factory=FlatIBSTree)`` and the existing
-differential and property test suites unchanged.  Like the paper's
-measured variant it is unbalanced; balance comes from random insertion
-order.
+``delete`` / ``stab`` / ``overlapping`` / ``validate`` / statistics,
+with the batch forms ``stab_into`` and ``stab_many`` the shared
+:class:`~repro.core.stabbing.IntervalIndex` loops over ``stab``), so
+it drops into ``PredicateIndex(tree_factory=FlatIBSTree)`` and the
+existing differential and property test suites unchanged.  Like the
+paper's measured variant it is unbalanced; balance comes from random
+insertion order.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from ..errors import (
 from ..testing.faults import fault_point
 from .ibs_tree import EQ, GT, LT, _strictly_less
 from .intervals import MINUS_INF, PLUS_INF, Interval, is_infinite
+from .stabbing import IntervalIndex
 
 __all__ = ["FlatIBSTree"]
 
@@ -57,7 +59,7 @@ NIL = -1
 _SLOT_NAMES = ("<", "=", ">")
 
 
-class FlatIBSTree:
+class FlatIBSTree(IntervalIndex):
     """Array-backed IBS-tree: same queries, flat storage, bitset markers.
 
     Example::
@@ -76,12 +78,6 @@ class FlatIBSTree:
         >>> sorted(tree.stab(5))
         ['G']
     """
-
-    #: Interface flags shared with the other interval indexes.
-    supports_dynamic_insert = True
-    supports_dynamic_delete = True
-    supports_open_bounds = True
-    supports_unbounded = True
 
     def __init__(self) -> None:
         # -- node storage: parallel arrays indexed by node id ----------
@@ -110,8 +106,8 @@ class FlatIBSTree:
         #: decoded marker sets, keyed ``node * 3 + slot``; invalidated
         #: wholesale on any mutation.  Decoding a sparse bitset costs
         #: O(words) big-int work per set bit, so stab-heavy phases
-        #: (especially :meth:`stab_many`) decode each hot node once and
-        #: union cached frozensets at C speed afterwards.
+        #: decode each hot node once and union cached frozensets at C
+        #: speed afterwards.
         self._slot_cache: Dict[int, frozenset] = {}
         #: monotone mutation counter (see :attr:`IBSTree.epoch`); unlike
         #: :attr:`_slot_cache` it survives :meth:`clear`, so external
@@ -402,7 +398,7 @@ class FlatIBSTree:
         """The stabbing answer as a raw bitset (bit *k* = interval *k*).
 
         This is the flat backend's native answer shape: callers that
-        combine several stabs (the batched matcher) can OR masks and
+        combine several stabs (:meth:`overlapping`) can OR masks and
         decode identifiers once.
         """
         values = self._value
@@ -422,15 +418,6 @@ class FlatIBSTree:
                 mask |= gt_bits[node]
                 node = right[node]
         return mask
-
-    def stab_into(self, x: Any, out: Set[Hashable]) -> Set[Hashable]:
-        """Union the identifiers of all intervals containing *x* into *out*.
-
-        All-or-nothing: if *x* is incomparable with a node value the
-        ``TypeError`` propagates with *out* untouched.
-        """
-        out.update(*self._stab_sets(x))
-        return out
 
     def _stab_sets(self, x: Any) -> List[frozenset]:
         """Decoded marker sets along the stab path of *x* (cached)."""
@@ -455,148 +442,6 @@ class FlatIBSTree:
                     parts.append(slot_set(node, GT, gt_bits[node]))
                 node = right[node]
         return parts
-
-    def stab_many(self, values: Iterable[Any]) -> Dict[Any, Optional[Set[Hashable]]]:
-        """Stab several values in one shared-prefix descent.
-
-        Returns ``{value: idents}`` with one entry per distinct input
-        value.  Values incomparable with the tree's node values (where
-        a lone :meth:`stab` would raise ``TypeError``) map to ``None``,
-        and so does ``None`` itself, unconditionally: SQL NULL stabs
-        nothing.  That NULL rule is part of the tree seam — the match
-        pipeline skips NULL probes before ever reaching a tree, and
-        ``stab_many`` answers the same way for callers that do not
-        pre-filter, on empty and non-empty trees alike (a descent-based
-        answer would accidentally return the empty set on an empty
-        tree).  Unhashable values raise ``TypeError`` — the result is
-        keyed by value — which is why the batched matcher routes tuples
-        carrying them through the per-tuple path instead.
-
-        Sorted inputs keep sibling groups adjacent, but any iterable
-        works.  The descent visits each tree node at most once per
-        value *group*, so the work shared by values with a common
-        search-path prefix — the root's marker OR above all — is done
-        once instead of once per value.
-        """
-        out: Dict[Any, Optional[Set[Hashable]]] = {}
-        group: List[Any] = []
-        for v in values:
-            if v not in out:
-                out[v] = None  # pre-claim; overwritten on success
-                if v is None:
-                    continue  # NULL rule: NULL stabs nothing, no descent
-                group.append(v)
-        if not group:
-            return out
-        values_arr = self._value
-        left, right = self._left, self._right
-        lt_bits, eq_bits, gt_bits = self._marks
-        slot_set = self._slot_set
-        empty: Tuple[frozenset, ...] = ()
-        stack: List[Tuple[int, List[Any], Tuple[frozenset, ...]]] = [
-            (self._root, group, empty)
-        ]
-        while stack:
-            node, vals, parts = stack.pop()
-            if node < 0:
-                shared = set().union(*parts)
-                for v in vals:
-                    out[v] = set(shared)
-                continue
-            value = values_arr[node]
-            less: List[Any] = []
-            greater: List[Any] = []
-            for x in vals:
-                try:
-                    if x == value:
-                        if eq_bits[node]:
-                            out[x] = set().union(
-                                *parts, slot_set(node, EQ, eq_bits[node])
-                            )
-                        else:
-                            out[x] = set().union(*parts)
-                    elif x < value:
-                        less.append(x)
-                    else:
-                        greater.append(x)
-                except TypeError:
-                    pass  # incomparable: stays None, as stab() raising
-            if less:
-                branch = parts
-                if lt_bits[node]:
-                    branch = parts + (slot_set(node, LT, lt_bits[node]),)
-                stack.append((left[node], less, branch))
-            if greater:
-                branch = parts
-                if gt_bits[node]:
-                    branch = parts + (slot_set(node, GT, gt_bits[node]),)
-                stack.append((right[node], greater, branch))
-        return out
-
-    def export_stab_plane(
-        self,
-    ) -> Tuple[List[Any], List[int], List[int], List[Optional[Hashable]]]:
-        """Precompute every distinct stab outcome of the current tree.
-
-        A stab descent over a fixed BST has only ``2n + 1`` distinct
-        outcomes for ``n`` node values: one per exact value hit and one
-        per gap between consecutive values (including the two outer
-        gaps).  This walks the tree once, in order, carrying the
-        accumulated path mask each descent would have OR-ed together,
-        and returns::
-
-            (values, eq_masks, gap_masks, ident_of)
-
-        * ``values`` — the finite node values, ascending;
-        * ``eq_masks[i]`` — the marker bitset a stab of exactly
-          ``values[i]`` answers (path ``<``/``>`` marks plus the
-          equality node's ``=`` marks);
-        * ``gap_masks[i]`` — the answer for any query strictly between
-          ``values[i-1]`` and ``values[i]`` (``gap_masks[0]`` below the
-          smallest value, ``gap_masks[n]`` above the largest — also the
-          outcome NaN-like values reach, since every ``x < value`` test
-          on their descent is False);
-        * ``ident_of`` — dense bit index -> identifier (``None`` for
-          freed bits, which carry no marks).
-
-        Infinity-sentinel nodes are folded away: a query value never
-        compares equal to a sentinel, and a descent reaching one takes
-        the branch the neighbouring gap outcome already accounts for.
-        The export is a pure read — it works on mutable trees too, but
-        the columnar plane built from it is only cached against an
-        unchanged tree (callers key on the relation's mutation
-        version).
-        """
-        values: List[Any] = []
-        eq_masks: List[int] = []
-        gap_masks: List[int] = []
-        lt_bits, eq_bits, gt_bits = self._marks
-        vals, left, right = self._value, self._left, self._right
-        stack: List[Tuple[int, int]] = []
-        node, acc = self._root, 0
-        while True:
-            while node >= 0:
-                stack.append((node, acc))
-                acc |= lt_bits[node]
-                node = left[node]
-            gap_masks.append(acc)
-            if not stack:
-                break
-            node, acc = stack.pop()
-            values.append(vals[node])
-            eq_masks.append(acc | eq_bits[node])
-            acc |= gt_bits[node]
-            node = right[node]
-        if values and values[0] is MINUS_INF:
-            # queries land in the gap above the sentinel, never on it
-            values.pop(0)
-            eq_masks.pop(0)
-            gap_masks.pop(0)
-        if values and values[-1] is PLUS_INF:
-            values.pop()
-            eq_masks.pop()
-            gap_masks.pop()
-        return values, eq_masks, gap_masks, list(self._ident_of)
 
     def overlapping(self, query: Interval) -> Set[Hashable]:
         """Identifiers of all intervals overlapping the *query* interval."""
@@ -703,13 +548,6 @@ class FlatIBSTree:
             out.add(ident_of[low.bit_length() - 1])
             mask ^= low
         return out
-
-    def _decode_into(self, mask: int, out: Set[Hashable]) -> None:
-        ident_of = self._ident_of
-        while mask:
-            low = mask & -mask
-            out.add(ident_of[low.bit_length() - 1])
-            mask ^= low
 
     def _slot_set(self, node: int, slot: int, mask: int) -> frozenset:
         """The decoded identifier set of one node slot, memoized.

@@ -80,6 +80,7 @@ from ..errors import (
 )
 from ..testing.faults import fault_point
 from .intervals import MINUS_INF, PLUS_INF, Interval, is_infinite
+from .stabbing import IntervalIndex
 
 __all__ = ["IBSNode", "IBSTree", "LT", "EQ", "GT"]
 
@@ -142,7 +143,7 @@ class IBSNode:
         return f"<IBSNode {self.value!r} {sets}>"
 
 
-class IBSTree:
+class IBSTree(IntervalIndex):
     """Dynamic index over intervals supporting stabbing queries.
 
     Example::
@@ -163,7 +164,9 @@ class IBSTree:
 
     Identifiers may be any hashable value; if none is given a fresh
     integer is assigned.  The same interval bounds may be inserted under
-    many identifiers.
+    many identifiers.  The batch forms ``stab_into`` and ``stab_many``
+    are :class:`~repro.core.stabbing.IntervalIndex`'s loops over
+    :meth:`stab`.
     """
 
     def __init__(self) -> None:
@@ -548,89 +551,6 @@ class IBSTree:
 
     # The paper's name for the stabbing query.
     find_intervals = stab
-
-    def stab_into(self, x: Any, out: Set[Hashable]) -> Set[Hashable]:
-        """Union the identifiers of all intervals containing *x* into *out*.
-
-        Same descent as :meth:`stab`, but accumulating into a
-        caller-provided set instead of allocating a fresh one — the
-        matcher probes several attribute trees per tuple and wants one
-        candidate set across all of them.  All-or-nothing: if the
-        descent raises ``TypeError`` (incomparable value), *out* is
-        left untouched.
-        """
-        acc: List[Set[Hashable]] = []
-        node = self._root
-        while node is not None:
-            value = node.value
-            if x == value:
-                acc.append(node.slots[EQ])
-                break
-            if x < value:
-                acc.append(node.slots[LT])
-                node = node.left
-            else:
-                acc.append(node.slots[GT])
-                node = node.right
-        out.update(*acc)
-        return out
-
-    def stab_many(self, values: Any) -> Dict[Any, Optional[Set[Hashable]]]:
-        """Stab several values in one shared-prefix descent.
-
-        Returns ``{value: idents}`` with one entry per distinct input
-        value.  Values incomparable with a node value on their search
-        path — where a lone :meth:`stab` would raise ``TypeError`` —
-        map to ``None`` instead, and so does ``None`` itself,
-        unconditionally: SQL NULL stabs nothing, on empty and non-empty
-        trees alike (the NULL rule, shared with
-        :class:`~repro.core.flat_ibs_tree.FlatIBSTree` and the match
-        pipeline's pre-probe skip).  Unhashable values raise
-        ``TypeError`` — the result is keyed by value.  Sorted inputs
-        keep sibling groups adjacent, but any iterable works.
-
-        The descent partitions the value group at each node, so marker
-        sets along a shared search-path prefix (the root's above all)
-        are unioned once per *group* rather than once per value.
-        """
-        out: Dict[Any, Optional[Set[Hashable]]] = {}
-        group: List[Any] = []
-        for v in values:
-            if v not in out:
-                out[v] = None  # pre-claim; overwritten on success
-                if v is None:
-                    continue  # NULL rule: NULL stabs nothing, no descent
-                group.append(v)
-        if not group:
-            return out
-        stack: List[Tuple[Optional[IBSNode], List[Any], Tuple[Set[Hashable], ...]]] = [
-            (self._root, group, ())
-        ]
-        while stack:
-            node, vals, acc = stack.pop()
-            if node is None:
-                result = set().union(*acc) if acc else set()
-                for v in vals:
-                    out[v] = set(result)
-                continue
-            value = node.value
-            less: List[Any] = []
-            greater: List[Any] = []
-            for x in vals:
-                try:
-                    if x == value:
-                        out[x] = set().union(*acc, node.slots[EQ])
-                    elif x < value:
-                        less.append(x)
-                    else:
-                        greater.append(x)
-                except TypeError:
-                    pass  # incomparable: stays None, as stab() raising
-            if less:
-                stack.append((node.left, less, acc + (node.slots[LT],)))
-            if greater:
-                stack.append((node.right, greater, acc + (node.slots[GT],)))
-        return out
 
     def overlapping(self, query: Interval) -> Set[Hashable]:
         """Identifiers of all intervals overlapping the *query* interval.

@@ -97,13 +97,13 @@ class PredicateIndex:
     columnar:
         Try the vectorized columnar plane
         (:mod:`repro.match.columnar`) first on every
-        :meth:`match_batch` call.  The plane is derived lazily from
-        the attribute trees (which must support
-        ``export_stab_plane`` — the flat backend does), cached on the
-        relation's mutation version, and silently skipped when NumPy
-        is not installed or the batch leaves the plane's numeric
-        domain; the scalar pipeline remains the semantics of record.
-        Ignored under multi-clause indexing.
+        :meth:`match_batch` call.  The plane is swept lazily from the
+        attribute trees' intervals (``items()``, which every IBS
+        backend, disk included, provides), cached on the relation's
+        mutation version, and silently skipped when NumPy is not
+        installed or the batch leaves the plane's numeric domain; the
+        scalar pipeline remains the semantics of record.  Ignored
+        under multi-clause indexing.
     maintenance:
         A :class:`~repro.maintenance.MaintenancePolicy` routing every
         periodic mechanism (``retune_interval`` runs :meth:`retune`,
@@ -145,12 +145,11 @@ class PredicateIndex:
         if storage == "disk":
             # Imported lazily: the disk tier is optional machinery most
             # indexes never touch.
-            import tempfile as _tempfile
-
             from ..disk.store import DiskTreeStore
+            from ..disk.tree import private_directory
 
             if data_dir is None:
-                self._data_dir = _tempfile.mkdtemp(prefix="repro-disk-")
+                self._data_dir = private_directory(self)
             self._store: TreeStore = DiskTreeStore(self._data_dir, memory_budget)
         else:
             if memory_budget is not None:
@@ -309,7 +308,11 @@ class PredicateIndex:
 
     @property
     def data_dir(self) -> Optional[str]:
-        """The disk tier's data directory (``None`` on the memory tier)."""
+        """The disk tier's data directory (``None`` on the memory tier).
+
+        Without a caller's ``data_dir`` it is a private temporary
+        directory, removed when this index is garbage collected.
+        """
         return self._data_dir
 
     def resident_bytes(self) -> int:

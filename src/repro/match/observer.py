@@ -29,9 +29,9 @@ symmetry tests assert exactly that):
 **physical** — describe the *work actually done*, which the batched
 and cached paths deliberately reduce:
 
-* ``trees_searched`` — actual tree descents (a batch answers many
-  probes with one grouped descent; a stab-cache hit answers one with
-  none);
+* ``trees_searched`` — tree searches: one per uncached per-tuple
+  probe, and one ``stab_many`` call per tree per batch, however many
+  distinct values it stabs (a stab-cache hit searches nothing);
 * ``stab_cache_hits`` — probes answered from a frozen index's stab
   cache;
 * ``batches_matched`` — :meth:`match_batch` invocations;

@@ -6,8 +6,8 @@ path:
 
 * the per-tuple path (:meth:`MatchPipeline.match`) behind ``match`` /
   ``match_idents``;
-* the batched path (:meth:`MatchPipeline.match_batch`) with grouped
-  stab descents;
+* the batched path (:meth:`MatchPipeline.match_batch`), which stabs
+  each tree once per distinct batch value in one ``stab_many`` call;
 * the concurrency layer's epoch-snapshot reads, via the module-level
   :func:`snapshot_match` / :func:`snapshot_match_idents` /
   :func:`snapshot_match_batch` merge functions (base results filtered
@@ -143,8 +143,8 @@ class MatchPipeline:
         Semantically identical to ``[self.match(relation, t) for t in
         tuples]`` (the differential tests assert exactly that), but the
         stab stage is restructured around the batch: each attribute
-        tree is stabbed **once per distinct value** in one sorted
-        ``stab_many`` descent, and the stabbed sets are fanned back out
+        tree is stabbed **once per distinct value** in one
+        ``stab_many`` call, and the stabbed sets are fanned back out
         per tuple (disjoint in the paper's single-clause scheme, so no
         per-tuple union is built) into the residual stage :meth:`match`
         runs too.
@@ -253,21 +253,22 @@ class MatchPipeline:
         fallback)``: per attribute a table ``value -> stabbed idents``
         (``None`` for incomparable values); the stab-stage counts
         (*probes* is the logical count the per-tuple path would report,
-        *descents* the grouped descents performed); and the ascending
-        positions of the tuples holding an unhashable value in an
-        indexed attribute, which the caller matches per tuple and which
-        contribute nothing to the tables or counts.  ``None``, missing
-        and sentinel values are not probed, as on the per-tuple path.
+        *descents* the ``stab_many`` calls made, one per tree per
+        batch); and the ascending positions of the tuples holding an
+        unhashable value in an indexed attribute, which the caller
+        matches per tuple and which contribute nothing to the tables or
+        counts.  ``None``, missing and sentinel values are not probed,
+        as on the per-tuple path.
 
-        Grouping pays most on the disk tier, though a budgeted read's
-        eviction check is now one addition per live tree: each read
-        still touches the store's LRU, and a budgeted frozen base has
-        no relation stab cache, so a loop over :meth:`match` makes a
-        read, ``bisect`` and row lookup per tuple and attribute (160
+        ``stab_many`` is one loop of ``stab`` over the distinct values
+        on every tree (:class:`~repro.core.stabbing.IntervalIndex`), so
+        what grouping buys is the deduplication, and on the disk tier
+        one read per tree: each disk read touches the store's LRU, and
+        a budgeted frozen base has no relation stab cache, so a loop
+        over :meth:`match` makes a read per tuple and attribute (160
         for a 32-tuple batch over 5 trees) where ``stab_many`` makes 5
-        (2.6-3.1x a loop, 1.8-2.0x while that base cached stabs).  On
-        in-memory trees the gain is small and can invert on
-        duplicate-heavy batches (EXPERIMENTS.md STABS, DISK).
+        (2.6-3.1x a loop, 1.8-2.0x while that base cached stabs;
+        EXPERIMENTS.md STABS, DISK).
         """
         trees = state.trees
         stab_tables: Dict[str, Dict[Any, Optional[Set[Hashable]]]] = {}
@@ -299,20 +300,16 @@ class MatchPipeline:
             if not values:
                 stab_tables[attribute] = {}
                 continue
-            try:
-                ordered: List[Any] = sorted(values)
-            except TypeError:
-                ordered = list(values)  # mixed domains: order is just locality
             tree = trees[attribute]
             if cache is None:
-                descents += 1  # one grouped descent per tree per batch
-                stab_tables[attribute] = tree.stab_many(ordered)
+                descents += 1  # one stab_many per tree per batch
+                stab_tables[attribute] = tree.stab_many(values)
                 continue
             # answer cached values without touching the tree; stab the
-            # misses in one grouped descent and remember them
+            # misses in one stab_many and remember them
             table: Dict[Any, Optional[Set[Hashable]]] = {}
             misses: List[Any] = []
-            for value in ordered:
+            for value in values:
                 cached = cache.get((attribute, value))
                 if cached is None:
                     misses.append(value)

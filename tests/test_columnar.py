@@ -102,8 +102,11 @@ EDGES = (
 )
 
 
+@pytest.mark.parametrize("backend", ["ibs", "avl", "rb", "flat", "disk"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_columnar_equals_scalar_equals_per_tuple(seed):
+def test_columnar_equals_scalar_equals_per_tuple(seed, backend, tmp_path):
+    """The plane is swept from any IBS backend's intervals, a disk
+    index's included, and answers as the scalar paths do."""
     rng = random.Random(seed)
     predicates = build_predicates(rng, rng.randint(1, 60))
     batch = [make_tuple(rng, EDGES) for _ in range(rng.randint(1, 80))]
@@ -114,12 +117,18 @@ def test_columnar_equals_scalar_equals_per_tuple(seed):
     scalar = loaded(PredicateIndex(tree_factory="flat"), predicates)
     assert ident_rows(scalar.match_batch("r", batch)) == expected
 
-    vectorized = loaded(columnar_index(), predicates)
+    if backend == "disk":
+        index = PredicateIndex(storage="disk", data_dir=str(tmp_path), columnar=True)
+    else:
+        index = PredicateIndex(tree_factory=backend, columnar=True)
+    vectorized = loaded(index, predicates)
     assert ident_rows(vectorized.match_batch("r", batch)) == expected
     # the logical counters are path-independent, plane or no plane
     assert (
         vectorized.stats.logical_counts() == scalar.stats.logical_counts()
     )
+    if HAVE_NUMPY:  # the plane was built, not skipped for the backend
+        assert index._catalog.relations["r"].columnar_plane[1] is not None
 
 
 def test_registered_backends_agree(subtests=None):

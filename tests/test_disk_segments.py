@@ -1,11 +1,11 @@
 """Disk segments without a tree: the sweep writer, the bisect reader,
 the residency count, and the one cache of a budgeted base.
 
-* **the sweep** — :func:`repro.disk.segment.stab_plane` must produce
-  the plane a bulk-loaded ``FlatIBSTree`` exports for the same pairs,
-  and a bulk-loaded ``DiskIBSTree`` must seal the very bytes the
-  tree-export writer wrote (pinned digests), so existing data
-  directories read unchanged;
+* **the sweep** — every row of :func:`repro.core.stabbing.stab_plane`
+  must answer what a bulk-loaded ``FlatIBSTree``'s stab answers at its
+  endpoint value or inside its gap, and a bulk-loaded ``DiskIBSTree``
+  must seal the very bytes the tree-export writer wrote (pinned
+  digests), so existing data directories read unchanged;
 * **the reader** — a ``bisect`` over the values section must answer
   every stab a tree descent answers, down to NaN, signed zeros, bools,
   ints past 2**53, ``Decimal`` and incomparable values;
@@ -34,10 +34,11 @@ from repro.concurrency.facade import ConcurrentPredicateIndex
 from repro.core.flat_ibs_tree import FlatIBSTree
 from repro.core.intervals import Interval, is_infinite
 from repro.core.predicate_index import PredicateIndex
+from repro.core.stabbing import stab_plane
 from repro.disk import segment as segment_module
 from repro.disk import tree as tree_module
 from repro.disk.checkpoint import DiskCheckpointer
-from repro.disk.segment import SegmentReader, stab_plane, write_segment
+from repro.disk.segment import SegmentReader, write_segment
 from repro.disk.tree import DiskIBSTree
 from repro.errors import InjectedFault
 from repro.predicates.clauses import IntervalClause
@@ -95,6 +96,32 @@ def flat_tree(pairs):
     return tree
 
 
+def gap_probes(values):
+    """One value inside each of the ``len(values) + 1`` gaps of sorted
+    *values* (``None`` for a gap no value fits in: below ``""``)."""
+    if not values:
+        return [0]
+    if isinstance(values[0], str):
+        return ["" if values[0] else None] + [v + "\0" for v in values]
+    middles = [(a + b) / 2 for a, b in zip(values, values[1:])]
+    return [values[0] - 1] + middles + [values[-1] + 1]
+
+
+def assert_rows_answer_as_stabs(tree, values, eq_rows, gap_rows, ident_of):
+    """Each plane row decodes to *tree*'s stab at its endpoint value, or
+    at a probe inside its gap."""
+    assert len(eq_rows) == len(values) and len(gap_rows) == len(values) + 1
+
+    def decode(row):
+        return {ident for bit, ident in enumerate(ident_of) if row >> bit & 1}
+
+    for value, row in zip(values, eq_rows):
+        assert decode(row) == tree.stab(value), value
+    for probe, row in zip(gap_probes(values), gap_rows):
+        if probe is not None:
+            assert decode(row) == tree.stab(probe), probe
+
+
 def sealed_reader(tmp_path, pairs, name="x.g1.seg"):
     path = str(tmp_path / name)
     write_segment(path, pairs, "rel", "x")
@@ -139,18 +166,28 @@ def files_under(root):
 # ----------------------------------------------------------------------
 
 
+def numbered(pairs):
+    """The sweep's input: bit *k* is the *k*-th pair, as a segment numbers it."""
+    return [(interval, bit) for bit, (interval, _) in enumerate(pairs)]
+
+
 @given(pairs=pairs_over(numbers))
 def test_sweep_plane_equals_tree_export_numbers(pairs):
-    values, eq_masks, gap_masks, ident_of = stab_plane(pairs)
-    want = flat_tree(pairs).export_stab_plane()
-    assert (values, eq_masks, gap_masks, ident_of) == want
-    # the same representative of equal endpoints (3 or 3.0, 0 or -0.0)
-    assert [repr(v) for v in values] == [repr(v) for v in want[0]]
+    values, eq_rows, gap_rows = stab_plane(numbered(pairs))
+    idents = [ident for _, ident in pairs]
+    assert_rows_answer_as_stabs(flat_tree(pairs), values, eq_rows, gap_rows, idents)
+    # of equal endpoints (3 and 3.0, 0 and -0.0) the first stands for
+    # both, as a tree node does
+    endpoints = [v for interval, _ in pairs for v in (interval.low, interval.high)]
+    first = [next(e for e in endpoints if e == v) for v in values]
+    assert [repr(v) for v in values] == [repr(v) for v in first]
 
 
 @given(pairs=pairs_over(words))
 def test_sweep_plane_equals_tree_export_strings(pairs):
-    assert stab_plane(pairs) == flat_tree(pairs).export_stab_plane()
+    values, eq_rows, gap_rows = stab_plane(numbered(pairs))
+    idents = [ident for _, ident in pairs]
+    assert_rows_answer_as_stabs(flat_tree(pairs), values, eq_rows, gap_rows, idents)
 
 
 def test_sweep_refuses_incomparable_endpoints_like_a_tree_build():
@@ -435,7 +472,7 @@ def test_residency_count_equals_the_walk(tmp_path, seed, values):
             elif roll < 0.88:
                 assert rng.choice(idents) in reader
             elif roll < 0.92:
-                reader.export_stab_plane()
+                reader.stab_into(probe(), set())
             else:
                 resident = reader.resident_bytes()
                 assert reader.release() == resident

@@ -23,6 +23,7 @@ Environment knobs (CI's disk-stress job turns them up):
 * ``DISK_SCALE`` — predicate count for the bounded-memory scale test.
 """
 
+import gc
 import glob
 import math
 import os
@@ -130,8 +131,14 @@ class TestSegmentConformance:
         try:
             for x in probe_values(rng, items):
                 assert reader.stab(x) == tree.stab(x), x
-            # stab plane export is byte-for-byte identical
-            assert reader.export_stab_plane() == tree.export_stab_plane()
+            # each stored row answers what the tree's stab answers at
+            # its endpoint value, and at a probe inside its gap
+            values = list(reader._values())
+            gaps = [values[0] - 1] + [(a + b) / 2 for a, b in zip(values, values[1:])]
+            for i, value in enumerate(values):
+                assert reader._decode(reader._mask_row("eq", i)) == tree.stab(value), value
+            for i, probe in enumerate(gaps + [values[-1] + 1]):
+                assert reader._decode(reader._mask_row("gap", i)) == tree.stab(probe), probe
             assert len(reader) == len(tree)
             assert dict(reader.items()) == dict(tree.items())
         finally:
@@ -361,6 +368,38 @@ class TestDiskPredicateIndex:
         )
         assert {p.ident for p in disk.match("emp", {"x": 3})} == {"odd"}
         assert {p.ident for p in disk.match("emp", {"x": 4})} == set()
+
+
+def sealed_disk_index(facade, rng, **options):
+    """A disk index over 30 predicates, its bases written to segments."""
+    index = facade(storage="disk", **options)
+    index.add_many([make_pred(rng, "emp", i) for i in range(30)])
+    if facade is PredicateIndex:
+        index.seal(release=True)
+    else:
+        index.compact()  # folds into a sealed, frozen base
+    assert glob.glob(os.path.join(index.data_dir, "**", "*.seg"), recursive=True)
+    return index
+
+
+class TestPrivateDataDirectory:
+    @pytest.mark.parametrize("facade", [PredicateIndex, ConcurrentPredicateIndex])
+    def test_an_index_removes_the_directory_it_made(self, facade):
+        index = sealed_disk_index(facade, random.Random(3))
+        data_dir = index.data_dir
+        assert os.path.basename(data_dir).startswith("repro-disk-")
+        del index
+        gc.collect()
+        assert not os.path.exists(data_dir)
+
+    @pytest.mark.parametrize("facade", [PredicateIndex, ConcurrentPredicateIndex])
+    def test_a_callers_data_dir_is_never_removed(self, tmp_path, facade):
+        data_dir = str(tmp_path / "data")
+        index = sealed_disk_index(facade, random.Random(4), data_dir=data_dir)
+        files = sorted(glob.glob(os.path.join(data_dir, "**", "*.seg"), recursive=True))
+        del index
+        gc.collect()
+        assert sorted(glob.glob(os.path.join(data_dir, "**", "*.seg"), recursive=True)) == files
 
 
 # ----------------------------------------------------------------------
