@@ -30,79 +30,62 @@ compare on ``1 / coldstart_s``.  Rows are matched on every
 non-float field (backend, mode, order, pool, …); a fresh/baseline
 row without a partner is an error, not a skip — silent shape drift is
 how regressions hide.
+
+Both sides are at reference host speed (``repro.bench.timing.compare``;
+each row keeps its host probe reading as ``probe_us``), so a slower
+host, or a row timed after another, does not read as a regression.
+Each file's median probe reading is printed next to the fresh run's,
+and a baseline without them (recorded before reference-speed rows) is
+refused.
 """
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: experiment key -> (file name, callable(scenario) -> fresh rows)
-EXPERIMENTS = {}
+#: experiment key -> (file name, key of its sub-document or None for
+#: the top level, ``repro.bench.runner`` function, the scenario fields
+#: it takes; a field missing from the file takes the runner's default).
+EXPERIMENTS = {
+    "batch": ("BENCH_batch.json", None, "run_batch", ("predicates", "batch_size")),
+    "rebuild": ("BENCH_rebuild.json", None, "run_rebuild", ("intervals", "point_fraction")),
+    "coldstart": ("BENCH_rebuild.json", "coldstart", "run_coldstart", ("predicates", "probes")),
+    "concurrency": (
+        "BENCH_concurrency.json", None, "run_concurrency", ("predicates", "batch_size", "rounds")
+    ),
+    "maint": (
+        "BENCH_maint.json",
+        None,
+        "run_maintenance",
+        ("predicates", "distinct_values", "batch_size", "rounds", "checkpoint_every", "seed"),
+    ),
+}
 
 
-def _measure_batch(scenario):
-    from repro.bench.runner import run_batch
+def measure(key, scenario):
+    """Fresh rows of experiment *key* at the file's *scenario* scale."""
+    from repro.bench import runner
 
-    return run_batch(
-        predicates=scenario["predicates"], batch_size=scenario["batch_size"]
+    _, _, function, fields = EXPERIMENTS[key]
+    return getattr(runner, function)(
+        **{field: scenario[field] for field in fields if field in scenario}
     )
 
 
-def _measure_rebuild(scenario):
-    from repro.bench.runner import run_rebuild
-
-    return run_rebuild(
-        intervals=scenario["intervals"],
-        point_fraction=scenario.get("point_fraction", 0.5),
-    )
-
-
-def _measure_coldstart(scenario):
-    from repro.bench.runner import run_coldstart
-
-    return run_coldstart(
-        predicates=scenario["predicates"], probes=scenario.get("probes", 100)
-    )
-
-
-def _measure_concurrency(scenario):
-    from repro.bench.runner import run_concurrency
-
-    return run_concurrency(
-        predicates=scenario["predicates"],
-        batch_size=scenario["batch_size"],
-        rounds=scenario["rounds"],
-    )
-
-
-#: experiment key -> (file name, measure, optional sub-document key).
-#: A sub-document key means the experiment's scenario/rows live under
-#: that key of the file instead of at top level (BENCH_rebuild.json
-#: carries the rebuild rows at top level and the cold-start experiment
-#: under "coldstart").
-EXPERIMENTS["batch"] = ("BENCH_batch.json", _measure_batch, None)
-EXPERIMENTS["rebuild"] = ("BENCH_rebuild.json", _measure_rebuild, None)
-EXPERIMENTS["coldstart"] = ("BENCH_rebuild.json", _measure_coldstart, "coldstart")
-EXPERIMENTS["concurrency"] = ("BENCH_concurrency.json", _measure_concurrency, None)
-
-
-def _measure_maint(scenario):
-    from repro.bench.runner import run_maintenance
-
-    return run_maintenance(
-        predicates=scenario["predicates"],
-        distinct_values=scenario["distinct_values"],
-        batch_size=scenario["batch_size"],
-        rounds=scenario["rounds"],
-        checkpoint_every=scenario.get("checkpoint_every", 6),
-        seed=scenario.get("seed", 53),
-    )
-
-
-EXPERIMENTS["maint"] = ("BENCH_maint.json", _measure_maint, None)
+def probe_us(label, rows):
+    """Median host-probe reading of *rows*; refuses rows without one."""
+    readings = [row.get("probe_us") for row in rows]
+    if None in readings:
+        raise SystemExit(
+            f"{label}: rows carry no probe_us, so they were recorded before "
+            "rows were kept at reference host speed; re-record the file with "
+            "its benchmark module before comparing against it"
+        )
+    return statistics.median(readings)
 
 
 def row_key(row):
@@ -209,22 +192,24 @@ def main(argv=None):
 
     failures = 0
     for key in selected:
-        file_name, measure, section = EXPERIMENTS[key]
+        file_name, section, _, _ = EXPERIMENTS[key]
         label = file_name if section is None else f"{file_name}[{section}]"
+        baseline_doc = load((Path(args.against) if args.against else REPO_ROOT) / file_name)
+        baseline_part = baseline_doc if section is None else baseline_doc[section]
+        baseline_probe = probe_us(label, baseline_part["rows"])
         if args.against:
-            baseline_doc = load(Path(args.against) / file_name)
             fresh_doc = load(REPO_ROOT / file_name)
-            baseline_part = baseline_doc if section is None else baseline_doc[section]
             fresh_rows = (
                 fresh_doc if section is None else fresh_doc[section]
             )["rows"]
         else:
-            baseline_doc = load(REPO_ROOT / file_name)
-            baseline_part = baseline_doc if section is None else baseline_doc[section]
             print(f"{label}: re-measuring at scenario scale "
                   f"{baseline_part['scenario']} ...")
-            fresh_rows = measure(baseline_part["scenario"])
-        print(f"{label} (threshold {args.threshold:.0%}):")
+            fresh_rows = measure(key, baseline_part["scenario"])
+        print(
+            f"{label} (threshold {args.threshold:.0%}; host probe: baseline "
+            f"{baseline_probe:.1f} us, fresh {probe_us(label, fresh_rows):.1f} us):"
+        )
         for line, regressed in compare_rows(
             label, baseline_part["rows"], fresh_rows, args.threshold
         ):

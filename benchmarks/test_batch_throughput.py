@@ -23,16 +23,15 @@ writes no file; select it alone with ``-k`` and the module fixture that
 rewrites ``BENCH_batch.json`` does not run.
 """
 
-import json
-import platform
 import random
-import time
 from pathlib import Path
 
 import pytest
 
 from repro import Interval, IntervalClause, Predicate, PredicateIndex
+from repro.bench.reporting import write_bench
 from repro.bench.runner import run_batch
+from repro.bench.timing import measure
 from repro.match.columnar import HAVE_NUMPY
 
 PREDICATES = 10_000
@@ -43,26 +42,14 @@ RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_batch.json"
 @pytest.fixture(scope="module")
 def batch_rows():
     rows = run_batch(predicates=PREDICATES, batch_size=BATCH_SIZE)
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "batch_throughput",
-                "scenario": {
-                    "predicates": PREDICATES,
-                    "batch_size": BATCH_SIZE,
-                    "relation": "r0",
-                },
-                "baseline": "per-tuple PredicateIndex.match over IBSTree",
-                "python": platform.python_version(),
-                "rows": [
-                    {key: round(value, 3) if isinstance(value, float) else value
-                     for key, value in row.items()}
-                    for row in rows
-                ],
-            },
-            indent=2,
-        )
-        + "\n"
+    write_bench(
+        RESULT_PATH,
+        {
+            "experiment": "batch_throughput",
+            "scenario": {"predicates": PREDICATES, "batch_size": BATCH_SIZE, "relation": "r0"},
+            "baseline": "per-tuple PredicateIndex.match over IBSTree",
+            "rows": rows,
+        },
     )
     return {(row["backend"], row["mode"]): row for row in rows}
 
@@ -124,8 +111,9 @@ def test_grouped_stabs_pay_on_a_budgeted_disk_base(tmp_path):
     sealed, frozen disk base.  Every read of a disk tree runs the
     store's eviction check, so one ``stab_many`` per tree (5 reads per
     batch) beats one ``stab`` per tuple and tree (160).  Two identical
-    bases keep one path's stab cache from serving the other; the
-    timings alternate and the best of three counts.
+    bases keep one path's stab cache from serving the other; each path's
+    best of three runs counts, timed with the collector off
+    (``repro.bench.timing.measure``).
     """
     rng = random.Random(29)
     attributes = [f"a{k}" for k in range(15)]
@@ -153,16 +141,19 @@ def test_grouped_stabs_pay_on_a_budgeted_disk_base(tmp_path):
         ]
         assert idents(grouped.match_batch("r0", batch)) == expected
         assert idents([looped.match("r0", tup) for tup in batch]) == expected
-    best = {"grouped": float("inf"), "looped": float("inf")}
-    for _ in range(3):
-        start = time.perf_counter()
+
+    def grouped_run():
         for batch in batches:
             grouped.match_batch("r0", batch)
-        best["grouped"] = min(best["grouped"], time.perf_counter() - start)
-        start = time.perf_counter()
+
+    def looped_run():
         for batch in batches:
             for tup in batch:
                 looped.match("r0", tup)
-        best["looped"] = min(best["looped"], time.perf_counter() - start)
+
+    best = {
+        "grouped": measure(grouped_run, repeats=3).seconds,
+        "looped": measure(looped_run, repeats=3).seconds,
+    }
     speedup = best["looped"] / best["grouped"]
     assert speedup >= 1.5, f"grouped stabs {speedup:.2f}x a loop of match: {best}"

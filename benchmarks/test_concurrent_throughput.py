@@ -23,12 +23,11 @@ Running this module rewrites ``BENCH_concurrency.json`` at the repo
 root with the measured rows.
 """
 
-import json
-import platform
 from pathlib import Path
 
 import pytest
 
+from repro.bench.reporting import write_bench
 from repro.bench.runner import run_concurrency
 
 PREDICATES = 10_000
@@ -44,33 +43,23 @@ def concurrency_rows():
         batch_size=BATCH_SIZE,
         rounds=ROUNDS,
     )
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "concurrent_throughput",
-                "scenario": {
-                    "predicates": PREDICATES,
-                    "batch_size": BATCH_SIZE,
-                    "rounds": ROUNDS,
-                    "workload": "per round: add 1 predicate, match one "
-                                "batch, remove it; batch values repeat "
-                                "across rounds",
-                },
-                "baseline": "mutable PredicateIndex (FlatIBSTree, which "
-                            "caches no stabs) driven single-threaded",
-                "note": "both rows run on one thread: speedup measures "
-                        "snapshot write isolation (cache retention), not "
-                        "parallelism",
-                "python": platform.python_version(),
-                "rows": [
-                    {key: round(value, 3) if isinstance(value, float) else value
-                     for key, value in row.items()}
-                    for row in rows
-                ],
+    write_bench(
+        RESULT_PATH,
+        {
+            "experiment": "concurrent_throughput",
+            "scenario": {
+                "predicates": PREDICATES,
+                "batch_size": BATCH_SIZE,
+                "rounds": ROUNDS,
+                "workload": "per round: add 1 predicate, match one batch, remove it; "
+                            "batch values repeat across rounds",
             },
-            indent=2,
-        )
-        + "\n"
+            "baseline": "mutable PredicateIndex (FlatIBSTree, which caches no stabs) "
+                        "driven single-threaded",
+            "note": "both rows run on one thread: speedup measures snapshot write "
+                    "isolation (cache retention), not parallelism",
+            "rows": rows,
+        },
     )
     return {(row["mode"], row["pool"]): row for row in rows}
 

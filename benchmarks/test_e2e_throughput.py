@@ -16,6 +16,7 @@ from repro.baselines import (
     RTreeMatcher,
     SequentialMatcher,
 )
+from repro.bench.timing import measure
 
 STRATEGIES = {
     "ibs": lambda workload: PredicateIndex(),
@@ -66,20 +67,14 @@ def test_e2e_strategies_agree(scenario_workload):
 
 
 def test_e2e_ibs_beats_linear_baselines_at_scale(scenario_workload):
-    import time
-
     workload = scenario_workload(predicates=800)
     predicates = workload.predicates()["r0"]
     tuples = workload.tuples(150)
     times = {}
     for name in ("ibs", "hash", "sequential"):
         matcher = build_matcher(name, workload, predicates)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for tup in tuples:
-                matcher.match("r0", tup)
-            best = min(best, time.perf_counter() - start)
-        times[name] = best
+        times[name] = measure(
+            lambda matcher=matcher: [matcher.match("r0", tup) for tup in tuples], repeats=3
+        ).seconds
     assert times["ibs"] < times["hash"]
     assert times["ibs"] < times["sequential"]

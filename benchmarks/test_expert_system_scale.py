@@ -17,6 +17,7 @@ import random
 import pytest
 
 from repro.baselines import HashSequentialMatcher
+from repro.bench.timing import measure
 from repro.core.predicate_index import PredicateIndex
 from repro.production import Pattern, ProductionSystem, Test
 
@@ -76,20 +77,13 @@ def test_ext1_alphas_agree():
 
 
 def test_ext1_ibs_wins_at_scale():
-    import time
-
+    rng = random.Random(42)
+    readings = [{"value": rng.randint(0, DOMAIN)} for _ in range(150)]
     times = {}
     for name, factory in (("ibs", PredicateIndex), ("hash", HashSequentialMatcher)):
-        ps = build_system(800, factory())
-        best = float("inf")
-        for trial in range(3):
-            probe = ProductionSystem(alpha_index=factory())
-            probe.network = ps.network  # reuse the built network
-            start = time.perf_counter()
-            rng = random.Random(42)
-            for _ in range(150):
-                value = rng.randint(0, DOMAIN)
-                ps.network.alpha_index.match("reading", {"value": value})
-            best = min(best, time.perf_counter() - start)
-        times[name] = best
+        alpha = build_system(800, factory()).network.alpha_index
+        times[name] = measure(
+            lambda alpha=alpha: [alpha.match("reading", reading) for reading in readings],
+            repeats=3,
+        ).seconds
     assert times["ibs"] < times["hash"]

@@ -11,6 +11,7 @@ Regenerate the full series table with:  python benchmarks/run_all.py
 import pytest
 
 from repro import IBSTree
+from repro.bench.timing import measure
 
 
 @pytest.mark.parametrize("n", [100, 500, 1000])
@@ -34,19 +35,16 @@ def test_fig7_insertion(benchmark, interval_workload, n, a):
 
 def test_fig7_shape_logarithmic(interval_workload):
     """Per-insert cost must grow far slower than linearly in N."""
-    import time
 
     def per_insert(n: int) -> float:
-        workload = interval_workload(point_fraction=0.5)
-        intervals = workload.intervals(n)
-        best = float("inf")
-        for _ in range(3):
+        intervals = interval_workload(point_fraction=0.5).intervals(n)
+
+        def build():
             tree = IBSTree()
-            start = time.perf_counter()
             for k, interval in enumerate(intervals):
                 tree.insert(interval, k)
-            best = min(best, (time.perf_counter() - start) / n)
-        return best
+
+        return measure(build, repeats=3).seconds / n
 
     small, large = per_insert(100), per_insert(1600)
     # 16x the predicates must cost far less than 16x per insert

@@ -8,6 +8,7 @@ small, "particularly for search time".
 import pytest
 
 from repro import IBSTree
+from repro.bench.timing import measure
 
 
 def build_tree(workload, n):
@@ -15,6 +16,16 @@ def build_tree(workload, n):
     for k, interval in enumerate(workload.intervals(n)):
         tree.insert(interval, k)
     return tree
+
+
+def best_stab_seconds(tree, points):
+    """Best of three timed passes stabbing every point."""
+
+    def stab_all():
+        for x in points:
+            tree.stab(x)
+
+    return measure(stab_all, repeats=3).seconds
 
 
 @pytest.mark.parametrize("n", [100, 500, 1000])
@@ -35,19 +46,12 @@ def test_fig8_search(benchmark, interval_workload, n, a):
 
 def test_fig8_shape_logarithmic(interval_workload):
     """Search cost grows ~log N, not linearly."""
-    import time
 
     def per_query(n: int) -> float:
         workload = interval_workload(point_fraction=0.5)
         tree = build_tree(workload, n)
         points = workload.query_points(2000)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for x in points:
-                tree.stab(x)
-            best = min(best, (time.perf_counter() - start) / len(points))
-        return best
+        return best_stab_seconds(tree, points) / len(points)
 
     small, large = per_query(100), per_query(1600)
     assert large < small * 8  # 16x data, far less than 16x time
@@ -56,19 +60,10 @@ def test_fig8_shape_logarithmic(interval_workload):
 def test_fig8_point_fraction_spread_small(interval_workload):
     """The a=0 and a=1 curves stay within a small factor (paper: 'the
     difference between the curves ... are small')."""
-    import time
-
     times = {}
     for a in (0.0, 1.0):
         workload = interval_workload(point_fraction=a)
         tree = build_tree(workload, 800)
-        points = workload.query_points(2000)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for x in points:
-                tree.stab(x)
-            best = min(best, time.perf_counter() - start)
-        times[a] = best
+        times[a] = best_stab_seconds(tree, workload.query_points(2000))
     ratio = max(times.values()) / min(times.values())
     assert ratio < 6

@@ -10,6 +10,7 @@ import pytest
 
 from repro import IBSTree
 from repro.baselines import IntervalList
+from repro.bench.timing import measure
 
 
 def build_pair(workload, n):
@@ -18,6 +19,16 @@ def build_pair(workload, n):
         tree.insert(interval, k)
         linked.insert(interval, k)
     return tree, linked
+
+
+def best_stab_seconds(index, points):
+    """Best of three timed passes stabbing every point."""
+
+    def stab_all():
+        for x in points:
+            index.stab(x)
+
+    return measure(stab_all, repeats=3).seconds
 
 
 @pytest.mark.parametrize("n", [5, 20, 40])
@@ -37,38 +48,20 @@ def test_fig9_stab(benchmark, interval_workload, n, structure):
 
 def test_fig9_sequential_always_above(interval_workload):
     """The headline claim, asserted directly."""
-    import time
-
     for n in (5, 10, 20, 40):
         workload = interval_workload(point_fraction=0.5)
         tree, linked = build_pair(workload, n)
         points = workload.query_points(4000)
-
-        def timed(index):
-            best = float("inf")
-            for _ in range(3):
-                start = time.perf_counter()
-                for x in points:
-                    index.stab(x)
-                best = min(best, time.perf_counter() - start)
-            return best
-
-        assert timed(tree) < timed(linked), f"IBS slower than sequential at N={n}"
+        assert best_stab_seconds(tree, points) < best_stab_seconds(linked, points), (
+            f"IBS slower than sequential at N={n}"
+        )
 
 
 def test_fig9_sequential_linear_growth(interval_workload):
-    import time
-
     def per_query(n: int) -> float:
         workload = interval_workload(point_fraction=0.5)
         _, linked = build_pair(workload, n)
         points = workload.query_points(3000)
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for x in points:
-                linked.stab(x)
-            best = min(best, (time.perf_counter() - start) / len(points))
-        return best
+        return best_stab_seconds(linked, points) / len(points)
 
     assert per_query(40) > per_query(5) * 2.5  # ~8x in theory

@@ -26,13 +26,12 @@ workload shrinks, the acceptance bars are skipped (a smoke is not a
 measurement), and the JSON is left untouched.
 """
 
-import json
 import os
-import platform
 from pathlib import Path
 
 import pytest
 
+from repro.bench.reporting import write_bench
 from repro.bench.runner import run_maintenance
 
 SEED = 53
@@ -62,26 +61,14 @@ def bench():
         seed=SEED, repeats=3 if FULL_SCALE else 1, **SCENARIO
     )
     if FULL_SCALE:
-        RESULT_PATH.write_text(
-            json.dumps(
-                {
-                    "experiment": "maintenance_overhead",
-                    "scenario": {"seed": SEED, **SCENARIO},
-                    "baseline": "scheduler-off (no maintenance plane)",
-                    "python": platform.python_version(),
-                    "rows": [
-                        {
-                            key: round(value, 3)
-                            if isinstance(value, float)
-                            else value
-                            for key, value in row.items()
-                        }
-                        for row in rows
-                    ],
-                },
-                indent=2,
-            )
-            + "\n"
+        write_bench(
+            RESULT_PATH,
+            {
+                "experiment": "maintenance_overhead",
+                "scenario": {"seed": SEED, **SCENARIO},
+                "baseline": "scheduler-off (no maintenance plane)",
+                "rows": rows,
+            },
         )
     return rows
 

@@ -21,25 +21,16 @@ Running this module rewrites ``BENCH_rebuild.json`` at the repo root
 with the measured rows of both experiments.
 """
 
-import json
-import platform
 from pathlib import Path
 
 import pytest
 
+from repro.bench.reporting import write_bench
 from repro.bench.runner import run_coldstart, run_rebuild
 
 INTERVALS = 10_000
 COLDSTART_PREDICATES = 5_000
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_rebuild.json"
-
-
-def rounded(rows):
-    return [
-        {key: round(value, 3) if isinstance(value, float) else value
-         for key, value in row.items()}
-        for row in rows
-    ]
 
 
 def best_speedups(rows):
@@ -60,30 +51,23 @@ def rebuild_rows():
     if segments_row["speedup"] < 5.0:
         # one retry: wall-clock benches on shared CI boxes see 2x swings
         coldstart = run_coldstart(predicates=COLDSTART_PREDICATES)
-    RESULT_PATH.write_text(
-        json.dumps(
-            {
-                "experiment": "rebuild_bulkload",
-                "scenario": {
-                    "intervals": INTERVALS,
-                    "point_fraction": 0.5,
-                    "orders": ["shuffled", "sorted"],
-                },
-                "baseline": "N incremental tree.insert calls, same items and order",
-                "python": platform.python_version(),
-                "rows": rounded(rebuild),
-                "coldstart": {
-                    "scenario": {
-                        "predicates": COLDSTART_PREDICATES,
-                        "probes": 100,
-                    },
-                    "baseline": "journal-only replay of the same predicates",
-                    "rows": rounded(coldstart),
-                },
+    write_bench(
+        RESULT_PATH,
+        {
+            "experiment": "rebuild_bulkload",
+            "scenario": {
+                "intervals": INTERVALS,
+                "point_fraction": 0.5,
+                "orders": ["shuffled", "sorted"],
             },
-            indent=2,
-        )
-        + "\n"
+            "baseline": "N incremental tree.insert calls, same items and order",
+            "rows": rebuild,
+            "coldstart": {
+                "scenario": {"predicates": COLDSTART_PREDICATES, "probes": 100},
+                "baseline": "journal-only replay of the same predicates",
+                "rows": coldstart,
+            },
+        },
     )
     return rebuild, {row["path"]: row for row in coldstart}
 

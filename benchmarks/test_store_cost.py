@@ -9,19 +9,19 @@ each attribute drawn from its own 1,000-value pool.
 
 The bar: storing into a relation whose statistics nobody reads runs at
 least 2x faster than storing into one whose 15 attributes were all read
-first.  The two setups are timed in alternating rounds in one process
-and compared by their medians, so load on the host moves both alike.
+first.  The two setups are timed in alternating rounds in one process,
+each with the collector off (``repro.bench.timing.measure``), and
+compared by their medians, so load on the host moves both alike.
 Writes no BENCH file.  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_store_cost.py -q
 """
 
-import gc
 import random
 import statistics
-import time
 
 from repro import Database
+from repro.bench.timing import measure
 
 ATTRIBUTES = tuple(f"a{k}" for k in range(15))
 BATCH = 250
@@ -46,13 +46,9 @@ def store_us_per_tuple(rows, read_first):
     relation = db.create_relation("r", ATTRIBUTES)
     for name in read_first:
         relation.statistics.attribute(name)
-    gc.collect()
-    start = time.perf_counter()
-    for batch in rows:
-        db.bulk_insert("r", batch)
-    elapsed = time.perf_counter() - start
+    timing = measure(lambda: [db.bulk_insert("r", batch) for batch in rows])
     assert relation.statistics.tracked == tuple(read_first)
-    return elapsed / (len(rows) * BATCH) * 1e6
+    return timing.seconds / (len(rows) * BATCH) * 1e6
 
 
 def test_unread_statistics_cost_nothing():

@@ -123,6 +123,8 @@ class StaticIntervalTree(IntervalIndex):
 
     def stab(self, x: Any) -> Set[Hashable]:
         result: Set[Hashable] = set()
+        if x is MINUS_INF or x is PLUS_INF:
+            return result  # no interval contains a sentinel
         node = self._root
         while node is not None:
             if x == node.center:

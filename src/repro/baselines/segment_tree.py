@@ -127,8 +127,10 @@ class SegmentTree(IntervalIndex):
     # -- queries -------------------------------------------------------------
 
     def stab(self, x: Any) -> Set[Hashable]:
-        slot = self._slot_of(x)
         result: Set[Hashable] = set()
+        if x is MINUS_INF or x is PLUS_INF:
+            return result  # no interval contains a sentinel
+        slot = self._slot_of(x)
         node: Optional[_SegmentNode] = self._root
         while node is not None:
             result |= node.canon

@@ -1,6 +1,6 @@
-"""Benchmark harness: timing helpers, the Section 5.2 cost model, and
-one runner per paper figure (``python -m repro.bench.runner`` prints
-them all)."""
+"""Benchmark harness: the one timing primitive, the Section 5.2 cost
+model, and one runner per paper figure (``python -m repro.bench.runner``
+prints them all)."""
 
 from .cost_model import (
     CostBreakdown,
@@ -20,7 +20,7 @@ from .runner import (
     run_fig9,
     run_space,
 )
-from .timing import best_of, time_per_op, time_total
+from .timing import Timing, compare, measure
 
 __all__ = [
     "CostParameters",
@@ -39,7 +39,7 @@ __all__ = [
     "run_ablation_indexes",
     "run_ablation_balancing",
     "run_e2e",
-    "time_total",
-    "time_per_op",
-    "best_of",
+    "Timing",
+    "measure",
+    "compare",
 ]

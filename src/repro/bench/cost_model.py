@@ -40,6 +40,7 @@ from typing import Callable, Dict, Optional
 
 from ..match.registry import DEFAULT_REGISTRY
 from ..workloads.generator import ScenarioConfig, ScenarioWorkload
+from .timing import measure
 
 __all__ = [
     "CostParameters",
@@ -224,7 +225,9 @@ def measured_match_cost_ms(seed: int = 42, tuples: int = 500) -> float:
     for predicate in workload.predicates()["r0"]:
         index.add(predicate)
     batch = workload.tuples(tuples)
-    start = time.perf_counter()
-    for tup in batch:
-        index.match("r0", tup)
-    return (time.perf_counter() - start) / tuples * 1e3
+
+    def match_all() -> None:
+        for tup in batch:
+            index.match("r0", tup)
+
+    return measure(match_all).seconds / tuples * 1e3

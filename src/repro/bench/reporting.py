@@ -8,9 +8,12 @@ against rows of N, directly comparable with the paper's plot.
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List, Optional, Sequence
+import json
+import platform
+from pathlib import Path
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_series", "print_experiment"]
+__all__ = ["format_table", "format_series", "print_experiment", "write_bench"]
 
 
 def _fmt(value: Any) -> str:
@@ -62,3 +65,20 @@ def print_experiment(
 ) -> None:
     """Print a titled experiment table to stdout."""
     print(format_series(title, headers, rows, note))
+
+
+def write_bench(path: Path, document: Dict[str, Any]) -> None:
+    """Write a ``BENCH_*.json`` *document*, with this Python's version
+    and every float rounded to three places."""
+    document = _rounded({**document, "python": platform.python_version()})
+    path.write_text(json.dumps(document, indent=2) + "\n")
+
+
+def _rounded(value: Any) -> Any:
+    if isinstance(value, float):
+        return round(value, 3)
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value

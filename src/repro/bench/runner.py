@@ -4,6 +4,12 @@ Each ``run_*`` function returns plain row dicts (so tests can assert on
 shapes) and has a matching ``print_*`` that renders the paper-style
 table.  ``python -m repro.bench.runner`` runs everything.
 
+Every region is timed by :mod:`repro.bench.timing`; the rows behind the
+committed ``BENCH_*.json`` files (BATCH, REBUILD, COLDSTART, CONC,
+MAINT) by :func:`~repro.bench.timing.compare`, at reference host speed.
+Those rows also carry ``probe_us``, the host probe's reading where they
+were timed, and ``gc_ms``, the collection after their collector-off run.
+
 Experiment ids (see DESIGN.md / EXPERIMENTS.md):
 
 ======  ==========================================================
@@ -25,8 +31,8 @@ from __future__ import annotations
 import math
 import os
 import random
-import time
-from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from functools import partial
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..core.intervals import Interval
 from ..core.predicate_index import PredicateIndex
@@ -41,6 +47,7 @@ from .cost_model import (
     predicate_match_cost,
 )
 from .reporting import print_experiment
+from .timing import Timing, compare, measure
 
 __all__ = [
     "run_fig7",
@@ -63,6 +70,26 @@ __all__ = [
 
 DEFAULT_NS = (100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)
 DEFAULT_FRACTIONS = (0.0, 0.5, 1.0)
+
+
+def _insert_all(index: Any, items: Iterable[Tuple[Interval, Any]]) -> None:
+    for interval, ident in items:
+        index.insert(interval, ident)
+
+
+def _stab_all(index: Any, points: Iterable[Any]) -> None:
+    for x in points:
+        index.stab(x)
+
+
+def _delete_all(index: Any, idents: Iterable[Any]) -> None:
+    for ident in idents:
+        index.delete(ident)
+
+
+def _match_all(matcher: Any, relation: str, tuples: Iterable[Dict[str, Any]]) -> None:
+    for tup in tuples:
+        matcher.match(relation, tup)
 
 
 # ----------------------------------------------------------------------
@@ -89,13 +116,9 @@ def run_fig7(
         row: Dict[str, Any] = {"n": n}
         for a in fractions:
             workload = IntervalWorkload(point_fraction=a, seed=seed)
-            intervals = workload.intervals(n)
-            tree = tree_factory()
-            start = time.perf_counter()
-            for k, interval in enumerate(intervals):
-                tree.insert(interval, k)
-            elapsed = time.perf_counter() - start
-            row[f"a={a:g}"] = elapsed / n * 1e6
+            items = [(interval, k) for k, interval in enumerate(workload.intervals(n))]
+            timing = measure(partial(_insert_all, tree_factory(), items))
+            row[f"a={a:g}"] = timing.seconds / n * 1e6
         rows.append(row)
     return rows
 
@@ -151,12 +174,8 @@ def run_fig8(
             tree = tree_factory()
             for k, interval in enumerate(workload.intervals(n)):
                 tree.insert(interval, k)
-            points = workload.query_points(queries)
-            start = time.perf_counter()
-            for x in points:
-                tree.stab(x)
-            elapsed = time.perf_counter() - start
-            row[f"a={a:g}"] = elapsed / queries * 1e6
+            timing = measure(partial(_stab_all, tree, workload.query_points(queries)))
+            row[f"a={a:g}"] = timing.seconds / queries * 1e6
         rows.append(row)
     return rows
 
@@ -203,14 +222,8 @@ def run_fig9(
             tree.insert(interval, k)
             linked.insert(interval, k)
         points = workload.query_points(queries)
-        start = time.perf_counter()
-        for x in points:
-            tree.stab(x)
-        tree_us = (time.perf_counter() - start) / queries * 1e6
-        start = time.perf_counter()
-        for x in points:
-            linked.stab(x)
-        list_us = (time.perf_counter() - start) / queries * 1e6
+        tree_us = measure(partial(_stab_all, tree, points)).seconds / queries * 1e6
+        list_us = measure(partial(_stab_all, linked, points)).seconds / queries * 1e6
         rows.append({"n": n, "ibs_us": tree_us, "sequential_us": list_us})
     return rows
 
@@ -376,27 +389,19 @@ def run_ablation_indexes(
         ("rtree-1d", DEFAULT_REGISTRY.tree_factory("rtree-1d")),
         ("rplus-1d", DEFAULT_REGISTRY.tree_factory("rplus")),
     ]
+    items = [(interval, ident) for ident, interval in intervals]
     for name, factory in dynamic_factories:
         index = factory()
-        start = time.perf_counter()
-        for ident, interval in intervals:
-            index.insert(interval, ident)
-        insert_us = (time.perf_counter() - start) / n * 1e6
-        start = time.perf_counter()
-        for x in points:
-            index.stab(x)
-        search_us = (time.perf_counter() - start) / queries * 1e6
-        start = time.perf_counter()
-        for ident in delete_idents:
-            index.delete(ident)
-        delete_us = (time.perf_counter() - start) / deletes * 1e6
+        insert = measure(partial(_insert_all, index, items))
+        search = measure(partial(_stab_all, index, points))
+        delete = measure(partial(_delete_all, index, delete_idents))
         rows.append(
             {
                 "structure": name,
                 "dynamic": True,
-                "insert_us": insert_us,
-                "search_us": search_us,
-                "delete_us": delete_us,
+                "insert_us": insert.seconds / n * 1e6,
+                "search_us": search.seconds / queries * 1e6,
+                "delete_us": delete.seconds / deletes * 1e6,
             }
         )
 
@@ -404,29 +409,19 @@ def run_ablation_indexes(
         ("segment", DEFAULT_REGISTRY.tree_factory("segment")),
         ("interval", DEFAULT_REGISTRY.tree_factory("static-interval")),
     ]
-    items = [(interval, ident) for ident, interval in intervals]
     for name, builder in static_builders:
-        start = time.perf_counter()
-        index = builder(items)
-        build_us = (time.perf_counter() - start) / n * 1e6
-        start = time.perf_counter()
-        for x in points:
-            index.stab(x)
-        search_us = (time.perf_counter() - start) / queries * 1e6
+        build = measure(partial(builder, items))
+        search = measure(partial(_stab_all, build.result, points))
         # a "dynamic" modification costs a full rebuild
-        start = time.perf_counter()
-        rebuilds = 5
-        for _ in range(rebuilds):
-            builder(items)
-        rebuild_us = (time.perf_counter() - start) / rebuilds * 1e6
+        rebuild_us = measure(partial(builder, items), repeats=5).seconds * 1e6
         rows.append(
             {
                 "structure": name,
                 "dynamic": False,
                 "insert_us": rebuild_us,  # cost to admit one new interval
-                "search_us": search_us,
+                "search_us": search.seconds / queries * 1e6,
                 "delete_us": rebuild_us,
-                "build_us_per_interval": build_us,
+                "build_us_per_interval": build.seconds / n * 1e6,
             }
         )
     return rows
@@ -474,6 +469,7 @@ def run_ablation_balancing(
 
     workload = IntervalWorkload(point_fraction=0.0, seed=seed)
     intervals = sorted(workload.intervals(n), key=lambda iv: (iv.low, iv.high))
+    items = [(interval, k) for k, interval in enumerate(intervals)]
     points = workload.query_points(queries)
     rows: List[Dict[str, Any]] = []
     old_limit = sys.getrecursionlimit()
@@ -485,20 +481,14 @@ def run_ablation_balancing(
             ("ibs-rb", DEFAULT_REGISTRY.tree_factory("rb")),
         ):
             tree = factory()
-            start = time.perf_counter()
-            for k, interval in enumerate(intervals):
-                tree.insert(interval, k)
-            insert_us = (time.perf_counter() - start) / n * 1e6
-            start = time.perf_counter()
-            for x in points:
-                tree.stab(x)
-            search_us = (time.perf_counter() - start) / queries * 1e6
+            insert = measure(partial(_insert_all, tree, items))
+            search = measure(partial(_stab_all, tree, points))
             rows.append(
                 {
                     "structure": name,
                     "height": tree.height,
-                    "insert_us": insert_us,
-                    "search_us": search_us,
+                    "insert_us": insert.seconds / n * 1e6,
+                    "search_us": search.seconds / queries * 1e6,
                     "markers": tree.marker_count,
                 }
             )
@@ -601,15 +591,12 @@ def run_ablation_selectivity(
 
     def measured(name: str, index: Any) -> Dict[str, Any]:
         index.stats.reset()
-        start = time.perf_counter()
-        for tup in batch:
-            index.match("log", tup)
-        elapsed = time.perf_counter() - start
+        timing = measure(partial(_match_all, index, "log", batch))
         layout = index.describe()["log"]["trees"]
         return {
             "estimator": name,
             "partials_per_tuple": index.stats.partial_matches / tuples,
-            "match_us": elapsed / tuples * 1e6,
+            "match_us": timing.seconds / tuples * 1e6,
             "status_tree": layout.get("status", 0),
             "value_tree": layout.get("value", 0),
         }
@@ -692,16 +679,13 @@ def run_ablation_multiclause(
         )
         batch = workload.tuples(tuples)
         index.stats.reset()
-        start = time.perf_counter()
-        for tup in batch:
-            index.match("r0", tup)
-        elapsed = time.perf_counter() - start
+        timing = measure(partial(_match_all, index, "r0", batch))
         rows.append(
             {
                 "scheme": name,
                 "partials_per_tuple": index.stats.partial_matches / tuples,
                 "full_matches_per_tuple": index.stats.full_matches / tuples,
-                "match_us": elapsed / tuples * 1e6,
+                "match_us": timing.seconds / tuples * 1e6,
                 "markers": markers,
             }
         )
@@ -779,10 +763,8 @@ def run_e2e(
                 raise AssertionError(
                     f"strategy {strategy!r} disagrees with reference matcher"
                 )
-            start = time.perf_counter()
-            for tup in batch:
-                matcher.match("r0", tup)
-            row[strategy] = (time.perf_counter() - start) / tuples * 1e6
+            timing = measure(partial(_match_all, matcher, "r0", batch))
+            row[strategy] = timing.seconds / tuples * 1e6
         rows.append(row)
     return rows
 
@@ -833,73 +815,76 @@ def run_batch(
     Before timing, every configuration's answers on a sample are
     checked against direct ``Predicate.matches`` evaluation — an
     oracle independent of the residual stage the per-tuple and batched
-    paths share.  Each timing keeps the best of *repeats* runs after
-    one warm-up pass (the warm-up fills the flat backend's decode
-    cache, the steady state a rule engine runs in).
+    paths share.  Each configuration is timed after one warm-up pass
+    (the steady state a rule engine runs in), in a process of its own
+    per repeat, best of *repeats* (:func:`~repro.bench.timing.compare`).
 
     ``speedup`` is relative to the first configuration (per-tuple
     matching over ``IBSTree`` — the paper's design point).
     """
-    config = ScenarioConfig(predicates_per_relation=predicates, seed=seed)
-    workload = ScenarioWorkload(config)
+    scenario = {"predicates": predicates, "batch_size": batch_size, "seed": seed}
+    timings = compare(_time_batch, BATCH_CONFIGURATIONS, scenario, repeats)
+    baseline = timings[BATCH_CONFIGURATIONS[0]].seconds
+    return [
+        {
+            "backend": backend,
+            "mode": mode,
+            "us_per_tuple": timing.seconds / batch_size * 1e6,
+            "tuples_per_s": batch_size / timing.seconds,
+            "speedup": baseline / timing.seconds,
+            **_host_fields(timing),
+        }
+        for (backend, mode), timing in timings.items()
+    ]
+
+
+_BATCH_MATCHERS = {"ibs": "ibs", "flat": "ibs-flat", "columnar": "columnar"}
+
+
+def _time_batch(configuration: Tuple[str, str], scenario: Dict[str, Any]) -> Timing:
+    """Build, check, warm up and time one ``run_batch`` configuration."""
+    backend, mode = configuration
+    workload = ScenarioWorkload(
+        ScenarioConfig(predicates_per_relation=scenario["predicates"], seed=scenario["seed"])
+    )
     predicate_list = workload.predicates()["r0"]
-    batch = workload.tuples(batch_size)
-    indexes: Dict[str, PredicateIndex] = {
-        "ibs": DEFAULT_REGISTRY.create_matcher("ibs"),
-        "flat": DEFAULT_REGISTRY.create_matcher("ibs-flat"),
-        "columnar": DEFAULT_REGISTRY.create_matcher("columnar"),
-    }
-    for index in indexes.values():
-        for predicate in predicate_list:
-            index.add(predicate)
-    sample = batch[: min(20, batch_size)]
-    stored = indexes["ibs"].predicates_for("r0")
-    reference = [{p.ident for p in stored if p.matches(tup)} for tup in sample]
-    for backend, mode in BATCH_CONFIGURATIONS:
-        index = indexes[backend]
-        if mode == "single":
-            rows = [index.match("r0", tup) for tup in sample]
-        else:
-            rows = index.match_batch("r0", sample)
-        if [{p.ident for p in row} for row in rows] != reference:
-            raise AssertionError(
-                f"{mode} matching over {backend!r} disagrees with "
-                "direct Predicate.matches evaluation"
-            )
-    rows: List[Dict[str, Any]] = []
-    baseline: Optional[float] = None
-    for backend, mode in BATCH_CONFIGURATIONS:
-        index = indexes[backend]
-        if mode == "single":
+    batch = workload.tuples(scenario["batch_size"])
+    index = DEFAULT_REGISTRY.create_matcher(_BATCH_MATCHERS[backend])
+    for predicate in predicate_list:
+        index.add(predicate)
+    sample = batch[:20]
+    if mode == "single":
+        work = partial(_match_all, index, "r0", batch)
+        rows = [index.match("r0", tup) for tup in sample]
+    else:
+        work = partial(index.match_batch, "r0", batch)
+        rows = index.match_batch("r0", sample)
+    _check_answers(
+        f"{mode} matching over {backend!r}", rows, _oracle(predicate_list, "r0", sample)
+    )
+    work()  # warm-up
+    return measure(work)._replace(result=None)
 
-            def work(idx: PredicateIndex = index) -> None:
-                for tup in batch:
-                    idx.match("r0", tup)
 
-        else:
+def _oracle(
+    predicates: Iterable[Predicate], relation: str, tuples: Iterable[Dict[str, Any]]
+) -> List[Set[Any]]:
+    """Per tuple, the idents of *predicates* on *relation* that match it,
+    by direct ``Predicate.matches`` evaluation."""
+    on_relation = [p for p in predicates if p.relation == relation]
+    return [{p.ident for p in on_relation if p.matches(tup)} for tup in tuples]
 
-            def work(idx: PredicateIndex = index) -> None:
-                idx.match_batch("r0", batch)
 
-        work()  # warm-up
-        elapsed = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            work()
-            elapsed = min(elapsed, time.perf_counter() - start)
-        throughput = batch_size / elapsed
-        if baseline is None:
-            baseline = throughput
-        rows.append(
-            {
-                "backend": backend,
-                "mode": mode,
-                "us_per_tuple": elapsed / batch_size * 1e6,
-                "tuples_per_s": throughput,
-                "speedup": throughput / baseline,
-            }
-        )
-    return rows
+def _check_answers(
+    label: str, rows: Iterable[Iterable[Predicate]], expected: List[Set[Any]]
+) -> None:
+    if [{p.ident for p in row} for row in rows] != expected:
+        raise AssertionError(f"{label} disagrees with direct Predicate.matches evaluation")
+
+
+def _host_fields(timing: Timing) -> Dict[str, float]:
+    """The collector time and host probe reading a compared row carries."""
+    return {"gc_ms": timing.gc_seconds * 1e3, "probe_us": timing.probe_seconds * 1e6}
 
 
 def print_batch(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, Any]]:
@@ -922,12 +907,9 @@ def print_batch(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, A
 # ----------------------------------------------------------------------
 
 
-REBUILD_BACKENDS: Tuple[Tuple[str, Any], ...] = (
-    ("ibs", DEFAULT_REGISTRY.tree_factory("ibs")),
-    ("avl", DEFAULT_REGISTRY.tree_factory("avl")),
-    ("rb", DEFAULT_REGISTRY.tree_factory("rb")),
-    ("flat", DEFAULT_REGISTRY.tree_factory("flat")),
-)
+#: ``run_rebuild``'s tree backends and orders, in row order.
+REBUILD_BACKENDS = ("ibs", "avl", "rb", "flat")
+REBUILD_ORDERS = ("shuffled", "sorted")
 
 
 def run_rebuild(
@@ -939,8 +921,8 @@ def run_rebuild(
     """Bulk loading vs N incremental inserts, per tree backend and order.
 
     Generates *intervals* Figure-7-style intervals and builds each
-    backend incrementally and with :meth:`bulk_load` (best of
-    *repeats*), in two insertion orders:
+    backend incrementally and with :meth:`bulk_load`, in two insertion
+    orders:
 
     * ``shuffled`` — the workload's random arrival order, the friendly
       case for incremental insertion;
@@ -951,52 +933,72 @@ def run_rebuild(
       rotation-heavy case for the balanced variants, while
       :meth:`bulk_load` is order-insensitive.
 
-    The two trees are verified to give identical stab answers on a
-    sample of endpoints before reporting.  ``speedup`` is incremental
-    build time over bulk build time for the same backend and order —
-    the factor :meth:`PredicateIndex.verify_and_rebuild` and journal
-    recovery gain from the O(N) path.
+    Each build is timed in a process of its own per repeat, best of
+    *repeats* (:func:`~repro.bench.timing.compare`), and its tree is
+    checked against brute-force stabs on a sample of endpoints.
+    ``speedup`` is incremental build time over bulk build time for the
+    same backend and order — the factor
+    :meth:`PredicateIndex.verify_and_rebuild` and journal recovery gain
+    from the O(N) path.  ``gc_ms`` and ``probe_us`` are the bulk
+    build's.
     """
-    workload = IntervalWorkload(point_fraction=point_fraction, seed=seed)
-    shuffled = [
-        (interval, i) for i, interval in enumerate(workload.intervals(intervals))
+    scenario: Dict[str, Any] = {
+        "intervals": intervals, "seed": seed, "point_fraction": point_fraction
+    }
+    items = _rebuild_items(scenario)
+    scenario["reference"] = {
+        interval.low: {ident for other, ident in items if other.contains(interval.low)}
+        for interval, _ in items[:50]
+    }
+    configurations = [
+        (backend, order, method)
+        for backend in REBUILD_BACKENDS
+        for order in REBUILD_ORDERS
+        for method in ("incremental", "bulk")
     ]
-    orders = (
-        ("shuffled", shuffled),
-        ("sorted", sorted(shuffled, key=lambda p: (p[0].low, p[0].high))),
-    )
+    timings = compare(_time_rebuild, configurations, scenario, repeats)
     rows: List[Dict[str, Any]] = []
-    for name, factory in REBUILD_BACKENDS:
-        for order, items in orders:
-            incremental = factory()
-            start = time.perf_counter()
-            for interval, ident in items:
-                incremental.insert(interval, ident)
-            incremental_s = time.perf_counter() - start
-            bulk_s = math.inf
-            bulk = None
-            for _ in range(repeats):
-                tree = factory()
-                start = time.perf_counter()
-                tree.bulk_load(items)
-                bulk_s = min(bulk_s, time.perf_counter() - start)
-                bulk = tree
-            for interval, _ in items[: min(50, intervals)]:
-                if bulk.stab(interval.low) != incremental.stab(interval.low):
-                    raise AssertionError(
-                        f"bulk_load over {name!r} disagrees with incremental inserts"
-                    )
+    for backend in REBUILD_BACKENDS:
+        for order in REBUILD_ORDERS:
+            incremental = timings[(backend, order, "incremental")]
+            bulk = timings[(backend, order, "bulk")]
             rows.append(
                 {
-                    "backend": name,
+                    "backend": backend,
                     "order": order,
                     "intervals": intervals,
-                    "incremental_ms": incremental_s * 1e3,
-                    "bulk_ms": bulk_s * 1e3,
-                    "speedup": incremental_s / bulk_s,
+                    "incremental_ms": incremental.seconds * 1e3,
+                    "bulk_ms": bulk.seconds * 1e3,
+                    "speedup": incremental.seconds / bulk.seconds,
+                    **_host_fields(bulk),
                 }
             )
     return rows
+
+
+def _rebuild_items(scenario: Dict[str, Any]) -> List[Tuple[Interval, int]]:
+    workload = IntervalWorkload(point_fraction=scenario["point_fraction"], seed=scenario["seed"])
+    return [(interval, i) for i, interval in enumerate(workload.intervals(scenario["intervals"]))]
+
+
+def _time_rebuild(configuration: Tuple[str, str, str], scenario: Dict[str, Any]) -> Timing:
+    """Time one ``run_rebuild`` build of a fresh tree, then check the tree.
+
+    No warm-up: a build is thousands of passes through one code path.
+    """
+    backend, order, method = configuration
+    items = _rebuild_items(scenario)
+    if order == "sorted":
+        items.sort(key=lambda pair: (pair[0].low, pair[0].high))
+    tree = DEFAULT_REGISTRY.tree_factory(backend)()
+    load = tree.bulk_load if method == "bulk" else partial(_insert_all, tree)
+    timing = measure(partial(load, items))
+    for x, expected in scenario["reference"].items():
+        if tree.stab(x) != expected:
+            raise AssertionError(
+                f"{method} build over {backend!r} ({order}) disagrees with brute-force stabs"
+            )
+    return timing._replace(result=None)
 
 
 def print_rebuild(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, Any]]:
@@ -1029,8 +1031,8 @@ def run_coldstart(
 
     Builds one disk-tier index (``predicates`` single-clause interval
     predicates across four relations), checkpoints it, then measures —
-    best of *repeats* — how long a fresh process-equivalent takes to be
-    *answering queries*:
+    best of *repeats*, each a fresh process — how long a cold start
+    takes to be *answering queries*:
 
     * ``segments`` — :func:`repro.disk.load_index`: attach the mmap'd
       segment files cold and serve *probes* stabs straight off them;
@@ -1042,18 +1044,14 @@ def run_coldstart(
 
     ``coldstart_s`` is the whole span, probe workload included, so the
     lazy path cannot cheat by deferring all decode work past the timer.
+    Both paths must answer the probes as the checkpointed index did.
     ``speedup`` is relative to ``journal-replay``.
     """
     import shutil
     import tempfile
 
-    from ..db.persistence import read_journal, write_checksummed_lines
-    from ..disk.checkpoint import (
-        load_index,
-        predicate_from_dict,
-        predicate_to_dict,
-        save_index,
-    )
+    from ..db.persistence import write_checksummed_lines
+    from ..disk.checkpoint import predicate_to_dict, save_index
 
     rng = random.Random(seed)
     relations = [f"rel{i}" for i in range(4)]
@@ -1081,56 +1079,65 @@ def run_coldstart(
             journal_path,
             [{"op": "add", "pred": predicate_to_dict(p)} for p in preds],
         )
-
-        def probe(index: PredicateIndex) -> List[frozenset]:
-            # collecting ident sets keeps both paths honest (same work)
-            # and feeds the differential check below
-            return [
-                frozenset(p.ident for p in index.match(relation, tup))
-                for relation in relations
-                for tup in probe_tuples
-            ]
-
-        segments_s = math.inf
-        segments_answers: List[frozenset] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            index = load_index(data_dir)
-            segments_answers = probe(index)
-            segments_s = min(segments_s, time.perf_counter() - start)
-
-        replay_s = math.inf
-        replay_answers: List[frozenset] = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            index = PredicateIndex()
-            for op in read_journal(journal_path):
-                index.add(predicate_from_dict(op["pred"]))
-            replay_answers = probe(index)
-            replay_s = min(replay_s, time.perf_counter() - start)
-
-        if segments_answers != replay_answers:
-            raise AssertionError(
-                "cold-start recovery paths disagree: segment attach and "
-                "journal replay produced different match sets"
-            )
+        scenario = {
+            "data_dir": data_dir,
+            "journal": journal_path,
+            "relations": relations,
+            "tuples": probe_tuples,
+            "reference": _coldstart_probe(source, relations, probe_tuples),
+        }
+        timings = compare(_time_coldstart, ("journal-replay", "segments"), scenario, repeats)
     finally:
         shutil.rmtree(data_dir, ignore_errors=True)
 
+    replay_s = timings["journal-replay"].seconds
     return [
         {
-            "path": "journal-replay",
+            "path": path,
             "predicates": predicates,
-            "coldstart_s": replay_s,
-            "speedup": 1.0,
-        },
-        {
-            "path": "segments",
-            "predicates": predicates,
-            "coldstart_s": segments_s,
-            "speedup": replay_s / segments_s,
-        },
+            "coldstart_s": timing.seconds,
+            "speedup": replay_s / timing.seconds,
+            **_host_fields(timing),
+        }
+        for path, timing in timings.items()
     ]
+
+
+def _coldstart_probe(
+    index: PredicateIndex, relations: List[str], tuples: List[Dict[str, Any]]
+) -> List[frozenset]:
+    # collecting ident sets keeps both paths honest (same work) and
+    # feeds the answer check
+    return [
+        frozenset(p.ident for p in index.match(relation, tup))
+        for relation in relations
+        for tup in tuples
+    ]
+
+
+def _time_coldstart(path: str, scenario: Dict[str, Any]) -> Timing:
+    """Start one ``run_coldstart`` recovery path, probe it, check the answers.
+
+    No warm-up: the first start in a fresh process is the cold start.
+    """
+    from ..db.persistence import read_journal
+    from ..disk.checkpoint import load_index, predicate_from_dict
+
+    def replay() -> PredicateIndex:
+        index = PredicateIndex()
+        for op in read_journal(scenario["journal"]):
+            index.add(predicate_from_dict(op["pred"]))
+        return index
+
+    start_up = partial(load_index, scenario["data_dir"]) if path == "segments" else replay
+    timing = measure(
+        lambda: _coldstart_probe(start_up(), scenario["relations"], scenario["tuples"])
+    )
+    if timing.result != scenario["reference"]:
+        raise AssertionError(
+            f"cold start by {path} answers differently from the index it was saved from"
+        )
+    return timing._replace(result=None)
 
 
 def print_coldstart(
@@ -1154,6 +1161,10 @@ def print_coldstart(
 # ----------------------------------------------------------------------
 
 
+#: ``run_concurrency``'s configurations, ``(mode, pool)`` in row order.
+CONCURRENCY_CONFIGURATIONS = (("serial", "none"), ("snapshot", "inline"))
+
+
 def run_concurrency(
     predicates: int = 10_000,
     distinct_values: int = 2_000,
@@ -1171,8 +1182,8 @@ def run_concurrency(
     *distinct_values* per attribute so values repeat **across** rounds
     (the steady state of a rule engine fed a stream of similar tuples).
 
-    Both configurations are answer-checked against the mutable index
-    before timing:
+    Both configurations are answer-checked against direct
+    ``Predicate.matches`` evaluation before timing:
 
     * ``serial`` / ``none`` — one mutable :class:`PredicateIndex`.  A
       mutable index caches no stabs, so the cross-round value
@@ -1184,92 +1195,44 @@ def run_concurrency(
 
     Both rows run on one thread, so the snapshot row's speedup over
     ``serial`` is the snapshot design's *write isolation* (cache
-    retention), not parallelism.  ``speedup`` is relative to the
-    ``serial`` row.
+    retention), not parallelism.  Each configuration is timed after one
+    warm-up run, in a process of its own per repeat, best of *repeats*
+    (:func:`~repro.bench.timing.compare`).  ``speedup`` is relative to
+    the ``serial`` row.
     """
-    rng = random.Random(seed)
-    attributes = ("x", "y")
-    predicate_list = []
-    for i in range(predicates):
-        attribute = attributes[i % len(attributes)]
-        low = rng.randint(1, 1_000_000)
-        predicate_list.append(
-            Predicate(
-                "r",
-                [IntervalClause(attribute, Interval.closed(low, low + rng.randint(0, 50)))],
-                ident=i,
-            )
-        )
-    pools = {
-        attribute: [rng.randint(1, 1_000_000) for _ in range(distinct_values)]
-        for attribute in attributes
-    }
-    batches = []
-    for _ in range(rounds):
-        columns = {
-            attribute: rng.sample(pool, min(batch_size, len(pool)))
-            for attribute, pool in pools.items()
+    scenario = dict(predicates=predicates, distinct_values=distinct_values, seed=seed,
+                    batch_size=batch_size, rounds=rounds, relations=("r",))
+    _, batches, _ = _mixed_workload(scenario)
+    total = sum(len(batch) for batch in batches)
+    timings = compare(_time_concurrency, CONCURRENCY_CONFIGURATIONS, scenario, repeats)
+    baseline = timings[CONCURRENCY_CONFIGURATIONS[0]].seconds
+    return [
+        {
+            "mode": mode,
+            "pool": pool_kind,
+            "us_per_tuple": timing.seconds / total * 1e6,
+            "tuples_per_s": total / timing.seconds,
+            "speedup": baseline / timing.seconds,
+            **_host_fields(timing),
         }
-        batches.append(
-            [
-                {attribute: columns[attribute][j] for attribute in attributes}
-                for j in range(min(batch_size, distinct_values))
-            ]
-        )
-    write_preds = [
-        Predicate(
-            "r",
-            [IntervalClause(rng.choice(attributes), Interval.closed(low, low + 50))],
-            ident=f"bench-w{i}",
-        )
-        for i, low in enumerate(
-            rng.randint(1, 1_000_000) for _ in range(rounds)
-        )
+        for (mode, pool_kind), timing in timings.items()
     ]
 
-    def mixed_rounds(index: Any) -> None:
-        for i, batch in enumerate(batches):
-            index.add(write_preds[i])
-            index.match_batch("r", batch)
-            index.remove(write_preds[i].ident)
 
-    serial = DEFAULT_REGISTRY.create_matcher("ibs", tree_factory="flat")
-    serial.add_many(predicate_list)
+def _time_concurrency(configuration: Tuple[str, str], scenario: Dict[str, Any]) -> Timing:
+    """Build, check, warm up and time one ``run_concurrency`` configuration."""
+    mode, _ = configuration
+    predicate_list, batches, write_preds = _mixed_workload(scenario)
+    matcher = "ibs" if mode == "serial" else "ibs-concurrent"
+    index = DEFAULT_REGISTRY.create_matcher(matcher, tree_factory="flat")
+    index.add_many(predicate_list)
     sample = batches[0][:20]
-    reference = [{p.ident for p in serial.match("r", tup)} for tup in sample]
-
-    def build_facade() -> Any:
-        facade = DEFAULT_REGISTRY.create_matcher("ibs-concurrent", tree_factory="flat")
-        facade.add_many(predicate_list)
-        answers = [{p.ident for p in row} for row in facade.match_batch("r", sample)]
-        if answers != reference:
-            raise AssertionError("concurrent facade disagrees with the mutable index")
-        return facade
-
-    total = sum(len(batch) for batch in batches)
-    rows: List[Dict[str, Any]] = []
-    baseline: Optional[float] = None
-    for mode, pool_kind in (("serial", "none"), ("snapshot", "inline")):
-        index = serial if mode == "serial" else build_facade()
-        mixed_rounds(index)  # warm-up: steady-state caches
-        elapsed = math.inf
-        for _ in range(repeats):
-            start = time.perf_counter()
-            mixed_rounds(index)
-            elapsed = min(elapsed, time.perf_counter() - start)
-        throughput = total / elapsed
-        if baseline is None:
-            baseline = throughput
-        rows.append(
-            {
-                "mode": mode,
-                "pool": pool_kind,
-                "us_per_tuple": elapsed / total * 1e6,
-                "tuples_per_s": throughput,
-                "speedup": throughput / baseline,
-            }
-        )
-    return rows
+    expected = _oracle(predicate_list, "r", sample)
+    _check_answers(f"{mode} index", index.match_batch("r", sample), expected)
+    one_round = partial(_mixed_round, index, scenario["relations"], batches, write_preds)
+    for step in range(len(batches)):  # warm-up: steady-state caches
+        one_round(step)
+    return measure(one_round, steps=len(batches))
 
 
 def print_concurrency(
@@ -1333,58 +1296,43 @@ def run_maintenance(
       actually feel — and the background row's should sit well below
       the stop-the-world row's at full scale.
 
-    Each configuration is built and timed in a fresh process, once per
-    repeat, with the order rotated by one per repeat, so a row's figure
-    does not depend on the rows timed before it; a row reports its
-    fastest repeat.  (The processes are spawned, so a script calling
-    this needs an ``if __name__ == "__main__"`` guard.)  Every configuration is answer-checked against
-    ``scheduler-off`` on a sample before timing; ``overhead_pct`` is
+    Each configuration is answer-checked against direct
+    ``Predicate.matches`` evaluation on a sample, warmed up by one run
+    and timed in a process of its own per repeat, best of *repeats*
+    (:func:`~repro.bench.timing.compare`), with the collector off, so
+    ``max_pause_ms`` holds no collection.  ``overhead_pct`` is
     throughput loss vs the ``scheduler-off`` row (negative = faster,
     noise).
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     scenario = dict(predicates=predicates, distinct_values=distinct_values, seed=seed,
-                    batch_size=batch_size, rounds=rounds, checkpoint_every=checkpoint_every)
-    predicate_list, batches, _ = _maintenance_workload(scenario)
-    baseline_index = DEFAULT_REGISTRY.create_matcher("ibs", tree_factory="flat")
-    baseline_index.add_many(predicate_list)
-    reference = {
-        relation: [{p.ident for p in baseline_index.match(relation, t)} for t in batches[0][:20]]
-        for relation in _MAINT_RELATIONS
-    }
-    best: Dict[str, Tuple[float, float]] = {}
-    for repeat in range(repeats):
-        shift = repeat % len(MAINT_MODES)
-        for mode in MAINT_MODES[shift:] + MAINT_MODES[:shift]:
-            with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-                timed = pool.submit(_time_maintenance_mode, mode, scenario, reference).result()
-            best[mode] = min(best.get(mode, timed), timed)
+                    batch_size=batch_size, rounds=rounds, checkpoint_every=checkpoint_every,
+                    relations=("emp", "dept"))
+    _, batches, _ = _mixed_workload(scenario)
     total = sum(len(batch) for batch in batches)
+    timings = compare(_time_maintenance_mode, MAINT_MODES, scenario, repeats)
+    off = timings["scheduler-off"].seconds
     return [
         {
             "mode": mode,
-            "us_per_tuple": best[mode][0] / total * 1e6,
-            "tuples_per_s": total / best[mode][0],
-            "overhead_pct": (1.0 - best["scheduler-off"][0] / best[mode][0]) * 100.0,
-            "max_pause_ms": best[mode][1] * 1e3,
+            "us_per_tuple": timing.seconds / total * 1e6,
+            "tuples_per_s": total / timing.seconds,
+            "overhead_pct": (1.0 - off / timing.seconds) * 100.0,
+            "max_pause_ms": timing.worst_step * 1e3,
+            **_host_fields(timing),
         }
-        for mode in MAINT_MODES
+        for mode, timing in timings.items()
     ]
 
 
-_MAINT_RELATIONS = ("emp", "dept")
-
-
-def _maintenance_workload(
+def _mixed_workload(
     scenario: Dict[str, Any]
 ) -> Tuple[List[Predicate], List[List[Dict[str, int]]], List[Predicate]]:
-    """``run_maintenance``'s predicates, batches and per-round writes,
-    the same in every process for the same *scenario*."""
+    """The CONC and MAINT workload: predicates, batches and per-round
+    writes, the same in every process for the same *scenario*.  Round
+    *i* writes and matches on relation ``relations[i % len(relations)]``."""
     rng = random.Random(scenario["seed"])
     attributes = ("x", "y")
-    relations = _MAINT_RELATIONS
+    relations = scenario["relations"]
     batch_size, distinct_values = scenario["batch_size"], scenario["distinct_values"]
     predicate_list = []
     for i in range(scenario["predicates"]):
@@ -1418,7 +1366,7 @@ def _maintenance_workload(
         Predicate(
             relations[i % len(relations)],
             [IntervalClause(rng.choice(attributes), Interval.closed(low, low + 50))],
-            ident=f"bench-m{i}",
+            ident=f"bench-w{i}",
         )
         for i, low in enumerate(
             rng.randint(1, 1_000_000) for _ in range(scenario["rounds"])
@@ -1427,40 +1375,34 @@ def _maintenance_workload(
     return predicate_list, batches, write_preds
 
 
-def _time_maintenance_mode(
-    mode: str,
-    scenario: Dict[str, Any],
-    reference: Dict[str, List[Set[Hashable]]],
-) -> Tuple[float, float]:
+def _mixed_round(
+    index: Any,
+    relations: Sequence[str],
+    batches: List[List[Dict[str, int]]],
+    write_preds: List[Predicate],
+    step: int,
+) -> None:
+    """Round *step* of the mixed workload: add a predicate, match a batch, remove it."""
+    relation = relations[step % len(relations)]
+    index.add(write_preds[step])
+    index.match_batch(relation, batches[step])
+    index.remove(write_preds[step].ident)
+
+
+def _time_maintenance_mode(mode: str, scenario: Dict[str, Any]) -> Timing:
     """Build one ``run_maintenance`` configuration, check its answers,
-    warm it up and time one run: ``(seconds, worst round seconds)``."""
-    import gc
+    warm it up and time one run, round by round."""
     import shutil
     import tempfile
 
     from ..disk.checkpoint import DiskCheckpointer
     from ..maintenance import MaintenancePolicy
 
-    predicate_list, batches, write_preds = _maintenance_workload(scenario)
-    relations = _MAINT_RELATIONS
+    predicate_list, batches, write_preds = _mixed_workload(scenario)
+    relations = scenario["relations"]
     checkpoint_every = scenario["checkpoint_every"]
     ops_per_round = scenario["batch_size"] + 2
     never = 10 ** 12  # an interval no bench-scale clock ever reaches
-
-    def mixed_rounds(index: Any, checkpointer: Any = None) -> float:
-        """Run the workload; returns the worst single-round seconds."""
-        worst = 0.0
-        for i, batch in enumerate(batches):
-            relation = relations[i % len(relations)]
-            start = time.perf_counter()
-            index.add(write_preds[i])
-            index.match_batch(relation, batch)
-            index.remove(write_preds[i].ident)
-            if checkpointer is not None and (i + 1) % checkpoint_every == 0:
-                checkpointer.checkpoint()
-            worst = max(worst, time.perf_counter() - start)
-        return worst
-
     policies = {
         "scheduler-idle": MaintenancePolicy(retune_interval=never),
         "scheduler-active": MaintenancePolicy(retune_interval=ops_per_round * 2),
@@ -1485,19 +1427,23 @@ def _time_maintenance_mode(
         index.add_many(predicate_list)
         if mode.startswith("ckpt-"):
             checkpointer = DiskCheckpointer(index)
+        sample = batches[0][:20]
         for relation in relations:
-            rows = index.match_batch(relation, batches[0][:20])
-            if [{p.ident for p in row} for row in rows] != reference[relation]:
-                raise AssertionError(
-                    f"maintenance bench: {mode} disagrees with the "
-                    f"scheduler-free index on {relation}"
-                )
+            _check_answers(
+                f"maintenance bench: {mode} on {relation}",
+                index.match_batch(relation, sample),
+                _oracle(predicate_list, relation, sample),
+            )
         inline = checkpointer if mode == "ckpt-stop-world" else None
-        mixed_rounds(index, inline)  # warm-up
-        gc.collect()  # every process starts its timed run from one collector state
-        start = time.perf_counter()
-        pause = mixed_rounds(index, inline)
-        return time.perf_counter() - start, pause
+
+        def one_round(step: int) -> None:
+            _mixed_round(index, relations, batches, write_preds, step)
+            if inline is not None and (step + 1) % checkpoint_every == 0:
+                inline.checkpoint()
+
+        for step in range(len(batches)):  # warm-up
+            one_round(step)
+        return measure(one_round, steps=len(batches))
     finally:
         if checkpointer is not None:
             checkpointer.close()

@@ -389,6 +389,8 @@ class FlatIBSTree(IntervalIndex):
 
     def stab(self, x: Any) -> Set[Hashable]:
         """Identifiers of all intervals containing *x* (``findIntervals``)."""
+        if x is MINUS_INF or x is PLUS_INF:
+            return set()  # no interval contains a sentinel
         return set().union(*self._stab_sets(x))
 
     # The paper's name for the stabbing query.

@@ -532,9 +532,12 @@ class IBSTree(IntervalIndex):
         This is the paper's ``findIntervals`` procedure: descend the
         search path for *x*, accumulating the ``<`` sets when branching
         left, the ``>`` sets when branching right, and the ``=`` set on
-        an exact value match.
+        an exact value match.  No interval contains an infinity
+        sentinel, so a stab of one is empty.
         """
         result: Set[Hashable] = set()
+        if x is MINUS_INF or x is PLUS_INF:
+            return result
         node = self._root
         while node is not None:
             value = node.value

@@ -60,7 +60,7 @@ from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Set, Tuple
 
-from ..core.intervals import Interval
+from ..core.intervals import MINUS_INF, PLUS_INF, Interval
 from ..core.stabbing import IntervalIndex, stab_plane
 from ..errors import CorruptSegmentError, UnknownIntervalError
 from ..testing.faults import fault_point
@@ -474,6 +474,8 @@ class SegmentReader(IntervalIndex):
 
     def stab(self, x: Any) -> Set[Hashable]:
         """Identifiers of all intervals containing *x*."""
+        if x is MINUS_INF or x is PLUS_INF:
+            return set()  # no interval contains a sentinel
         exact, i = self._locate(x)
         cache = self._eq_cache if exact else self._gap_cache
         hit = cache.get(i)

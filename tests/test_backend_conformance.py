@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from repro.core.intervals import Interval
+from repro.core.intervals import MINUS_INF, PLUS_INF, Interval
 from repro.errors import TreeError
 from repro.match.registry import DEFAULT_REGISTRY
 
@@ -204,16 +204,48 @@ class TestBoundsContract:
 class TestBulkLoadContract:
     def test_bulk_load_agrees_with_incremental(self, backend):
         name, factory = backend
-        loader = getattr(factory, "bulk_load", None)
-        if loader is None:
+        bulk = factory()
+        # on the tree, not the factory: a registry factory may be a
+        # function (the disk backend's is)
+        if getattr(bulk, "bulk_load", None) is None:
             pytest.skip(f"{name} has no bulk_load")
         items = closed_intervals(random.Random(SEED + 2))
-        bulk = factory()
         bulk.bulk_load(items)
         incremental = build(factory, items)
         assert len(bulk) == len(incremental)
         for x in probe_points(items):
             assert set(bulk.stab(x)) == set(incremental.stab(x)), (name, x)
+
+
+class TestSentinelContract:
+    def test_sentinels_stab_nothing(self, backend):
+        """No interval contains an infinity sentinel (``Interval.contains``),
+        whichever way the backend was built."""
+        name, factory = backend
+        items = [
+            (Interval.closed(1, 5), "closed"),
+            (Interval.unbounded(), "all"),
+            (Interval.at_least(3), "from-3"),
+            (Interval.less_than(2), "below-2"),
+        ]
+        if not caps(factory)["supports_unbounded"]:
+            items = items[:1]
+        built = [("inserts", build(factory, items))]
+        bulk = factory()
+        if getattr(bulk, "bulk_load", None) is not None:
+            bulk.bulk_load(items)
+            built.append(("bulk_load", bulk))
+
+        def assert_sentinels_stab_nothing(index, stage):
+            for sentinel in (MINUS_INF, PLUS_INF):
+                assert set(index.stab(sentinel)) == set(), (name, stage, sentinel)
+            assert set(index.stab(3)) == oracle(items, 3), (name, stage)
+
+        for how, index in built:
+            assert_sentinels_stab_nothing(index, how)
+            if getattr(index, "seal", None) is not None:
+                index.seal()
+                assert_sentinels_stab_nothing(index, f"{how}, sealed")
 
 
 class TestHealthContract:

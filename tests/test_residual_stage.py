@@ -272,8 +272,8 @@ def test_reading_never_compiles(name, monkeypatch):
     strict=True,
     reason=(
         "pre-existing: a tree stab sends NaN to the top gap while "
-        "Interval.contains accepts it (ROADMAP item 4 follow-up: "
-        "decide NaN semantics)"
+        "Interval.contains accepts it (ROADMAP item 2: one rule for "
+        "NaN and the infinity sentinels)"
     ),
 )
 def test_nan_tuple_agrees_with_sequential():
