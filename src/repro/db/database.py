@@ -154,10 +154,12 @@ class _TransactionScope:
     """The ``with`` scope returned by :meth:`Database.transaction`.
 
     A plain class rather than a ``@contextmanager`` generator, because
-    the rule engine opens one scope per rule firing.  ``__enter__``
-    takes the mutation lock and either begins a transaction or, inside
-    one, marks a savepoint; ``__exit__`` commits or rolls back to match,
-    then releases the lock.  An unlocked database's lock is a no-op
+    the rule engine opens one scope per agenda drain, which outside a
+    transaction is one per triggering mutation (each firing takes only
+    a savepoint of it).  ``__enter__`` takes the mutation lock and
+    either begins a transaction or, inside one, marks a savepoint;
+    ``__exit__`` commits or rolls back to match, then releases the
+    lock.  An unlocked database's lock is a no-op
     ``nullcontext``, so the scope skips it rather than call it twice.
     """
 

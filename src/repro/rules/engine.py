@@ -52,7 +52,7 @@ from typing import (
 
 from ..baselines.base import PredicateMatcher
 from ..core.selectivity import StatisticsEstimator
-from ..db.database import AbortMutation, Database
+from ..db.database import AbortMutation, Database, Transaction
 from ..db.events import BatchEvent, Event
 from ..errors import (
     ActionQuarantinedError,
@@ -107,11 +107,12 @@ class RuleEngine:
         ``"quarantine"`` (default): a rule action that raises is
         retried per the policy, then recorded on the dead-letter queue
         (see :meth:`failures`) while the drain continues — one bad rule
-        cannot abort the agenda.  Each action runs in a nested database
-        transaction, so a failed action's own mutations are rolled back
-        before quarantine.  ``"propagate"``: legacy behaviour — the
-        exception aborts the drain and reaches the mutating caller
-        (the action's mutations are still rolled back).
+        cannot abort the agenda.  Each firing runs in its own savepoint
+        of its drain's transaction, so a failed action's own mutations
+        are rolled back before quarantine.  ``"propagate"``: legacy
+        behaviour — the exception aborts the drain and reaches the
+        mutating caller (the action's mutations are still rolled back;
+        earlier firings keep theirs).
         :class:`~repro.db.database.AbortMutation` and
         :class:`~repro.errors.RuleCycleError` always propagate; they
         are control flow, not failures.
@@ -486,7 +487,7 @@ class RuleEngine:
                 if rule.old_group is not None and not rule.reacts_to(event):
                     continue
                 seen.add(rule)
-                post(rule, RuleContext(db, self, rule, event, dict(image), old))
+                post(rule, RuleContext(db, self, rule, event, image, old))
                 posted = True
             if joins is not None and joins.process(
                 event, {predicate.ident for predicate in matched}
@@ -519,47 +520,65 @@ class RuleEngine:
         loop picks the new instantiations up.  Each top-level drain
         gets a fresh firing budget.
 
-        Each firing is *isolated*: the action runs inside a nested
-        database transaction and, under the default
+        The drain runs in one ``db.transaction()`` scope: a savepoint
+        inside a caller's or a bulk mutation's transaction, otherwise a
+        transaction of its own.  Each firing is *isolated* in a
+        savepoint of it (:meth:`_fire_isolated`) and, under the default
         ``on_error="quarantine"`` policy, an action that raises is
         retried per :attr:`retry_policy` and then quarantined onto
         :attr:`dead_letters` — its mutations rolled back, the drain
-        continuing with the next instantiation.
+        continuing with the next instantiation.  Whatever escapes the
+        drain (a veto, the firing limit, a propagated failure) leaves
+        the scope as a normal exit would, so the firings that completed
+        keep their effects, as if each had committed on its own.
         """
         if self._draining:
             return 0
+        scope = self.db.transaction()
+        txn = scope.__enter__()
         self._draining = True
-        self.agenda.reset_counter()
         try:
+            self.agenda.reset_counter()
             for rule, context in self.agenda.drain():
                 rule.fire_count += 1
                 if self.on_fire is not None:
                     self.on_fire(rule, context)
-                self._fire_isolated(rule, context)
+                self._fire_isolated(rule, context, txn)
         finally:
             self._draining = False
+            # exit as if nothing escaped: a failed firing has already
+            # rolled back to its savepoint, and the ones that completed
+            # keep their effects
+            scope.__exit__(None, None, None)
         return self.agenda.total_fired
 
-    def _fire_isolated(self, rule: Any, context: RuleContext) -> None:
-        """Run one action: transactional, retried, quarantined on failure.
+    def _fire_isolated(self, rule: Any, context: RuleContext, txn: Transaction) -> None:
+        """Run one action in a savepoint of *txn*: retried, quarantined on failure.
 
-        A failed attempt's transaction rolls its mutations back, and the
-        instantiations those mutations posted are dropped with them: a
-        retry starts from the agenda as it was, and a quarantined or
-        propagated failure leaves nothing pending.  The agenda is marked
-        lazily, by the attempt's first mutation (:meth:`_instantiate`),
-        so an action that mutates nothing pays nothing for this.
+        A failed attempt rolls *txn* back to the savepoint it recorded,
+        undoing its own mutations only, and the instantiations those
+        mutations posted are dropped with them: a retry starts from the
+        agenda as it was, and a quarantined or propagated failure leaves
+        nothing pending.  The savepoint is the journal's length and the
+        agenda is marked lazily, by the attempt's first mutation
+        (:meth:`_instantiate`), so an action that mutates nothing
+        allocates nothing for its isolation.
         """
         policy = self.retry_policy
         attempt = 0
         while True:
             attempt += 1
             self._attempt_mark = None
+            savepoint = txn.savepoint()
             try:
-                with self.db.transaction():
+                try:
                     if faults._ACTIVE is not None:  # an injector is installed
                         faults.fault_point("engine.action")
                     rule.action(context)
+                except BaseException:
+                    if txn.active:
+                        txn.rollback_to(savepoint)
+                    raise
             except (AbortMutation, RuleCycleError, RuleError):
                 # control flow (vetoes, firing limit) and rule-system
                 # misconfiguration are not action failures: propagate

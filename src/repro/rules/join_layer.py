@@ -497,6 +497,8 @@ class JoinLayer:
         if not post:
             return 0
         posted = 0
+        # the contexts hold the memories' own images; an action reads
+        # copies of them (RuleContext), so it cannot edit a memory
         for _, other in list(rule.partners(side, tup)):
             bindings = (
                 {rule.left: tup, rule.right: other}

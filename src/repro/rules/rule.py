@@ -43,11 +43,27 @@ class RuleContext:
     old:
         The pre-update image (None for inserts).
     bindings:
-        For join rules, the matched tuple of the *other* relation;
-        empty for selection rules.
+        For join rules, the matched tuple of each relation, by
+        relation name; empty for selection rules.
+
+    ``tuple`` and each image in ``bindings`` are the action's own
+    copies, made on first read from the image the event matched,
+    which the program never mutates; a firing that reads neither
+    copies nothing.  An action may edit its copies, or assign
+    ``tuple``, without touching the stored tuple or a join's memory.
     """
 
-    __slots__ = ("db", "engine", "rule", "event", "tuple", "old", "bindings")
+    __slots__ = (
+        "db",
+        "engine",
+        "rule",
+        "event",
+        "old",
+        "_image",
+        "_tuple",
+        "_bound",
+        "_bindings",
+    )
 
     def __init__(
         self,
@@ -63,9 +79,38 @@ class RuleContext:
         self.engine = engine
         self.rule = rule
         self.event = event
-        self.tuple = matched_tuple
         self.old = old
-        self.bindings = bindings or {}
+        #: the matched and bound images, shared and never written
+        self._image = matched_tuple
+        self._bound = bindings
+        #: the action's copies, made on first read
+        self._tuple: Optional[Dict[str, Any]] = None
+        self._bindings: Optional[Dict[str, Dict[str, Any]]] = None
+
+    @property
+    def tuple(self) -> Dict[str, Any]:
+        tup = self._tuple
+        if tup is None:
+            tup = self._tuple = dict(self._image)
+        return tup
+
+    @tuple.setter
+    def tuple(self, value: Dict[str, Any]) -> None:
+        self._tuple = value
+
+    @property
+    def bindings(self) -> Dict[str, Dict[str, Any]]:
+        bound = self._bindings
+        if bound is None:
+            images = self._bound or {}
+            bound = self._bindings = {
+                name: dict(image) for name, image in images.items()
+            }
+        return bound
+
+    @bindings.setter
+    def bindings(self, value: Dict[str, Dict[str, Any]]) -> None:
+        self._bindings = value
 
     @property
     def tid(self) -> int:

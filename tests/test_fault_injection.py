@@ -461,6 +461,41 @@ class FiringIsolationCases:
         assert db.count("emp") == 1
         assert len(engine.failures()) == 1
 
+    def test_failed_firing_undoes_only_its_own_work(self):
+        # in one drain: a firing that inserts, one that mutates nothing,
+        # and one that inserts and then raises
+        db, engine = self.build_engine()
+        echoed = []
+
+        def log_then_fail(ctx):
+            ctx.db.insert("log", {"message": "third"})
+            raise ValueError("action bug")
+
+        engine.create_rule(
+            "first", on="emp", condition="salary > 10", priority=3,
+            action=lambda ctx: ctx.db.insert("log", {"message": "first"}),
+        )
+        engine.create_rule(
+            "idle", on="emp", condition="salary > 10", priority=2,
+            action=lambda ctx: None,
+        )
+        engine.create_rule(
+            "third", on="emp", condition="salary > 10", priority=1,
+            action=log_then_fail,
+        )
+        engine.create_rule(
+            "echo", on="log", condition="true",
+            action=lambda ctx: echoed.append(ctx.tuple["message"]),
+        )
+        self.insert(db, {"name": "A", "salary": 100})
+        assert [row["message"] for row in db.select("log")] == ["first"]
+        # the third firing's post for its own row went with the row
+        assert echoed == ["first"]
+        assert db.count("emp") == 1
+        assert [f.rule_name for f in engine.failures()] == ["third"]
+        assert engine.dead_letters.total_quarantined == 1
+        assert [engine.rule(name).fire_count for name in ("first", "idle", "third")] == [1, 1, 1]
+
 
 class TestActionFaultsOnBulkInsert(FiringIsolationCases):
     """The firing's savepoint nests in the bulk mutation's transaction."""
@@ -478,6 +513,30 @@ class TestActionFaultsInUserTransaction(FiringIsolationCases):
     def insert(db, values):
         with db.transaction():
             return db.insert("emp", values)
+
+
+class TestActionFaultsOnDeferredRun(FiringIsolationCases):
+    """A deferred ``run()`` opens the drain's transaction itself."""
+
+    def build_engine(self, **kwargs):
+        db, self.engine = FiringIsolationCases.build_engine(mode="deferred", **kwargs)
+        return db, self.engine
+
+    def insert(self, db, values):
+        tid = db.insert("emp", values)
+        self.engine.run()
+        return tid
+
+
+class TestActionFaultsOnThreadsafeDatabase(FiringIsolationCases):
+    """The drain's scope takes the reentrant mutation lock the insert holds."""
+
+    @staticmethod
+    def build_engine(**kwargs):
+        db = Database(threadsafe=True)
+        db.create_relation("emp", ["name", "salary"])
+        db.create_relation("log", ["message"])
+        return db, RuleEngine(db, **kwargs)
 
 
 class TestActionFaults(FiringIsolationCases):

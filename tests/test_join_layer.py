@@ -211,3 +211,49 @@ class TestManagement:
         db.insert("dept", {"dname": "Shoe", "budget": 5})
         assert order == ["join", "sel"]
         assert engine.joins.rule("jr").fire_count == 1
+
+
+class TestActionsCannotEditMemories:
+    """An action's ``ctx.tuple`` and ``ctx.bindings`` are its own copies.
+
+    Each image is also an alpha memory's entry; were the action handed
+    the entry itself, an edit would make later joins test a value the
+    stored tuple does not hold.
+    """
+
+    CONDITION = "emp.dept = dept.dname"
+
+    @staticmethod
+    def editing_once(edit):
+        """A join action recording pairs, applying *edit* at its first firing."""
+        pairs = []
+
+        def action(ctx):
+            pairs.append((ctx.bindings["emp"]["name"], ctx.bindings["dept"]["dname"]))
+            if len(pairs) == 1:
+                edit(ctx)
+
+        return action, pairs
+
+    def test_editing_a_binding_leaves_the_memory_alone(self, db, engine):
+        def rename(ctx):
+            ctx.bindings["dept"]["dname"] = "Toy"
+
+        action, pairs = self.editing_once(rename)
+        engine.create_join_rule("jr", "emp", "dept", self.CONDITION, action)
+        db.insert("dept", {"dname": "Shoe", "budget": 5})
+        db.insert("emp", {"name": "A", "salary": 1, "dept": "Shoe"})
+        db.insert("emp", {"name": "C", "salary": 1, "dept": "Shoe"})
+        assert pairs == [("A", "Shoe"), ("C", "Shoe")]
+        assert db.select("dept") == [{"dname": "Shoe", "budget": 5, "floor": None}]
+
+    def test_editing_the_tuple_leaves_the_memory_alone(self, db, engine):
+        def rename(ctx):
+            ctx.tuple["dname"] = "Toy"
+
+        action, pairs = self.editing_once(rename)
+        engine.create_join_rule("jr", "emp", "dept", self.CONDITION, action)
+        db.insert("emp", {"name": "A", "salary": 1, "dept": "Shoe"})
+        db.insert("dept", {"dname": "Shoe", "budget": 5})  # fires from the dept side
+        db.insert("emp", {"name": "C", "salary": 1, "dept": "Shoe"})
+        assert pairs == [("A", "Shoe"), ("C", "Shoe")]

@@ -1,5 +1,7 @@
 """Tests for the forward-chaining rule engine."""
 
+import threading
+
 import pytest
 
 from repro import (
@@ -19,6 +21,7 @@ from repro.errors import (
     DuplicateRuleError,
     RuleCycleError,
     RuleError,
+    TransactionError,
     UnknownRelationError,
     UnknownRuleError,
 )
@@ -480,3 +483,152 @@ class TestContext:
         db.update("emp", tid, {"age": 9})
         assert seen["kind"] == "update"
         assert seen["old"]["age"] == 5
+
+
+class TestContextCopies:
+    def test_tuple_is_a_private_copy_made_on_first_read(self, db, engine):
+        seen = []
+
+        def edit(ctx):
+            ctx.tuple["salary"] = -1
+            seen.append((dict(ctx.tuple), dict(ctx.event.tuple)))
+
+        engine.create_rule("a", on="emp", condition="salary > 0", action=edit, priority=1)
+        engine.create_rule(
+            "b", on="emp", condition="salary > 0",
+            action=lambda ctx: seen.append(ctx.tuple["salary"]),
+        )
+        tid = db.insert("emp", {"name": "A", "salary": 10})
+        edited, event_image = seen[0]
+        assert edited["salary"] == -1
+        assert event_image["salary"] == 10
+        # the next firing of the same event reads the unedited image
+        assert seen[1] == 10
+        assert db.relation("emp").get(tid)["salary"] == 10
+
+    def test_tuple_is_assignable(self, db, engine):
+        seen = []
+
+        def replace(ctx):
+            ctx.tuple = {"name": "other"}
+            seen.append(ctx.tuple)
+
+        engine.create_rule("r", on="emp", condition="true", action=replace)
+        db.insert("emp", {"name": "A"})
+        assert seen == [{"name": "other"}]
+
+    def test_selection_bindings_read_empty(self, db, engine):
+        seen = []
+        engine.create_rule(
+            "r", on="emp", condition="true", action=lambda ctx: seen.append(ctx.bindings)
+        )
+        db.insert("emp", {"name": "A"})
+        assert seen == [{}]
+
+
+class TestDrainScope:
+    """One ``db.transaction()`` scope per drain, each firing a savepoint of it.
+
+    Outside a user transaction the drain's transaction commits when the
+    drain ends, whatever escapes it, so completed firings keep their
+    effects as their own commits would keep them.
+    """
+
+    def test_cycle_error_keeps_completed_firings(self, db):
+        engine = RuleEngine(db, max_firings=25)
+        db.create_relation("loop", ["v"])
+        engine.create_rule(
+            "runaway", on="loop", condition="v >= 0",
+            action=UpdateAction(lambda ctx: {"v": ctx.tuple["v"] + 1}),
+        )
+        with pytest.raises(RuleCycleError):
+            db.insert("loop", {"v": 0})
+        assert [row["v"] for row in db.select("loop")] == [26]
+        assert db.in_transaction is False
+        assert db.current_transaction is None
+
+    def test_propagated_failure_keeps_earlier_firings(self, db):
+        engine = RuleEngine(db, on_error="propagate")
+
+        def log_then_fail(ctx):
+            ctx.db.insert("alerts", {"message": "second"})
+            raise ValueError("boom")
+
+        engine.create_rule(
+            "first", on="emp", condition="true", priority=2,
+            action=InsertAction("alerts", {"message": "first"}),
+        )
+        engine.create_rule(
+            "second", on="emp", condition="true", priority=1, action=log_then_fail
+        )
+        with pytest.raises(ValueError, match="boom"):
+            db.insert("emp", {"name": "A"})
+        assert [row["message"] for row in db.select("alerts")] == ["first"]
+        assert db.count("emp") == 1
+        assert db.in_transaction is False
+
+    def test_failed_compensation_is_quarantined_as_transaction_error(self, db, engine):
+        boom = RuntimeError("subscriber failed")
+
+        def fail_on_compensation(event):
+            if event.compensating:
+                raise boom
+
+        db.subscribe(fail_on_compensation)
+
+        def log_then_fail(ctx):
+            ctx.db.insert("alerts", {"message": "half-done"})
+            raise ValueError("action bug")
+
+        engine.create_rule("buggy", on="emp", condition="true", action=log_then_fail)
+        db.insert("emp", {"name": "A"})
+        (failure,) = engine.failures()
+        assert isinstance(failure.error, TransactionError)
+        assert failure.error.__cause__ is boom
+        assert db.count("alerts") == 0
+        assert db.count("emp") == 1
+
+    def test_one_scope_per_drain(self, db, engine, monkeypatch):
+        scopes = []
+        transaction = Database.transaction
+
+        def counting(self):
+            scopes.append(self)
+            return transaction(self)
+
+        monkeypatch.setattr(Database, "transaction", counting)
+        fired = []
+        for index in range(5):
+            engine.create_rule(
+                f"r{index}", on="emp", condition="true",
+                action=lambda ctx: fired.append(ctx.rule.name),
+            )
+        db.insert("emp", {"name": "A"})
+        assert len(fired) == 5
+        assert len(scopes) == 1
+
+    def test_deferred_run_holds_the_mutation_lock_for_the_whole_drain(self):
+        db = Database(threadsafe=True)
+        db.create_relation("emp", ["name"])
+        engine = RuleEngine(db, mode="deferred")
+        engine.create_rule("r", on="emp", condition="true", action=lambda ctx: None)
+        free = []
+
+        def probe_lock(rule, context):
+            # between firings, another thread must still find the lock taken
+            def try_lock():
+                if db._mutation_lock.acquire(blocking=False):
+                    db._mutation_lock.release()
+                    free.append(True)
+                else:
+                    free.append(False)
+
+            thread = threading.Thread(target=try_lock)
+            thread.start()
+            thread.join(timeout=5)
+            assert not thread.is_alive()
+
+        engine.on_fire = probe_lock
+        db.insert_many("emp", [{"name": "A"}, {"name": "B"}])
+        assert engine.run() == 2
+        assert free == [False, False]
