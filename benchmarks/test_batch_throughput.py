@@ -3,19 +3,17 @@
 The paper's algorithm matches one tuple at a time (Section 3).  The
 ``match_batch`` extension amortises the per-tuple index probes across a
 batch — distinct values per indexed attribute are stabbed once and the
-results fanned back out — and ``FlatIBSTree`` packs the tree into
-parallel arrays with bitset marker sets.  The ``columnar`` matcher goes
-further: every stab outcome is precomputed into packed bit rows and a
-batch is matched with NumPy ``searchsorted`` gathers
-(``repro.match.columnar``).
+results fanned back out.  The ``columnar`` matcher goes further: every
+stab outcome is precomputed into packed bit rows and a batch is matched
+with NumPy ``searchsorted`` gathers (``repro.match.columnar``).
 
 Acceptance criteria: on the Section 5.2 scenario at 10,000 predicates
-with 1,000-tuple batches, batched matching over the flat backend
-sustains at least 2x the throughput of single-tuple matching over the
-nested ``IBSTree`` (``test_batched_flat_speedup``), and the columnar
-plane sustains at least 8x the scalar flat batch path when NumPy is
-available (``test_columnar_speedup``; the committed ``BENCH_batch.json``
-row documents the full measured margin).
+with 1,000-tuple batches, batched matching over ``IBSTree`` sustains
+more than 1.5x the throughput of single-tuple matching over it
+(``test_batching_helps_both_backends``), and the columnar plane
+sustains at least 8x the scalar batch path over the same trees when
+NumPy is available (``test_columnar_speedup``; the committed
+``BENCH_batch.json`` row documents the full measured margin).
 
 Running this module rewrites ``BENCH_batch.json`` at the repo root with
 the measured rows.  ``test_grouped_stabs_pay_on_a_budgeted_disk_base``
@@ -58,38 +56,24 @@ def test_all_configurations_measured(batch_rows):
     assert set(batch_rows) == {
         ("ibs", "single"),
         ("ibs", "batch"),
-        ("flat", "single"),
-        ("flat", "batch"),
         ("columnar", "single"),
         ("columnar", "batch"),
     }
     assert batch_rows[("ibs", "single")]["speedup"] == pytest.approx(1.0)
 
 
-def test_batched_flat_speedup(batch_rows):
-    """The ISSUE acceptance bar: batched + flat tree >= 2x per-tuple IBS."""
-    assert batch_rows[("flat", "batch")]["speedup"] >= 2.0
-
-
 def test_batching_helps_both_backends(batch_rows):
-    """Batching alone must beat per-tuple matching on either backend."""
+    """Batching alone must beat per-tuple matching."""
     assert batch_rows[("ibs", "batch")]["speedup"] > 1.5
-    assert (
-        batch_rows[("flat", "batch")]["tuples_per_s"]
-        > batch_rows[("flat", "single")]["tuples_per_s"]
-    )
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="columnar plane needs NumPy")
 def test_columnar_speedup(batch_rows):
-    """The vectorized plane must stay an order of magnitude ahead.
-
-    Measured ~11-13x over the scalar flat batch path; 8x is the CI bar
-    (same headroom-vs-measurement style as the 2x bar above).
-    """
+    """The vectorized plane must stay an order of magnitude ahead of
+    the scalar batch path over the trees a ``columnar`` index holds."""
     assert (
         batch_rows[("columnar", "batch")]["tuples_per_s"]
-        >= 8.0 * batch_rows[("flat", "batch")]["tuples_per_s"]
+        >= 8.0 * batch_rows[("ibs", "batch")]["tuples_per_s"]
     )
 
 

@@ -54,8 +54,8 @@ def concurrency_rows():
                 "workload": "per round: add 1 predicate, match one batch, remove it; "
                             "batch values repeat across rounds",
             },
-            "baseline": "mutable PredicateIndex (FlatIBSTree, which caches no stabs) "
-                        "driven single-threaded",
+            "baseline": "mutable PredicateIndex (the default IBSTree, which caches "
+                        "no stabs) driven single-threaded",
             "note": "both rows run on one thread: speedup measures snapshot write "
                     "isolation (cache retention), not parallelism",
             "rows": rows,

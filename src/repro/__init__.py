@@ -37,7 +37,6 @@ Quickstart::
 from .core import (
     AVLIBSTree,
     DefaultEstimator,
-    FlatIBSTree,
     IBSNode,
     IBSTree,
     RBIBSTree,
@@ -121,7 +120,6 @@ __all__ = [
     "IBSNode",
     "AVLIBSTree",
     "RBIBSTree",
-    "FlatIBSTree",
     "PredicateIndex",
     "MatchStatistics",
     "DefaultEstimator",

@@ -788,8 +788,6 @@ def print_e2e(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, Any
 BATCH_CONFIGURATIONS: Tuple[Tuple[str, str], ...] = (
     ("ibs", "single"),
     ("ibs", "batch"),
-    ("flat", "single"),
-    ("flat", "batch"),
     ("columnar", "single"),
     ("columnar", "batch"),
 )
@@ -804,14 +802,14 @@ def run_batch(
     """Batched-matching throughput against the per-tuple baseline.
 
     Builds the Section 5.2 scenario at *predicates* predicates and
-    measures tuples/second for six configurations: per-tuple
+    measures tuples/second for four configurations: per-tuple
     :meth:`PredicateIndex.match` and whole-batch
-    :meth:`PredicateIndex.match_batch`, each over the nested
-    ``IBSTree``, the flat array-backed ``FlatIBSTree`` backend, and
-    the ``columnar`` matcher (flat trees plus the vectorized NumPy
-    batch plane; its single-tuple row shows that the plane only pays
-    off on batches).  Without NumPy the columnar rows silently measure
-    the scalar fallback, so the runner works from a bare install.
+    :meth:`PredicateIndex.match_batch`, each over the ``ibs`` matcher
+    (``IBSTree`` per attribute) and the ``columnar`` matcher (the same
+    trees plus the vectorized NumPy batch plane; its single-tuple row
+    shows that the plane only pays off on batches).  Without NumPy the
+    columnar rows silently measure the scalar fallback, so the runner
+    works from a bare install.
     Before timing, every configuration's answers on a sample are
     checked against direct ``Predicate.matches`` evaluation — an
     oracle independent of the residual stage the per-tuple and batched
@@ -838,9 +836,6 @@ def run_batch(
     ]
 
 
-_BATCH_MATCHERS = {"ibs": "ibs", "flat": "ibs-flat", "columnar": "columnar"}
-
-
 def _time_batch(configuration: Tuple[str, str], scenario: Dict[str, Any]) -> Timing:
     """Build, check, warm up and time one ``run_batch`` configuration."""
     backend, mode = configuration
@@ -849,7 +844,7 @@ def _time_batch(configuration: Tuple[str, str], scenario: Dict[str, Any]) -> Tim
     )
     predicate_list = workload.predicates()["r0"]
     batch = workload.tuples(scenario["batch_size"])
-    index = DEFAULT_REGISTRY.create_matcher(_BATCH_MATCHERS[backend])
+    index = DEFAULT_REGISTRY.create_matcher(backend)
     for predicate in predicate_list:
         index.add(predicate)
     sample = batch[:20]
@@ -908,7 +903,7 @@ def print_batch(rows: Optional[List[Dict[str, Any]]] = None) -> List[Dict[str, A
 
 
 #: ``run_rebuild``'s tree backends and orders, in row order.
-REBUILD_BACKENDS = ("ibs", "avl", "rb", "flat")
+REBUILD_BACKENDS = ("ibs", "avl", "rb")
 REBUILD_ORDERS = ("shuffled", "sorted")
 
 
@@ -1224,7 +1219,7 @@ def _time_concurrency(configuration: Tuple[str, str], scenario: Dict[str, Any]) 
     mode, _ = configuration
     predicate_list, batches, write_preds = _mixed_workload(scenario)
     matcher = "ibs" if mode == "serial" else "ibs-concurrent"
-    index = DEFAULT_REGISTRY.create_matcher(matcher, tree_factory="flat")
+    index = DEFAULT_REGISTRY.create_matcher(matcher)
     index.add_many(predicate_list)
     sample = batches[0][:20]
     expected = _oracle(predicate_list, "r", sample)
@@ -1421,9 +1416,7 @@ def _time_maintenance_mode(mode: str, scenario: Dict[str, Any]) -> Timing:
                 maintenance=policies.get(mode),
             )
         else:
-            index = DEFAULT_REGISTRY.create_matcher(
-                "ibs", tree_factory="flat", maintenance=policies.get(mode)
-            )
+            index = DEFAULT_REGISTRY.create_matcher("ibs", maintenance=policies.get(mode))
         index.add_many(predicate_list)
         if mode.startswith("ckpt-"):
             checkpointer = DiskCheckpointer(index)

@@ -18,7 +18,6 @@ from .intervals import MINUS_INF, PLUS_INF, Interval, is_infinite
 from .ibs_tree import IBSNode, IBSTree
 from .avl_ibs_tree import AVLIBSTree
 from .rb_ibs_tree import RBIBSTree
-from .flat_ibs_tree import FlatIBSTree
 from .rotations import rotate_left, rotate_right
 from .predicate_index import MatchStatistics, PredicateIndex
 from .subsumption import (
@@ -44,7 +43,6 @@ __all__ = [
     "IBSNode",
     "AVLIBSTree",
     "RBIBSTree",
-    "FlatIBSTree",
     "rotate_left",
     "rotate_right",
     "PredicateIndex",

@@ -99,10 +99,12 @@ class IBSNode:
     ``height`` is maintained by every variant (cheap, and lets
     ``validate()`` cross-check structure); ``red`` is used only by the
     red-black variant and is simply True on freshly created nodes, as
-    red-black insertion wants.
+    red-black insertion wants.  ``locs`` holds the node's three
+    ``(node, slot)`` marker locations once the node takes its first
+    incremental mark, so later marks there share them.
     """
 
-    __slots__ = ("value", "slots", "left", "right", "parent", "height", "red")
+    __slots__ = ("value", "slots", "left", "right", "parent", "height", "red", "locs")
 
     def __init__(self, value: Any, parent: Optional["IBSNode"] = None):
         self.value = value
@@ -116,6 +118,7 @@ class IBSNode:
         self.parent: Optional[IBSNode] = parent
         self.height = 1
         self.red = True
+        self.locs: Optional[Tuple[Tuple["IBSNode", int], ...]] = None
 
     @property
     def lt(self) -> Set[Hashable]:
@@ -785,7 +788,12 @@ class IBSTree(IntervalIndex):
 
     def _add_mark(self, ident: Hashable, node: IBSNode, slot: int) -> None:
         node.slots[slot].add(ident)
-        self._marker_locs[ident].add((node, slot))
+        locs = node.locs
+        if locs is None:
+            # made at the first mark, not in IBSNode(): most nodes a
+            # bulk load links are marked through _bulk_place_markers
+            locs = node.locs = ((node, LT), (node, EQ), (node, GT))
+        self._marker_locs[ident].add(locs[slot])
 
     def _remove_markers(self, ident: Hashable) -> None:
         """Remove every marker of *ident*, wherever rotations left them."""

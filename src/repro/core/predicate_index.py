@@ -77,7 +77,7 @@ class PredicateIndex:
         Constructor for the per-attribute interval index, or the name
         of a backend registered in the
         :data:`~repro.match.registry.DEFAULT_REGISTRY` (``"ibs"``,
-        ``"avl"``, ``"rb"``, ``"flat"``, …).  Defaults to the
+        ``"avl"``, ``"rb"``, ``"interval-list"``, …).  Defaults to the
         unbalanced :class:`~repro.core.ibs_tree.IBSTree` (as in the
         paper's measurements); pass
         :class:`~repro.core.avl_ibs_tree.AVLIBSTree` for guaranteed

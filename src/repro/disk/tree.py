@@ -1,4 +1,4 @@
-"""``DiskIBSTree``: a FlatIBSTree whose frozen form lives in a segment file.
+"""``DiskIBSTree``: an IBS-tree whose frozen form lives in a segment file.
 
 The disk tier's interval index is a two-state machine behind the same
 ``IntervalIndex`` interface every RAM backend implements:
@@ -6,9 +6,9 @@ The disk tier's interval index is a two-state machine behind the same
 * **staging** — contents live in RAM: :meth:`bulk_load` keeps its
   ``(interval, ident)`` pairs as they came, with their endpoints sorted
   once for the seal's sweep, and the first read or mutation builds an
-  in-memory
-  :class:`~repro.core.flat_ibs_tree.FlatIBSTree` from them, which
-  mutations then go to exactly as the flat backend would handle them;
+  in-memory :class:`~repro.core.ibs_tree.IBSTree` from them, which
+  mutations then go to exactly as the ``ibs`` backend would handle
+  them;
 * **sealed** — :meth:`seal` writes the contents' stab plane to a
   segment file (see :mod:`repro.disk.segment`), swept straight from the
   pairs with no tree in between, and stabbing queries are answered by a
@@ -47,7 +47,7 @@ import tempfile
 import weakref
 from typing import Any, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
-from ..core.flat_ibs_tree import FlatIBSTree
+from ..core.ibs_tree import IBSTree
 from ..core.intervals import Interval
 from ..core.stabbing import IntervalIndex, endpoint_values
 from ..errors import DuplicateIntervalError, TreeError
@@ -86,7 +86,7 @@ class DiskIBSTree(IntervalIndex):
         self._relation = relation
         self._attribute = attribute
         #: the staging tree, built on demand from ``_pending``
-        self._mem: Optional[FlatIBSTree] = None
+        self._mem: Optional[IBSTree] = None
         #: bulk-loaded pairs not yet in a staging tree, with their sorted
         #: endpoints for the seal's sweep (``None`` once they are in a
         #: tree, or once a seal releases them)
@@ -98,7 +98,7 @@ class DiskIBSTree(IntervalIndex):
         #: set by the disk tree store so eviction can track hot trees
         self.on_touch = None
 
-    # -- epoch / freeze (same contract as FlatIBSTree) -------------------
+    # -- epoch / freeze (same contract as IBSTree) -----------------------
 
     @property
     def epoch(self) -> int:
@@ -176,7 +176,7 @@ class DiskIBSTree(IntervalIndex):
             self._mem = self._pending = None
         return self._reader.path  # type: ignore[union-attr]
 
-    def _build_staging(self) -> FlatIBSTree:
+    def _build_staging(self) -> IBSTree:
         """A staging tree over the current contents: the kept pairs, or
         the sealed segment's interval table."""
         if self._pending is not None:
@@ -184,13 +184,13 @@ class DiskIBSTree(IntervalIndex):
         else:
             assert self._reader is not None
             pairs = [(interval, ident) for ident, interval in self._reader.items()]
-        mem = FlatIBSTree()
+        mem = IBSTree()
         if pairs:
             mem.bulk_load(pairs)
         mem.epoch = self._epoch
         return mem
 
-    def _ensure_mem(self) -> FlatIBSTree:
+    def _ensure_mem(self) -> IBSTree:
         """The staging tree, built from the pairs or the segment if needed."""
         if self._mem is None:
             self._mem = self._build_staging()
@@ -218,9 +218,12 @@ class DiskIBSTree(IntervalIndex):
         total = self._reader.resident_bytes() if self._reader is not None else 0
         if self._mem is not None:
             # the staging tree holds the full object graph; approximate
-            # with a per-interval + per-node constant (diagnostic, not
-            # an allocator audit)
-            return total + 200 * len(self._mem) + 120 * self._mem.node_count
+            # with a per-interval + per-node constant fitted to what
+            # tracemalloc traces for a bulk-loaded IBSTree (EXPERIMENTS.md
+            # FLAT): an interval's registry entries and marker-location
+            # set, a node's three marker sets (diagnostic, not an
+            # allocator audit)
+            return total + 2400 * len(self._mem) + 600 * self._mem.node_count
         pairs = self._pending[0] if self._pending is not None else ()
         return total + 64 * len(pairs)  # a tuple per kept pair
 
@@ -263,7 +266,7 @@ class DiskIBSTree(IntervalIndex):
         """Load many intervals into an **empty** tree, all or nothing.
 
         The pairs are kept as they came (``None`` idents numbered as
-        ``FlatIBSTree.bulk_load`` numbers them): :meth:`seal` writes the
+        ``IBSTree.bulk_load`` numbers them): :meth:`seal` writes the
         segment straight from them, and a read or mutation first builds
         the staging tree from them.
         """
@@ -350,7 +353,7 @@ class DiskIBSTree(IntervalIndex):
     def markers_of(self, ident: Hashable) -> int:
         return self._hydrated_for_audit().markers_of(ident)
 
-    def _hydrated_for_audit(self) -> FlatIBSTree:
+    def _hydrated_for_audit(self) -> IBSTree:
         """A staging tree for structural diagnostics.
 
         A frozen tree must not regain a resident ``_mem`` (the whole

@@ -5,9 +5,10 @@ Two string-keyed namespaces:
 **tree backends** (:meth:`BackendRegistry.register_backend`) —
 zero-argument factories producing a per-attribute interval index
 satisfying the :class:`~repro.baselines.base.IntervalIndex` contract.
-The four IBS-tree variants and the Section 4.1/6 alternatives register
-here, so ``PredicateIndex(tree_factory="avl")`` and the bench runner's
-backend selection resolve through one table instead of ad-hoc imports.
+The IBS-tree variants (unbalanced, AVL, red-black, disk) and the
+Section 4.1/6 alternatives register here, so
+``PredicateIndex(tree_factory="avl")`` and the bench runner's backend
+selection resolve through one table instead of ad-hoc imports.
 
 **matchers** (:meth:`BackendRegistry.register_matcher`) — builders
 producing a complete :class:`~repro.baselines.base.PredicateMatcher`.
@@ -31,7 +32,6 @@ from ..baselines.rtree import RTree1D
 from ..baselines.segment_tree import SegmentTree
 from ..baselines.sequential import IntervalList
 from ..core.avl_ibs_tree import AVLIBSTree
-from ..core.flat_ibs_tree import FlatIBSTree
 from ..core.ibs_tree import IBSTree
 from ..core.rb_ibs_tree import RBIBSTree
 from ..errors import RegistryError
@@ -287,19 +287,10 @@ def _build_ibs_rb(**options: Any) -> Any:
     return PredicateIndex(**kwargs)
 
 
-def _build_ibs_flat(**options: Any) -> Any:
-    from ..core.predicate_index import PredicateIndex
-
-    kwargs = _accept(options, _IBS_OPTIONS)
-    kwargs.setdefault("tree_factory", FlatIBSTree)
-    return PredicateIndex(**kwargs)
-
-
 def _build_columnar(**options: Any) -> Any:
     from ..core.predicate_index import PredicateIndex
 
     kwargs = _accept(options, _IBS_OPTIONS)
-    kwargs.setdefault("tree_factory", FlatIBSTree)
     kwargs.setdefault("columnar", True)
     return PredicateIndex(**kwargs)
 
@@ -396,9 +387,6 @@ DEFAULT_REGISTRY.register_backend(
     "rb", RBIBSTree, "red-black-balanced IBS-tree"
 )
 DEFAULT_REGISTRY.register_backend(
-    "flat", FlatIBSTree, "array-backed IBS-tree (cache-friendly layout)"
-)
-DEFAULT_REGISTRY.register_backend(
     "interval-list", IntervalList, "linear-scan interval list (Figure 9 baseline)"
 )
 DEFAULT_REGISTRY.register_backend(
@@ -432,12 +420,9 @@ DEFAULT_REGISTRY.register_matcher(
     "ibs-rb", _build_ibs_rb, "predicate index over red-black trees"
 )
 DEFAULT_REGISTRY.register_matcher(
-    "ibs-flat", _build_ibs_flat, "predicate index over flat array trees"
-)
-DEFAULT_REGISTRY.register_matcher(
     "columnar",
     _build_columnar,
-    "predicate index with a vectorized columnar batch plane over flat trees",
+    "predicate index with a vectorized columnar batch plane over IBS-trees",
     capabilities={"requires_numpy": True, "vectorized_batch": True},
 )
 DEFAULT_REGISTRY.register_matcher(

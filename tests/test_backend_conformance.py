@@ -1,7 +1,7 @@
 """Conformance suite for every registered interval-index backend.
 
 Parametrized over the full :data:`~repro.match.registry.DEFAULT_REGISTRY`
-tree-backend table, so the four IBS-tree variants and every baseline
+tree-backend table, so the IBS-tree variants and every baseline
 structure are held to one contract — the
 :class:`~repro.baselines.base.IntervalIndex` protocol the predicate
 index builds on.  Capability flags (``supports_dynamic_insert``,

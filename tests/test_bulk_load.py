@@ -1,4 +1,4 @@
-"""Differential tests for ``bulk_load`` across all four tree backends.
+"""Differential tests for ``bulk_load`` across the three pointer-tree backends.
 
 The O(N) bulk loader must be observationally identical to N incremental
 inserts: same stab answers at every interesting probe, same invariants
@@ -13,7 +13,6 @@ import pytest
 
 from repro import (
     AVLIBSTree,
-    FlatIBSTree,
     IBSTree,
     Interval,
     IntervalClause,
@@ -23,7 +22,7 @@ from repro import (
 )
 from repro.errors import DuplicateIntervalError, PredicateError, TreeError
 
-BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree, FlatIBSTree]
+BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree]
 SEEDS = [0, 1, 2]
 
 

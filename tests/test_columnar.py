@@ -1,7 +1,7 @@
 """Differential tests for the vectorized columnar batch plane.
 
 ``repro.match.columnar`` precomputes every stab outcome of a relation's
-flat trees into packed bit rows and answers ``match_batch`` with NumPy
+trees into packed bit rows and answers ``match_batch`` with NumPy
 gathers.  None of that may change a single answer: every test here
 compares the ``columnar`` strategy against the scalar batch path and
 the per-tuple path, which the brute-force suites pin to the paper's
@@ -102,7 +102,7 @@ EDGES = (
 )
 
 
-@pytest.mark.parametrize("backend", ["ibs", "avl", "rb", "flat", "disk"])
+@pytest.mark.parametrize("backend", ["ibs", "avl", "rb", "disk"])
 @pytest.mark.parametrize("seed", [0, 1, 2, 3])
 def test_columnar_equals_scalar_equals_per_tuple(seed, backend, tmp_path):
     """The plane is swept from any IBS backend's intervals, a disk
@@ -111,10 +111,10 @@ def test_columnar_equals_scalar_equals_per_tuple(seed, backend, tmp_path):
     predicates = build_predicates(rng, rng.randint(1, 60))
     batch = [make_tuple(rng, EDGES) for _ in range(rng.randint(1, 80))]
 
-    per_tuple_index = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    per_tuple_index = loaded(PredicateIndex(), predicates)
     expected = [ident_rows([per_tuple_index.match("r", t)])[0] for t in batch]
 
-    scalar = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    scalar = loaded(PredicateIndex(), predicates)
     assert ident_rows(scalar.match_batch("r", batch)) == expected
 
     if backend == "disk":
@@ -134,7 +134,7 @@ def test_columnar_equals_scalar_equals_per_tuple(seed, backend, tmp_path):
 def test_registered_backends_agree(subtests=None):
     """Every registered matcher answers the same workload identically;
     backends that support ``freeze`` must also agree after freezing
-    (the frozen flat tree is the columnar plane's substrate)."""
+    (the frozen trees are the columnar plane's substrate)."""
     rng = random.Random(99)
     predicates = build_predicates(rng, 40)
     batch = [make_tuple(rng) for _ in range(50)]
@@ -197,7 +197,7 @@ def test_raising_function_clause_raises_on_every_path():
     predicates = [Predicate("r", [FunctionClause("a", touchy)], ident=1)]
     batch = [{"a": 1}, {"a": 13}]
     for index in (
-        loaded(PredicateIndex(tree_factory="flat"), predicates),
+        loaded(PredicateIndex(), predicates),
         loaded(columnar_index(), predicates),
     ):
         with pytest.raises(ValueError):
@@ -243,7 +243,7 @@ def test_without_numpy_the_strategy_still_answers(monkeypatch):
     rng = random.Random(7)
     predicates = build_predicates(rng, 25)
     batch = [make_tuple(rng, EDGES) for _ in range(40)]
-    scalar = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    scalar = loaded(PredicateIndex(), predicates)
     inert = loaded(columnar_index(), predicates)
     assert ident_rows(inert.match_batch("r", batch)) == ident_rows(
         scalar.match_batch("r", batch)
@@ -255,9 +255,9 @@ def test_concurrent_facade_with_columnar_snapshots():
     rng = random.Random(21)
     predicates = build_predicates(rng, 40)
     batch = [make_tuple(rng) for _ in range(60)]
-    oracle = loaded(PredicateIndex(tree_factory="flat"), predicates)
+    oracle = loaded(PredicateIndex(), predicates)
     expected = [sorted(oracle.match_idents("r", t)) for t in batch]
-    index = ConcurrentPredicateIndex(tree_factory="flat", columnar=True)
+    index = ConcurrentPredicateIndex(columnar=True)
     for predicate in predicates:
         index.add(predicate)
     assert ident_rows(index.match_batch("r", batch)) == expected

@@ -4,7 +4,7 @@ The core property: whatever interleaving really happened, a
 ``ConcurrentPredicateIndex`` under N writer + M reader threads must
 return exactly the match sets a serial ``PredicateIndex`` produces when
 replaying the same (publication-ordered) operation log — for every one
-of the four tree backends.
+of the three pointer-tree backends.
 """
 
 import threading
@@ -13,7 +13,6 @@ import pytest
 
 from repro.concurrency import ConcurrentPredicateIndex, RelationShard
 from repro.core.avl_ibs_tree import AVLIBSTree
-from repro.core.flat_ibs_tree import FlatIBSTree
 from repro.core.ibs_tree import IBSTree
 from repro.core.intervals import Interval
 from repro.core.predicate_index import PredicateIndex
@@ -32,8 +31,8 @@ from repro.testing.concurrency import (
     StressDriver,
 )
 
-BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree, FlatIBSTree]
-BACKEND_IDS = ["ibs", "avl", "rb", "flat"]
+BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree]
+BACKEND_IDS = ["ibs", "avl", "rb"]
 
 
 def interval_pred(ident, low, high, attribute="x", relation="r"):
@@ -127,7 +126,7 @@ def test_shard_rejects_foreign_relation():
 
 
 # ----------------------------------------------------------------------
-# differential: concurrent run vs serial replay, all four backends
+# differential: concurrent run vs serial replay, all three backends
 # ----------------------------------------------------------------------
 
 

@@ -2,14 +2,14 @@
 the residency count, and the one cache of a budgeted base.
 
 * **the sweep** — every row of :func:`repro.core.stabbing.stab_plane`
-  must answer what a bulk-loaded ``FlatIBSTree``'s stab answers at its
+  must answer what a bulk-loaded ``IBSTree``'s stab answers at its
   endpoint value or inside its gap, and a bulk-loaded ``DiskIBSTree``
   must seal the very bytes the tree-export writer wrote (pinned
   digests), so existing data directories read unchanged;
 * **the reader** — a ``bisect`` over the values section must answer
   every stab a tree descent answers, down to NaN, signed zeros, bools,
   ints past 2**53, ``Decimal`` and incomparable values;
-* **folds** — a disk fold builds no ``FlatIBSTree``, and a fault in it
+* **folds** — a disk fold builds no staging ``IBSTree``, and a fault in it
   publishes nothing and leaves no file behind;
 * **residency** — the reader's running count equals the full
   ``sys.getsizeof`` walk it replaced, and a frozen base under a
@@ -25,13 +25,14 @@ import math
 import os
 import random
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.concurrency.facade import ConcurrentPredicateIndex
-from repro.core.flat_ibs_tree import FlatIBSTree
+from repro.core.ibs_tree import IBSTree
 from repro.core.intervals import Interval, is_infinite
 from repro.core.predicate_index import PredicateIndex
 from repro.core.stabbing import stab_plane
@@ -90,8 +91,8 @@ def pairs_over(values, max_size=30):
     )
 
 
-def flat_tree(pairs):
-    tree = FlatIBSTree()
+def ibs_tree(pairs):
+    tree = IBSTree()
     tree.bulk_load(pairs)
     return tree
 
@@ -175,7 +176,7 @@ def numbered(pairs):
 def test_sweep_plane_equals_tree_export_numbers(pairs):
     values, eq_rows, gap_rows = stab_plane(numbered(pairs))
     idents = [ident for _, ident in pairs]
-    assert_rows_answer_as_stabs(flat_tree(pairs), values, eq_rows, gap_rows, idents)
+    assert_rows_answer_as_stabs(ibs_tree(pairs), values, eq_rows, gap_rows, idents)
     # of equal endpoints (3 and 3.0, 0 and -0.0) the first stands for
     # both, as a tree node does
     endpoints = [v for interval, _ in pairs for v in (interval.low, interval.high)]
@@ -187,20 +188,20 @@ def test_sweep_plane_equals_tree_export_numbers(pairs):
 def test_sweep_plane_equals_tree_export_strings(pairs):
     values, eq_rows, gap_rows = stab_plane(numbered(pairs))
     idents = [ident for _, ident in pairs]
-    assert_rows_answer_as_stabs(flat_tree(pairs), values, eq_rows, gap_rows, idents)
+    assert_rows_answer_as_stabs(ibs_tree(pairs), values, eq_rows, gap_rows, idents)
 
 
 def test_sweep_refuses_incomparable_endpoints_like_a_tree_build():
     pairs = [(Interval.closed(1, 2), "n"), (Interval.closed("a", "b"), "s")]
     with pytest.raises(TypeError):
-        flat_tree(pairs)
+        ibs_tree(pairs)
     with pytest.raises(TypeError):
         stab_plane(pairs)
 
 
 #: a bulk-loaded DiskIBSTree over these pairs seals a segment whose
 #: SHA-256 is pinned below; the digests were taken from the writer that
-#: serialised a bulk-loaded FlatIBSTree's export, so a segment written
+#: serialised a bulk-loaded tree's export, so a segment written
 #: by the sweep is byte-identical to one written before it
 PINNED_PAIRS = {
     "numeric": [
@@ -244,7 +245,7 @@ def test_bulk_loaded_segment_bytes_are_pinned(tmp_path, name):
     tree.close()
     # the tree-accepting form writes the same bytes
     again = str(tmp_path / "again.seg")
-    write_segment(again, flat_tree(PINNED_PAIRS[name]), "rel", "x")
+    write_segment(again, ibs_tree(PINNED_PAIRS[name]), "rel", "x")
     with open(path, "rb") as first, open(again, "rb") as second:
         assert first.read() == second.read()
 
@@ -266,7 +267,7 @@ PROBES = [
 @pytest.mark.parametrize("native", [True, False], ids=["view", "decoded"])
 @given(pairs=pairs_over(numbers))
 def test_reader_stabs_equal_tree_stabs(tmp_path_factory, native, pairs):
-    tree = flat_tree(pairs)
+    tree = ibs_tree(pairs)
     with pytest.MonkeyPatch.context() as patch:
         # the decoded-list fallback a big-endian host takes
         patch.setattr(segment_module, "_NATIVE_F64", native)
@@ -291,7 +292,7 @@ def test_reader_over_ints_past_2_53_uses_the_pickled_values(tmp_path, seed):
         low = base + rng.randint(-50, 50)
         pairs.append((Interval(low, low + rng.randint(1, 9), rng.random() < 0.5, True), k))
     pairs.append((Interval.at_most(base), "low"))
-    tree = flat_tree(pairs)
+    tree = ibs_tree(pairs)
     reader = sealed_reader(tmp_path, pairs)
     try:
         assert not reader.numeric
@@ -305,7 +306,7 @@ def test_reader_over_ints_past_2_53_uses_the_pickled_values(tmp_path, seed):
 
 @given(pairs=pairs_over(words))
 def test_reader_over_strings(tmp_path_factory, pairs):
-    tree = flat_tree(pairs)
+    tree = ibs_tree(pairs)
     reader = sealed_reader(tmp_path_factory.mktemp("seg"), pairs)
     try:
         for x in ["", "a", "ab", "b", "bz", "x", "zzz", "zzzz", 3, math.nan]:
@@ -331,22 +332,22 @@ def ranged(ident, low, width=20, attribute="x"):
     return Predicate("r", [IntervalClause(attribute, Interval.closed(low, low + width))], ident=ident)
 
 
-def counting_flat_tree(monkeypatch):
+def counting_staging_tree(monkeypatch):
     built = []
 
-    class Counted(FlatIBSTree):
+    class Counted(tree_module.IBSTree):
         def __init__(self):
             super().__init__()
             built.append(self)
 
-    monkeypatch.setattr(tree_module, "FlatIBSTree", Counted)
+    monkeypatch.setattr(tree_module, "IBSTree", Counted)
     return built
 
 
 @pytest.mark.parametrize("seed", DISK_SEEDS)
 def test_a_disk_fold_builds_no_flat_tree(tmp_path, monkeypatch, seed):
     rng = random.Random(seed)
-    built = counting_flat_tree(monkeypatch)
+    built = counting_staging_tree(monkeypatch)
     idx = ConcurrentPredicateIndex(storage="disk", data_dir=str(tmp_path / "data"))
     live = {}
     for i in range(60):
@@ -416,9 +417,9 @@ def test_bulk_load_fault_leaves_a_disk_tree_empty(tmp_path):
 @pytest.mark.parametrize("storage", ["memory", "disk"])
 def test_add_many_refuses_incomparable_endpoints_and_stays_empty(tmp_path, storage):
     # the disk tier keeps bulk-loaded pairs for a later seal, so it must
-    # refuse what a flat tree build refuses when they arrive, not at
-    # every read after
-    idx = PredicateIndex("flat", storage=storage, data_dir=str(tmp_path) if storage == "disk" else None)
+    # refuse what a tree build refuses when they arrive, not at every
+    # read after
+    idx = PredicateIndex(storage=storage, data_dir=str(tmp_path) if storage == "disk" else None)
     kiwi = Predicate("r", [IntervalClause("x", Interval.point("kiwi"))], ident="s")
     with pytest.raises(TypeError):
         idx.add_many([ranged("n", 1, width=4), kiwi])
@@ -439,6 +440,28 @@ def test_disk_bulk_load_refuses_incomparable_endpoints(tmp_path):
 # ----------------------------------------------------------------------
 # residency: a running count, and one budgeted cache
 # ----------------------------------------------------------------------
+
+
+def test_staging_tree_estimate_is_within_2x_of_traced_bytes(tmp_path):
+    """Eviction sums ``resident_bytes``, so a staging tree's estimate
+    must be near what it holds: 2,000 intervals of ``disk-maintained``'s
+    shape (width 300 over 1..10,000), against tracemalloc."""
+    rng = random.Random(2)
+    pairs = []
+    for k in range(2_000):
+        low = rng.randint(1, 10_000)
+        pairs.append((Interval.closed(low, low + 299), k))
+    tree = DiskIBSTree(str(tmp_path / "t.g1.seg"), relation="r", attribute="x")
+    tree.bulk_load(pairs)
+    del pairs
+    tracemalloc.start()
+    try:
+        tree.stab(5_000)  # a read before the seal builds the staging tree
+        traced = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    estimate = tree.resident_bytes()
+    assert traced / 2 <= estimate <= 2 * traced, (estimate, traced)
 
 
 @pytest.mark.parametrize("values", ["numeric", "strings"])

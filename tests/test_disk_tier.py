@@ -4,7 +4,7 @@ Four layers of assurance:
 
 * **differential conformance** — a sealed :class:`DiskIBSTree` (reads
   straight off the mmap'd segment) must answer every stab exactly like
-  the in-memory ``FlatIBSTree`` it was serialised from, including open
+  the in-memory ``IBSTree`` it was serialised from, including open
   bounds, ±infinity sentinels, and incomparable probe values;
 * **corruption detection** — a damaged segment file must be *detected*
   (``CorruptSegmentError``), never silently misread;
@@ -32,7 +32,7 @@ import random
 import pytest
 
 from repro.concurrency.facade import ConcurrentPredicateIndex
-from repro.core.flat_ibs_tree import FlatIBSTree
+from repro.core.ibs_tree import IBSTree
 from repro.core.intervals import MINUS_INF, PLUS_INF, Interval
 from repro.core.predicate_index import PredicateIndex
 from repro.disk.checkpoint import (
@@ -120,10 +120,10 @@ def match_table(index, relation, tuples):
 
 class TestSegmentConformance:
     @pytest.mark.parametrize("seed", DISK_SEEDS)
-    def test_reader_matches_flat_tree(self, tmp_path, seed):
+    def test_reader_matches_ibs_tree(self, tmp_path, seed):
         rng = random.Random(seed)
         items = random_items(rng, 300)
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(items)
         path = str(tmp_path / "x.g1.seg")
         write_segment(path, tree, "rel", "x")
@@ -153,7 +153,7 @@ class TestSegmentConformance:
             (Interval.at_least(50), "high"),
             (Interval.unbounded(), "all"),
         ]
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(items)
         path = str(tmp_path / "b.g1.seg")
         write_segment(path, tree, "rel", "x")
@@ -169,7 +169,7 @@ class TestSegmentConformance:
 
     def test_incomparable_and_nan_probes(self, tmp_path):
         items = [(Interval.closed(0, 10), "a"), (Interval.unbounded(), "u")]
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(items)
         path = str(tmp_path / "n.g1.seg")
         write_segment(path, tree, "rel", "x")
@@ -193,7 +193,7 @@ class TestSegmentConformance:
             (Interval.closed("apple", "mango"), "fruit"),
             (Interval.closed("banana", "peach"), "snack"),
         ]
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(items)
         path = str(tmp_path / "s.g1.seg")
         write_segment(path, tree, "rel", "name")
@@ -249,7 +249,7 @@ class TestDiskTreeContract:
 
 class TestSegmentCorruption:
     def _segment(self, tmp_path):
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(random_items(random.Random(1), 50))
         path = str(tmp_path / "v.g1.seg")
         write_segment(path, tree, "rel", "x")
@@ -678,7 +678,7 @@ class TestCrashDrills:
         )
 
     def test_torn_segment_write_leaves_no_readable_segment(self, tmp_path):
-        tree = FlatIBSTree()
+        tree = IBSTree()
         tree.bulk_load(random_items(random.Random(3), 60))
         path = str(tmp_path / "torn.g1.seg")
         with injected(FaultInjector()) as injector:

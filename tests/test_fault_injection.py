@@ -26,7 +26,6 @@ import pytest
 from repro import (
     AVLIBSTree,
     Database,
-    FlatIBSTree,
     IBSTree,
     Interval,
     IntervalClause,
@@ -52,7 +51,7 @@ from repro.testing import FAULT_SITES, FaultInjector, active_injector, injected
 
 SEEDS = [int(s) for s in os.environ.get("FAULT_SEEDS", "0,1,2").split(",")]
 
-TREE_BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree, FlatIBSTree]
+TREE_BACKENDS = [IBSTree, AVLIBSTree, RBIBSTree]
 BALANCED_BACKENDS = [AVLIBSTree, RBIBSTree]
 
 

@@ -1,199 +1,35 @@
-"""FlatIBSTree-specific behaviour: interning, bitsets, caches, free lists.
+"""``repro.core.flat_ibs_tree``: the old name of the unbalanced IBS-tree.
 
-The cross-backend query semantics (stab/stab_into/stab_many equal to
-brute force, validate after arbitrary scripts) are covered by the
-parametrized suites in ``test_ibs_tree_properties.py``; this module
-pins down the flat representation itself.
+The array-and-bitset layout is gone.  Its module keeps the name as an
+alias of :class:`IBSTree`, so old imports still resolve, and the two
+places that built the flat layout — a ``columnar`` index's trees and a
+disk tree's staging tree — build the pointer tree.
 """
 
-import random
-
-import pytest
-
-from repro import FlatIBSTree, IBSTree, Interval
-from repro.errors import DuplicateIntervalError, UnknownIntervalError
-
-
-def build(pairs):
-    tree = FlatIBSTree()
-    for ident, interval in pairs:
-        tree.insert(interval, ident)
-    return tree
+import repro
+import repro.core
+from repro import IBSTree, Interval, IntervalClause, Predicate
+from repro.core.flat_ibs_tree import FlatIBSTree
+from repro.disk.tree import DiskIBSTree
+from repro.match.registry import DEFAULT_REGISTRY
 
 
-class TestInterning:
-    def test_bits_are_dense_and_recycled(self):
-        tree = build(
-            [("A", Interval.closed(0, 10)), ("B", Interval.closed(5, 15))]
-        )
-        bit_a = tree._bit_of["A"]
-        tree.delete("A")
-        assert bit_a in tree._free_bits
-        tree.insert(Interval.closed(2, 4), "C")
-        # the freed bit is reused, so the bitset universe stays dense
-        assert tree._bit_of["C"] == bit_a
-        assert not tree._free_bits
-        assert tree.stab(3) == {"C"}
-        assert tree.stab(12) == {"B"}
-        tree.validate()
+def test_flat_name_is_the_pointer_tree_everywhere(tmp_path):
+    assert FlatIBSTree is IBSTree
+    assert "FlatIBSTree" not in repro.__all__
+    assert "FlatIBSTree" not in repro.core.__all__
+    assert "flat" not in DEFAULT_REGISTRY.tree_backends()
+    assert "ibs-flat" not in DEFAULT_REGISTRY.matchers()
 
-    def test_auto_ident_skips_taken_names(self):
-        tree = FlatIBSTree()
-        tree.insert(Interval.closed(0, 1), 0)
-        auto = tree.insert(Interval.closed(0, 1))
-        assert auto != 0
-        assert tree.stab(0) == {0, auto}
+    columnar = DEFAULT_REGISTRY.create_matcher("columnar")
+    for ident, attribute in enumerate("xy"):
+        clause = IntervalClause(attribute, Interval.closed(0, 10))
+        columnar.add(Predicate("r", [clause], ident=ident))
+    trees = [columnar.tree_for("r", attribute) for attribute in "xy"]
+    assert [type(tree) for tree in trees] == [IBSTree, IBSTree]
 
-    def test_duplicate_and_unknown_idents(self):
-        tree = build([("A", Interval.closed(0, 10))])
-        with pytest.raises(DuplicateIntervalError):
-            tree.insert(Interval.closed(1, 2), "A")
-        with pytest.raises(UnknownIntervalError):
-            tree.delete("missing")
-        with pytest.raises(UnknownIntervalError):
-            tree.get("missing")
-        with pytest.raises(UnknownIntervalError):
-            tree.markers_of("missing")
-
-    def test_registry_views(self):
-        pairs = [("A", Interval.closed(0, 10)), ("B", Interval.open(3, 9))]
-        tree = build(pairs)
-        assert len(tree) == 2 and bool(tree)
-        assert "A" in tree and "missing" not in tree
-        assert sorted(tree) == ["A", "B"]
-        assert dict(tree.items()) == dict(pairs)
-        assert tree.get("B") == Interval.open(3, 9)
-        tree.clear()
-        assert len(tree) == 0 and not tree and tree.node_count == 0
-
-
-class TestNodeFreeList:
-    def test_deleted_endpoint_nodes_are_reused(self):
-        tree = build(
-            [("A", Interval.closed(0, 10)), ("B", Interval.closed(20, 30))]
-        )
-        slots_before = len(tree._value)
-        tree.delete("B")
-        assert tree._free_nodes  # B's endpoint nodes went to the free list
-        tree.insert(Interval.closed(40, 50), "C")
-        assert len(tree._value) <= slots_before  # storage was recycled
-        assert tree.stab(45) == {"C"}
-        tree.validate()
-
-
-class TestStabMask:
-    def test_mask_decodes_to_stab(self):
-        tree = build(
-            [
-                ("A", Interval.closed(0, 10)),
-                ("B", Interval.closed(5, 15)),
-                ("C", Interval.at_least(12)),
-            ]
-        )
-        for x in (-1, 0, 5, 10, 12, 15, 99):
-            assert tree._decode(tree.stab_mask(x)) == tree.stab(x)
-
-    def test_masks_or_into_union(self):
-        tree = build(
-            [
-                ("A", Interval.closed(0, 10)),
-                ("B", Interval.closed(5, 15)),
-                ("C", Interval.at_least(12)),
-            ]
-        )
-        union_mask = tree.stab_mask(3) | tree.stab_mask(14)
-        assert tree._decode(union_mask) == tree.stab(3) | tree.stab(14)
-
-
-class TestDecodeCache:
-    def test_cache_fills_on_stab_and_clears_on_mutation(self):
-        tree = build(
-            [("A", Interval.closed(0, 10)), ("B", Interval.closed(5, 15))]
-        )
-        tree.stab(7)
-        assert tree._slot_cache  # decoded slots were memoized
-        tree.insert(Interval.closed(6, 8), "C")
-        assert not tree._slot_cache  # wholesale invalidation on insert
-        assert tree.stab(7) == {"A", "B", "C"}
-        assert tree._slot_cache
-        tree.delete("A")
-        assert not tree._slot_cache  # ... and on delete
-        assert tree.stab(7) == {"B", "C"}
-
-    def test_cached_answers_track_mutations(self):
-        """Interleaved stabs and mutations never serve stale sets."""
-        rng = random.Random(7)
-        flat, reference = FlatIBSTree(), IBSTree()
-        live = []
-        for step in range(120):
-            if live and rng.random() < 0.3:
-                ident = live.pop(rng.randrange(len(live)))
-                flat.delete(ident)
-                reference.delete(ident)
-            else:
-                a = rng.randint(0, 60)
-                interval = Interval.closed(a, a + rng.randint(0, 20))
-                flat.insert(interval, step)
-                reference.insert(interval, step)
-                live.append(step)
-            x = rng.randint(-5, 90)
-            assert flat.stab(x) == reference.stab(x)
-        flat.validate()
-
-
-class TestStabManyEdges:
-    def test_incomparable_value_maps_to_none(self):
-        tree = build([("A", Interval.closed(0, 10))])
-        answers = tree.stab_many([5, "zzz"])
-        assert answers[5] == {"A"}
-        assert answers["zzz"] is None
-        with pytest.raises(TypeError):
-            tree.stab("zzz")
-
-    def test_stab_into_is_all_or_nothing(self):
-        tree = build([("A", Interval.closed(0, 10))])
-        out = {"kept"}
-        with pytest.raises(TypeError):
-            tree.stab_into("zzz", out)
-        assert out == {"kept"}
-
-    def test_empty_tree_and_empty_input(self):
-        tree = FlatIBSTree()
-        assert tree.stab_many([]) == {}
-        assert tree.stab_many([1, 2]) == {1: set(), 2: set()}
-
-
-class TestOverlapping:
-    def test_overlapping_matches_brute_force(self):
-        rng = random.Random(11)
-        pairs = []
-        for k in range(60):
-            a = rng.randint(0, 80)
-            pairs.append((k, Interval.closed(a, a + rng.randint(0, 25))))
-        tree = build(pairs)
-        by_ident = dict(pairs)
-        for _ in range(40):
-            a = rng.randint(-5, 90)
-            query = Interval.closed(a, a + rng.randint(0, 30))
-            expected = {k for k, iv in by_ident.items() if iv.overlaps(query)}
-            assert tree.overlapping(query) == expected
-
-
-class TestDiagnostics:
-    def test_dump_and_repr(self):
-        tree = build(
-            [("A", Interval.closed(0, 10)), ("B", Interval.closed(5, 15))]
-        )
-        assert "FlatIBSTree" in repr(tree)
-        text = tree.dump()
-        assert "A" in text and "B" in text
-
-    def test_marker_statistics(self):
-        tree = build(
-            [("A", Interval.closed(0, 10)), ("B", Interval.closed(5, 15))]
-        )
-        assert tree.marker_count == sum(
-            tree.markers_of(ident) for ident in tree
-        )
-        assert tree.height >= 1
-        assert tree.node_count == len({0, 10, 5, 15})
+    disk = DiskIBSTree(str(tmp_path / "x.g1.seg"), relation="r", attribute="x")
+    disk.bulk_load([(Interval.closed(0, 10), "a")])
+    disk.insert(Interval.closed(5, 15), "b")  # builds the staging tree
+    assert type(disk._mem) is IBSTree
+    assert disk.stab(7) == {"a", "b"}

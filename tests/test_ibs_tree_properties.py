@@ -5,7 +5,7 @@ from typing import Dict, List, Tuple
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro import AVLIBSTree, FlatIBSTree, IBSTree, Interval, RBIBSTree
+from repro import AVLIBSTree, IBSTree, Interval, RBIBSTree
 from tests.conftest import intervals, query_points
 
 #: an operation script: insert (interval) / delete (index into live set)
@@ -18,7 +18,7 @@ ops = st.lists(
     max_size=40,
 )
 
-TREE_CLASSES = [IBSTree, AVLIBSTree, RBIBSTree, FlatIBSTree]
+TREE_CLASSES = [IBSTree, AVLIBSTree, RBIBSTree]
 
 
 def apply_script(tree, script) -> Dict[int, Interval]:
@@ -83,6 +83,35 @@ class TestStabbingCompleteness:
         answers = tree.stab_many(xs)
         for x in xs:
             assert answers[x] == tree.stab(x)
+
+
+class TestStabManyEdges:
+    """The batch forms' edge cases: incomparable values, empty input."""
+
+    @pytest.mark.parametrize("cls", TREE_CLASSES)
+    def test_incomparable_value_maps_to_none(self, cls):
+        tree = cls()
+        tree.insert(Interval.closed(0, 10), "A")
+        answers = tree.stab_many([5, "zzz"])
+        assert answers[5] == {"A"}
+        assert answers["zzz"] is None
+        with pytest.raises(TypeError):
+            tree.stab("zzz")
+
+    @pytest.mark.parametrize("cls", TREE_CLASSES)
+    def test_stab_into_is_all_or_nothing(self, cls):
+        tree = cls()
+        tree.insert(Interval.closed(0, 10), "A")
+        out = {"kept"}
+        with pytest.raises(TypeError):
+            tree.stab_into("zzz", out)
+        assert out == {"kept"}
+
+    @pytest.mark.parametrize("cls", TREE_CLASSES)
+    def test_empty_tree_and_empty_input(self, cls):
+        tree = cls()
+        assert tree.stab_many([]) == {}
+        assert tree.stab_many([1, 2]) == {1: set(), 2: set()}
 
 
 class TestStructuralInvariants:

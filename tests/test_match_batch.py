@@ -21,7 +21,6 @@ from repro import (
     CollectAction,
     Database,
     EqualityClause,
-    FlatIBSTree,
     FunctionClause,
     IBSTree,
     Interval,
@@ -37,7 +36,7 @@ def is_odd(x):
     return x % 2 == 1
 
 
-BACKENDS = {"ibs": IBSTree, "flat": FlatIBSTree}
+BACKENDS = {"ibs": IBSTree}
 ATTRS = ["a", "b", "c"]
 
 
@@ -258,7 +257,7 @@ class TestFallbacks:
         pre-probe NULL skip."""
         from repro.baselines import IntervalList
 
-        for factory in (IBSTree, FlatIBSTree, IntervalList):
+        for factory in (IBSTree, IntervalList):
             empty = factory()
             assert empty.stab_many([None]) == {None: None}
             loaded = factory()
@@ -381,7 +380,7 @@ class TestBulkMutationsThroughEngine:
     """bulk_insert / bulk_update fire one BatchEvent, same rule firings."""
 
     @pytest.mark.parametrize(
-        "matcher", ["ibs", PredicateIndex(tree_factory=FlatIBSTree)]
+        "matcher", ["ibs", PredicateIndex()]
     )
     def test_bulk_insert_equals_per_tuple_inserts(self, matcher):
         db_one, db_bulk = make_db(), make_db()

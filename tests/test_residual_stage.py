@@ -37,7 +37,7 @@ from repro.predicates import PredicateBuilder
 from repro.testing import FaultInjector, injected
 from tests.conftest import SteeredEstimator
 
-MATCHERS = {"ibs": "ibs", "flat": "ibs-flat", "columnar": "columnar"}
+MATCHERS = ["ibs", "columnar"]
 
 
 def is_odd(x):
@@ -94,11 +94,11 @@ SENTINEL_BATCH = [
 ]
 
 
-@pytest.mark.parametrize("name", sorted(MATCHERS))
+@pytest.mark.parametrize("name", MATCHERS)
 def test_sentinels_are_not_probed(name):
     def build():
         return loaded(
-            DEFAULT_REGISTRY.create_matcher(MATCHERS[name]), sentinel_predicates()
+            DEFAULT_REGISTRY.create_matcher(name), sentinel_predicates()
         )
 
     serial = build()
@@ -233,7 +233,7 @@ class TestCompileAtRegistration:
         ]
 
 
-@pytest.mark.parametrize("name", sorted(MATCHERS))
+@pytest.mark.parametrize("name", MATCHERS)
 def test_reading_never_compiles(name, monkeypatch):
     calls = []
     real_compile = catalog_module.compile_residual
@@ -245,7 +245,7 @@ def test_reading_never_compiles(name, monkeypatch):
     monkeypatch.setattr(catalog_module, "compile_residual", counting_compile)
     rng = random.Random(3)
     index = loaded(
-        DEFAULT_REGISTRY.create_matcher(MATCHERS[name]), mixed_predicates(rng, 40)
+        DEFAULT_REGISTRY.create_matcher(name), mixed_predicates(rng, 40)
     )
     assert len(calls) == 40
     tuples = [

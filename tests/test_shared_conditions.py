@@ -192,7 +192,7 @@ def assert_groups_current(idx):
 # one call per distinct condition, per tuple
 # ----------------------------------------------------------------------
 
-READERS = ["ibs", "ibs-flat", "columnar", "ibs-concurrent"]
+READERS = ["ibs", "columnar", "ibs-concurrent"]
 
 
 @pytest.mark.parametrize("name", READERS)
@@ -297,7 +297,7 @@ def test_clause_order_keeps_short_circuit_and_exceptions(orders):
 
 def test_batch_raises_when_a_member_would():
     predicates = [pred(0, fn("b", fragile)), pred(1, fn("b", fragile))]
-    idx = DEFAULT_REGISTRY.create_matcher("ibs-flat")
+    idx = DEFAULT_REGISTRY.create_matcher("ibs")
     idx.add_many(predicates)
     assert [len(row) for row in idx.match_batch("r", [{"b": 1}, {"b": 2}])] == [2, 2]
     with pytest.raises(ValueError):
@@ -437,7 +437,7 @@ def test_groups_follow_disk_cold_start(tmp_path):
 # every scalar read path answers as direct evaluation
 # ----------------------------------------------------------------------
 
-PATH_MATCHERS = ["ibs", "ibs-flat", "columnar", "ibs-concurrent", "disk-concurrent"]
+PATH_MATCHERS = ["ibs", "columnar", "ibs-concurrent", "disk-concurrent"]
 
 
 @pytest.mark.parametrize("name", PATH_MATCHERS)

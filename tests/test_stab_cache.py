@@ -17,7 +17,6 @@ import pytest
 
 from repro import (
     ConcurrentPredicateIndex,
-    FlatIBSTree,
     IBSTree,
     Interval,
     IntervalClause,
@@ -28,7 +27,7 @@ from repro.match.store import STAB_CACHE_SIZE
 from repro.predicates import PredicateBuilder
 from tests.conftest import SteeredEstimator
 
-BACKENDS = [IBSTree, FlatIBSTree]
+BACKENDS = [IBSTree]
 
 
 def interval_pred(ident, low, high, attribute="x", relation="r"):

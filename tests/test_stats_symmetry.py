@@ -56,14 +56,13 @@ def results_and_stats(index, tuples, mode):
 
 @pytest.mark.parametrize("options", [
     {},
-    {"tree_factory": "flat"},
     {"frozen": True},
     {"multi_clause": True},
     # the columnar plane must report the same logical counts as the
     # scalar paths; without NumPy the option is inert and this row
-    # degenerates to a second "flat" run, which is still a valid check
-    {"tree_factory": "flat", "columnar": True},
-], ids=["default", "flat", "stab-cache", "multi-clause", "columnar"])
+    # degenerates to a second "default" run, which is still a valid check
+    {"columnar": True},
+], ids=["default", "stab-cache", "multi-clause", "columnar"])
 def test_batch_reports_same_logical_counts(workload, options):
     tuples = workload[0].tuples(N_TUPLES)
 
@@ -98,7 +97,7 @@ def shared_workload():
 
 @pytest.mark.parametrize("options", [
     {},
-    {"tree_factory": "flat", "columnar": True},
+    {"columnar": True},
 ], ids=["default", "columnar"])
 def test_shared_clause_tuples_report_same_logical_counts(shared_workload, options):
     scenario, predicates = shared_workload
